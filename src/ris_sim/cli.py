@@ -12,6 +12,7 @@ and identical seeds produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -107,12 +108,12 @@ def cmd_topology(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     topo = build_topology(cfg.topology_config(), rng)
     out = out_dir / "topology.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out_dir / "topology_points.csv"
-    export_topology_csv(topo, tmp)
+    # newline=None turns the csv module's \r\n row ends into \n
+    points = io.StringIO(newline=None)
+    export_topology_csv(topo, points)
     with open(out, "w", newline="") as fh:
         fh.write(_config_header(cfg))
-        fh.write(tmp.read_text())
-    tmp.unlink()
+        fh.write(points.getvalue())
 
     n_bs = topo.bs.shape[0]
     min_spacing = math.inf

@@ -10,6 +10,7 @@ here.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -137,6 +138,15 @@ class ExperimentConfig:
             raise ConfigError(f"serving_mode must be pinned or associated, got {self.serving_mode!r}")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
+        if self.n_elements < 1:
+            raise ConfigError("n_elements must be at least 1")
+        # Matern type-II thinning retains under one BS per pi r_b^2 at any
+        # parent intensity (the matern_parent_intensity test)
+        if self.lambda_b * (math.pi * self.r_b**2) >= 1.0:
+            raise ConfigError(
+                f"lambda_b={self.lambda_b} unreachable for r_b={self.r_b}: "
+                "lambda_b * pi * r_b^2 must be below 1"
+            )
 
     # ---- derived parameter objects -------------------------------------
 

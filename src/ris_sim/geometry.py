@@ -12,8 +12,10 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "Window",
@@ -26,6 +28,7 @@ __all__ = [
     "sample_ris_clusters",
     "associate_nearest",
     "associate_serving_ris",
+    "serving_surfaces",
     "build_topology",
     "export_topology_csv",
 ]
@@ -161,9 +164,13 @@ def sample_mhcpp(
     """Matern type-II hard-core thinning of a Poisson parent process.
 
     Each parent draws an independent uniform mark; a point survives iff no
-    other point within ``r_b`` holds a smaller mark.  Parents are sampled on
-    the window dilated by ``r_b`` and clipped back afterwards, so points near
-    the boundary see their full competition neighborhood (no edge bias).
+    other point within ``r_b`` (inclusive: a pair exactly ``r_b`` apart
+    competes) holds a smaller mark.  The competing pairs come from a k-d tree
+    query, and in each pair the member with the strictly larger mark loses,
+    so equal marks eliminate neither; the cost is O(n log n) in the parent
+    count plus the number of close pairs.  Parents are sampled on the window
+    dilated by ``r_b`` and clipped back afterwards, so points near the
+    boundary see their full competition neighborhood (no edge bias).
     """
     if not r_b > 0:
         raise ValueError("r_b must be positive")
@@ -175,10 +182,10 @@ def sample_mhcpp(
     if n == 0:
         return parents
     marks = rng.random(n)
-    diff = parents[:, None, :] - parents[None, :, :]
-    close = np.einsum("ijk,ijk->ij", diff, diff) <= r_b**2
-    np.fill_diagonal(close, False)
-    loses = (close & (marks[None, :] < marks[:, None])).any(axis=1)
+    a, b = cKDTree(parents).query_pairs(r_b, output_type="ndarray").T
+    loses = np.zeros(n, dtype=bool)
+    loses[a[marks[a] > marks[b]]] = True
+    loses[b[marks[b] > marks[a]]] = True
     kept = parents[~loses]
     return kept[window.contains(kept)]
 
@@ -227,15 +234,30 @@ def associate_nearest(ue: np.ndarray, bs: np.ndarray) -> int:
     return int(np.argmin(d2))
 
 
+def serving_surfaces(bs: np.ndarray, ris: np.ndarray, ris_parent: np.ndarray) -> np.ndarray:
+    """Index of each BS's closest cluster child, or -1 for an empty cluster.
+
+    Ties resolve to the lowest surface index.
+    """
+    serving = np.full(bs.shape[0], -1, dtype=int)
+    if ris.shape[0] == 0:
+        return serving
+    d2 = np.sum((ris - bs[ris_parent]) ** 2, axis=1)
+    # stable sort by (parent, distance): each cluster's first entry is its nearest
+    order = np.lexsort((d2, ris_parent))
+    parent = ris_parent[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = parent[1:] != parent[:-1]
+    serving[parent[first]] = order[first]
+    return serving
+
+
 def associate_serving_ris(bs_index: int, topology: NetworkTopology) -> int | None:
     """Nearest surface in the BS's own cluster, or None if the cluster is empty."""
     if not 0 <= bs_index < topology.bs.shape[0]:
         raise ValueError(f"bs_index {bs_index} out of range")
-    children = np.flatnonzero(topology.ris_parent == bs_index)
-    if children.size == 0:
-        return None
-    d2 = np.sum((topology.ris[children] - topology.bs[bs_index]) ** 2, axis=1)
-    return int(children[np.argmin(d2)])
+    j = serving_surfaces(topology.bs, topology.ris, topology.ris_parent)[bs_index]
+    return None if j < 0 else int(j)
 
 
 def build_topology(config: TopologyConfig, rng: np.random.Generator) -> NetworkTopology:
@@ -256,24 +278,24 @@ def build_topology(config: TopologyConfig, rng: np.random.Generator) -> NetworkT
         d2 = np.sum((ue[:, None, :] - bs[None, :, :]) ** 2, axis=2)
         serving_bs = np.argmin(d2, axis=1)
 
-    serving_ris = np.full(n_bs, -1, dtype=int)
-    topo = NetworkTopology(bs, ris, ris_parent, ue, serving_bs, serving_ris)
-    for i in range(n_bs):
-        j = associate_serving_ris(i, topo)
-        serving_ris[i] = -1 if j is None else j
-    return topo
+    serving_ris = serving_surfaces(bs, ris, ris_parent)
+    return NetworkTopology(bs, ris, ris_parent, ue, serving_bs, serving_ris)
 
 
-def export_topology_csv(topology: NetworkTopology, path: str | Path) -> None:
-    """Write (kind, index, x, y, parent_index, serving_index) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "index", "x", "y", "parent_index", "serving_index"])
-        for i, (x, y) in enumerate(topology.bs):
-            serving = topology.serving_ris[i]
-            writer.writerow(["bs", i, repr(x), repr(y), "", "" if serving < 0 else serving])
-        for j, (x, y) in enumerate(topology.ris):
-            writer.writerow(["ris", j, repr(x), repr(y), topology.ris_parent[j], ""])
-        for k, (x, y) in enumerate(topology.ue):
-            serving = topology.serving_bs[k]
-            writer.writerow(["ue", k, repr(x), repr(y), "", "" if serving < 0 else serving])
+def export_topology_csv(topology: NetworkTopology, dest: str | Path | TextIO) -> None:
+    """Write (kind, index, x, y, parent_index, serving_index) rows to a path
+    or to an open text stream."""
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", newline="") as fh:
+            export_topology_csv(topology, fh)
+        return
+    writer = csv.writer(dest)
+    writer.writerow(["kind", "index", "x", "y", "parent_index", "serving_index"])
+    for i, (x, y) in enumerate(topology.bs):
+        serving = topology.serving_ris[i]
+        writer.writerow(["bs", i, repr(x), repr(y), "", "" if serving < 0 else serving])
+    for j, (x, y) in enumerate(topology.ris):
+        writer.writerow(["ris", j, repr(x), repr(y), topology.ris_parent[j], ""])
+    for k, (x, y) in enumerate(topology.ue):
+        serving = topology.serving_bs[k]
+        writer.writerow(["ue", k, repr(x), repr(y), "", "" if serving < 0 else serving])

@@ -27,10 +27,10 @@ from .channel import ChannelParams, PhaseConfig
 from .geometry import (
     TopologyConfig,
     associate_nearest,
-    associate_serving_ris,
     matern_parent_intensity,
     sample_mhcpp,
     sample_ris_clusters,
+    serving_surfaces,
 )
 
 __all__ = [
@@ -148,6 +148,65 @@ def _sample_field(cfg: TopologyConfig, rng: np.random.Generator):
     return bs, ris, ris_parent
 
 
+def _field_kernel(
+    bs: np.ndarray,
+    ris: np.ndarray,
+    ch: ChannelParams,
+    exclude: int | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Mean powers of the fixed-infrastructure interference at the origin.
+
+    Built once per topology: the direct means c d^(-alpha) of every
+    interfering BS (the serving BS ``exclude`` left out) and the BS x surface
+    pair means N c^2 (d_ij d_jk)^(-alpha), or None without surfaces.  A trial
+    draws from it twice with ``_draw_field_interference``, once before and
+    once after movement, instead of rebuilding the pair matrix per draw.
+    """
+    if exclude is not None and bs.shape[0] > 0:
+        keep = np.ones(bs.shape[0], dtype=bool)
+        keep[exclude] = False
+        bs = bs[keep]
+    alpha = ch.alpha
+    d_bs = np.hypot(bs[:, 0], bs[:, 1])
+    direct = ch.c * d_bs ** (-alpha)
+    if bs.shape[0] == 0 or ris.shape[0] == 0:
+        return direct, None
+    d_ris = np.hypot(ris[:, 0], ris[:, 1])
+    # built in place, because at ~1e5 pairs every pair-sized temporary costs
+    # page faults; each step rounds exactly as the plain expression would
+    pairs = bs[:, 0:1] - ris[None, :, 0]
+    dy = bs[:, 1:2] - ris[None, :, 1]
+    np.square(pairs, out=pairs)
+    np.square(dy, out=dy)
+    pairs += dy
+    np.sqrt(pairs, out=pairs)
+    pairs *= d_ris[None, :]
+    np.power(pairs, -alpha, out=pairs)
+    pairs *= ch.n_elements * ch.c**2
+    return direct, pairs
+
+
+def _draw_field_interference(
+    kernel: tuple[np.ndarray, np.ndarray | None], rng: np.random.Generator
+) -> float:
+    """One fading draw of the field interference from its mean kernel.
+
+    Direct Rayleigh powers are exactly exponential; misaligned reflected
+    sums are exponential with their pair mean to the same accuracy as the
+    analytic per-term kernels.  The direct exponentials are drawn before the
+    pair exponentials; an empty interferer set draws nothing.
+    """
+    direct, pairs = kernel
+    if direct.size == 0:
+        return 0.0
+    total = float(np.sum(direct * rng.exponential(size=direct.size)))
+    if pairs is not None:
+        fading = rng.exponential(size=pairs.shape)
+        fading *= pairs
+        total += float(np.sum(fading))
+    return total
+
+
 def _field_interference(
     bs: np.ndarray,
     ris: np.ndarray,
@@ -155,31 +214,9 @@ def _field_interference(
     rng: np.random.Generator,
     exclude: int | None = None,
 ) -> float:
-    """One draw of the fixed-infrastructure interference at the origin.
-
-    Direct Rayleigh powers are exactly exponential; misaligned reflected
-    sums are exponential with mean N c^2 (d_ij d_jk)^(-alpha) to the same
-    accuracy as the analytic per-term kernels.
-    """
-    if bs.shape[0] == 0:
-        return 0.0
-    keep = np.ones(bs.shape[0], dtype=bool)
-    if exclude is not None:
-        keep[exclude] = False
-    bs = bs[keep]
-    if bs.shape[0] == 0:
-        return 0.0
-    alpha = ch.alpha
-    d_bs = np.hypot(bs[:, 0], bs[:, 1])
-    total = float(np.sum(ch.c * d_bs ** (-alpha) * rng.exponential(size=d_bs.size)))
-    if ris.shape[0] > 0:
-        d_ris = np.hypot(ris[:, 0], ris[:, 1])
-        d_pair = np.sqrt(
-            (bs[:, 0:1] - ris[None, :, 0]) ** 2 + (bs[:, 1:2] - ris[None, :, 1]) ** 2
-        )
-        means = ch.n_elements * ch.c**2 * (d_pair * d_ris[None, :]) ** (-alpha)
-        total += float(np.sum(means * rng.exponential(size=means.shape)))
-    return total
+    """One draw of the fixed-infrastructure interference at the origin: a
+    fresh kernel and one draw from it, consuming the same random numbers."""
+    return _draw_field_interference(_field_kernel(bs, ris, ch, exclude), rng)
 
 
 def _moved_interference(
@@ -208,14 +245,13 @@ def _moved_interference(
     r = setup.r_i * np.sqrt(rng.random(count))
     theta = rng.uniform(0.0, 2.0 * math.pi, count)
     positions = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    serving = serving_surfaces(bs, ris, ris_parent)
     for pos in positions:
         i = associate_nearest(pos, bs)
-        children = np.flatnonzero(ris_parent == i)
-        if children.size == 0:
+        j = serving[i]
+        if j < 0:
             continue
-        d2 = np.sum((ris[children] - bs[i]) ** 2, axis=1)
-        j = children[np.argmin(d2)]
-        d_ij = math.sqrt(float(d2[np.argmin(d2)]))
+        d_ij = math.sqrt(float(np.sum((ris[j] - bs[i]) ** 2)))
         d_jk = float(np.hypot(ris[j, 0], ris[j, 1]))
         if d_ij <= 0 or d_jk <= 0:
             continue
@@ -286,14 +322,8 @@ def _simulate_trial_counted(
         serving_index = associate_nearest(np.zeros(2), bs)
         d_direct = float(np.hypot(*bs[serving_index]))
         pl_d = ch.c * d_direct ** (-ch.alpha)
-        from .geometry import NetworkTopology
-
-        topo = NetworkTopology(
-            bs, ris, ris_parent, np.zeros((1, 2)), np.array([serving_index]),
-            np.full(bs.shape[0], -1, dtype=int),
-        )
-        j = associate_serving_ris(serving_index, topo)
-        if j is None:
+        j = serving_surfaces(bs, ris, ris_parent)[serving_index]
+        if j < 0:
             pl_r = 0.0
         else:
             d_ij = float(np.linalg.norm(bs[serving_index] - ris[j]))
@@ -301,8 +331,9 @@ def _simulate_trial_counted(
             pl_r = ch.c * (d_ij * d_jk) ** (-ch.alpha)
 
     s0 = _serving_power(setup, pl_d, pl_r, rng)
-    i_before = _field_interference(bs, ris, ch, rng, exclude=serving_index)
-    i_after = _field_interference(bs, ris, ch, rng, exclude=serving_index)
+    kernel = _field_kernel(bs, ris, ch, exclude=serving_index)
+    i_before = _draw_field_interference(kernel, rng)
+    i_after = _draw_field_interference(kernel, rng)
     i_after += _moved_interference(setup, bs, ris, ris_parent, rng)
 
     sinr_b = float(sinr_from_powers(s0, i_before, ch.power_w, ch.sigma2_w))
@@ -340,8 +371,9 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0) -> Ensemble
         for t in range(trials):
             rng = _trial_rng(seed, t)
             bs, ris, ris_parent = _sample_field(setup.topology, rng)
-            i_b[t] = _field_interference(bs, ris, ch, rng)
-            after = _field_interference(bs, ris, ch, rng)
+            kernel = _field_kernel(bs, ris, ch)
+            i_b[t] = _draw_field_interference(kernel, rng)
+            after = _draw_field_interference(kernel, rng)
             i_a[t] = after + _moved_interference(setup, bs, ris, ris_parent, rng)
     else:
         for t in range(trials):
@@ -417,12 +449,7 @@ def make_sinr_sampler(setup: SimulationSetup, seed: int = 0):
     ch = setup.channel
     alpha = ch.alpha
 
-    serving_ris = np.full(bs.shape[0], -1, dtype=int)
-    for i in range(bs.shape[0]):
-        children = np.flatnonzero(ris_parent == i)
-        if children.size:
-            d2 = np.sum((ris[children] - bs[i]) ** 2, axis=1)
-            serving_ris[i] = children[np.argmin(d2)]
+    serving_ris = serving_surfaces(bs, ris, ris_parent)
 
     def sampler(positions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         positions = np.atleast_2d(positions)

@@ -1,11 +1,17 @@
 """Command-line surface: exit codes, output contracts, determinism."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ris_sim
 from ris_sim.cli import EXIT_CONFIG, EXIT_OK, main
+
+SRC = str(Path(ris_sim.__file__).resolve().parents[1])
 
 
 def _write(tmp_path: Path, name: str, text: str) -> str:
@@ -31,6 +37,27 @@ class TestExitCodes:
     def test_r0_sweep_needs_proper_axis(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "r0-sweep"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "text,command",
+        [
+            ("lambda_b: 1.0e-3\nr_b: 50\n", "outage-sweep"),
+            ("lambda_b: 1.0e-3\nr_b: 50\n", "topology"),
+            ("n_elements: 0\n", "outage-sweep"),
+        ],
+    )
+    def test_impossible_parameters_exit_config(self, tmp_path, text, command):
+        cfg = _write(tmp_path, "bad.yaml", text)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ris_sim.cli", "--config", cfg, "--trials", "100",
+             "--out", str(tmp_path / "o"), command],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestTopologyCommand:
     def test_writes_points_and_summary(self, tmp_path, capsys):
@@ -41,6 +68,7 @@ class TestTopologyCommand:
         assert kinds == {"bs", "ris", "ue"}
         captured = capsys.readouterr()
         assert "min BS spacing" in captured.out
+        assert sorted(p.name for p in out.iterdir()) == ["topology.csv"]
 
     def test_byte_identical_for_same_seed(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

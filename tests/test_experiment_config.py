@@ -68,6 +68,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(reflected_form="wrong")
 
+    def test_elements_must_be_positive(self):
+        with pytest.raises(ConfigError):
+            load_config(text="n_elements: 0\n")
+
+    def test_hard_core_density_reachable(self):
+        with pytest.raises(ConfigError):
+            load_config(text="lambda_b: 1.0e-3\nr_b: 50\n")
+        with pytest.raises(ConfigError):
+            with_overrides(ExperimentConfig(), lambda_b=1.3e-4)
+        assert ExperimentConfig(lambda_b=1.2e-4).lambda_b == 1.2e-4
+
 
 class TestDerived:
     def test_dbm_conversion(self):

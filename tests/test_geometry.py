@@ -19,11 +19,45 @@ from ris_sim.geometry import (
     sample_hppp,
     sample_mhcpp,
     sample_ris_clusters,
+    serving_surfaces,
 )
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _reference_mhcpp(parent_intensity, r_b, window, rng):
+    """The O(n^2) Matern type-II rule: every pair's distance and marks compared."""
+    parents = sample_hppp(parent_intensity, window.dilate(r_b), rng)
+    n = parents.shape[0]
+    if n == 0:
+        return parents
+    marks = rng.random(n)
+    diff = parents[:, None, :] - parents[None, :, :]
+    close = np.einsum("ijk,ijk->ij", diff, diff) <= r_b**2
+    np.fill_diagonal(close, False)
+    loses = (close & (marks[None, :] < marks[:, None])).any(axis=1)
+    kept = parents[~loses]
+    return kept[window.contains(kept)]
+
+
+class _ScriptedRng:
+    """Generator stand-in placing fixed parents in a rectangle window."""
+
+    def __init__(self, points, marks):
+        self.points = np.asarray(points, dtype=float).reshape(-1, 2)
+        self.marks = np.asarray(marks, dtype=float)
+        self._coords = iter((self.points[:, 0], self.points[:, 1]))
+
+    def poisson(self, lam):
+        return self.points.shape[0]
+
+    def uniform(self, low, high, size):
+        return next(self._coords).copy()
+
+    def random(self, size):
+        return self.marks.copy()
 
 
 class TestWindow:
@@ -117,6 +151,44 @@ class TestMhcpp:
         empirical = np.mean(counts) / w.area()
         assert abs(empirical - expected) / expected < 0.02
 
+    @pytest.mark.parametrize(
+        "window",
+        [Window("disk", radius=400.0), Window("rectangle", half_extents=(400.0, 250.0))],
+    )
+    def test_matches_bruteforce_rule(self, window):
+        for seed in range(200):
+            for lam_p in np.geomspace(1e-5, 3e-4, 5):
+                fast_rng, ref_rng = _rng(seed), _rng(seed)
+                fast = sample_mhcpp(lam_p, 50.0, window, fast_rng)
+                ref = _reference_mhcpp(lam_p, 50.0, window, ref_rng)
+                assert np.array_equal(fast, ref), (seed, lam_p)
+                # both consumed exactly the same draws
+                assert fast_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize(
+        "points,marks",
+        [
+            ([], []),  # n = 0
+            ([(10.0, -5.0)], [0.3]),  # n = 1
+            ([(0.0, 0.0), (50.0, 0.0)], [0.2, 0.7]),  # exactly r_b apart: compete
+            ([(0.0, 0.0), (50.0, 0.0)], [0.7, 0.2]),
+            ([(0.0, 0.0), (50.000001, 0.0)], [0.2, 0.7]),  # just beyond r_b
+            ([(0.0, 0.0), (30.0, 40.0)], [0.5, 0.5]),  # equal marks: neither loses
+            ([(0.0, 0.0), (40.0, 0.0), (80.0, 0.0)], [0.5, 0.1, 0.9]),
+        ],
+    )
+    def test_scripted_parents_match_bruteforce(self, points, marks):
+        window = Window("rectangle", half_extents=(100.0, 100.0))
+        fast = sample_mhcpp(1e-4, 50.0, window, _ScriptedRng(points, marks))
+        ref = _reference_mhcpp(1e-4, 50.0, window, _ScriptedRng(points, marks))
+        assert fast.shape == ref.shape
+        assert np.array_equal(fast, ref)
+
+    def test_inclusive_hard_core_radius(self):
+        window = Window("rectangle", half_extents=(100.0, 100.0))
+        rng = _ScriptedRng([(0.0, 0.0), (50.0, 0.0)], [0.2, 0.7])
+        assert np.array_equal(sample_mhcpp(1e-4, 50.0, window, rng), [[0.0, 0.0]])
+
     def test_parent_retained_roundtrip(self):
         lam = 1e-5
         parent = matern_parent_intensity(lam, 50.0)
@@ -177,6 +249,30 @@ class TestAssociation:
             np.zeros(0, dtype=int), np.array([-1]),
         )
         assert associate_serving_ris(0, topo) == 0
+
+    def test_serving_surfaces_nearest_child(self):
+        bs = np.array([[0.0, 0.0], [100.0, 0.0], [-100.0, 0.0]])
+        ris = np.array([[95.0, 0.0], [8.0, 0.0], [3.0, 4.0], [104.0, 0.0], [5.0, 0.0]])
+        parent = np.array([1, 0, 0, 1, 0])
+        # BS 0: surfaces 2 and 4 tie at distance 5, the lower index wins
+        assert serving_surfaces(bs, ris, parent).tolist() == [2, 3, -1]
+
+    def test_serving_surfaces_no_surfaces(self):
+        out = serving_surfaces(np.zeros((3, 2)), np.zeros((0, 2)), np.zeros(0, dtype=int))
+        assert out.tolist() == [-1, -1, -1]
+
+    def test_serving_surfaces_matches_per_bs_argmin(self):
+        rng = _rng(4)
+        bs = rng.uniform(-500, 500, (40, 2))
+        ris, parent = sample_ris_clusters(bs, 2e-5, 1e-5, 10.0, rng)
+        expected = np.full(40, -1)
+        for i in range(40):
+            children = np.flatnonzero(parent == i)
+            if children.size:
+                d2 = np.sum((ris[children] - bs[i]) ** 2, axis=1)
+                expected[i] = children[np.argmin(d2)]
+        assert (expected == -1).any() and (expected >= 0).any()
+        assert np.array_equal(serving_surfaces(bs, ris, parent), expected)
 
     def test_serving_ris_empty_cluster(self):
         topo = NetworkTopology(

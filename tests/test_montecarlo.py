@@ -10,6 +10,9 @@ from ris_sim.geometry import TopologyConfig, Window
 from ris_sim.montecarlo import (
     LinkGeometry,
     SimulationSetup,
+    _draw_field_interference,
+    _field_kernel,
+    _sample_field,
     empirical_outage,
     empirical_rates,
     outage_from_ensemble,
@@ -32,6 +35,28 @@ def _setup(**kwargs):
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _reference_field_interference(bs, ris, ch, rng, exclude=None):
+    """One draw with the pair means recomputed, as before the kernel split."""
+    if bs.shape[0] == 0:
+        return 0.0
+    keep = np.ones(bs.shape[0], dtype=bool)
+    if exclude is not None:
+        keep[exclude] = False
+    bs = bs[keep]
+    if bs.shape[0] == 0:
+        return 0.0
+    d_bs = np.hypot(bs[:, 0], bs[:, 1])
+    total = float(np.sum(ch.c * d_bs ** (-ch.alpha) * rng.exponential(size=d_bs.size)))
+    if ris.shape[0] > 0:
+        d_ris = np.hypot(ris[:, 0], ris[:, 1])
+        d_pair = np.sqrt(
+            (bs[:, 0:1] - ris[None, :, 0]) ** 2 + (bs[:, 1:2] - ris[None, :, 1]) ** 2
+        )
+        means = ch.n_elements * ch.c**2 * (d_pair * d_ris[None, :]) ** (-ch.alpha)
+        total += float(np.sum(means * rng.exponential(size=means.shape)))
+    return total
 
 
 class TestSimulateTrial:
@@ -76,6 +101,37 @@ class TestSimulateTrial:
         setup = _setup(moved_mode="cell_reflected")
         trial = simulate_trial(setup, _rng(4))
         assert trial.i_after >= 0.0
+
+
+class TestFieldKernel:
+    def test_two_draws_match_recomputed_reference(self):
+        ch = ChannelParams()
+        topo = TopologyConfig(lambda_b=5e-5, lambda_r=1e-4, window=Window("disk", radius=500.0))
+        for seed in range(20):
+            bs, ris, _ = _sample_field(topo, _rng(100 + seed))
+            for exclude in (None, seed % bs.shape[0]):
+                kernel = _field_kernel(bs, ris, ch, exclude)
+                rng, ref_rng = _rng(seed), _rng(seed)
+                got = [_draw_field_interference(kernel, rng) for _ in range(2)]
+                want = [_reference_field_interference(bs, ris, ch, ref_rng, exclude)
+                        for _ in range(2)]
+                assert got == want
+                assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize(
+        "bs,ris,exclude",
+        [
+            (np.zeros((0, 2)), np.zeros((0, 2)), None),
+            (np.array([[30.0, 40.0]]), np.array([[35.0, 40.0]]), 0),
+            (np.array([[30.0, 40.0], [-60.0, 80.0]]), np.zeros((0, 2)), None),
+        ],
+    )
+    def test_degenerate_fields_match_reference(self, bs, ris, exclude):
+        ch = ChannelParams()
+        rng, ref_rng = _rng(3), _rng(3)
+        got = _draw_field_interference(_field_kernel(bs, ris, ch, exclude), rng)
+        assert got == _reference_field_interference(bs, ris, ch, ref_rng, exclude)
+        assert rng.random() == ref_rng.random()
 
 
 class TestEnsemble:
