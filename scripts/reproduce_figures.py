@@ -11,11 +11,15 @@ commands; pass --quick for a 2e4-trial smoke pass.
 With --check nothing under results/ is written: every command runs into a
 temporary directory, and each CSV's data lines (those not starting with #,
 so the config header with its out_dir is skipped) are compared with the
-tracked file.  Differing files are printed and the exit code is 1.  The
-tracked results come from a --quick pass, so use --quick --check.
+tracked file.  For each differing file the differing columns are printed
+with their largest relative difference (or the number of differing cells
+for text columns), and the exit code is 1.  The tracked results come from a
+--quick pass, so use --quick --check.
 """
 
 import argparse
+import csv
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -57,16 +61,56 @@ def _data_lines(path: Path) -> list[str]:
     return [line for line in path.read_text().splitlines() if not line.startswith("#")]
 
 
-def _compare(fresh_root: Path) -> list[str]:
-    """Relative paths of CSVs whose data lines differ from the tracked ones."""
+def _rel_diff(a: str, b: str) -> float | None:
+    """Relative difference of two numeric cells; None if either is text."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if x == y:
+        return 0.0
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if math.isfinite(scale) else math.inf
+
+
+def _column_report(fresh: list[str], tracked: list[str]) -> list[str]:
+    """One line per differing column: its largest relative difference."""
+    fresh_rows, tracked_rows = list(csv.reader(fresh)), list(csv.reader(tracked))
+    if fresh_rows[:1] != tracked_rows[:1]:
+        return [f"header {fresh_rows[:1]} vs {tracked_rows[:1]}"]
+    if len(fresh_rows) != len(tracked_rows):
+        return [f"{len(fresh_rows) - 1} rows vs {len(tracked_rows) - 1}"]
+    lines = []
+    for col, name in enumerate(fresh_rows[0]):
+        worst, text_cells = 0.0, 0
+        for f_row, t_row in zip(fresh_rows[1:], tracked_rows[1:]):
+            if f_row[col] == t_row[col]:
+                continue
+            rel = _rel_diff(f_row[col], t_row[col])
+            if rel is None:
+                text_cells += 1
+            else:
+                worst = max(worst, rel)
+        if text_cells:
+            lines.append(f"{name}: {text_cells} text cells differ")
+        elif worst > 0.0:
+            lines.append(f"{name}: largest relative difference {worst:.3g}")
+    return lines
+
+
+def _compare(fresh_root: Path) -> dict[str, list[str]]:
+    """CSVs whose data lines differ from the tracked ones, each with its
+    per-column report."""
     fresh = {p.relative_to(fresh_root) for p in fresh_root.rglob("*.csv")}
     tracked = {p.relative_to(RESULTS) for p in RESULTS.rglob("*.csv")}
-    differ = []
+    differ = {}
     for rel in sorted(fresh | tracked):
         if rel not in fresh or rel not in tracked:
-            differ.append(f"{rel} (only in {'fresh run' if rel in fresh else 'results/'})")
-        elif _data_lines(fresh_root / rel) != _data_lines(RESULTS / rel):
-            differ.append(str(rel))
+            differ[str(rel)] = [f"only in {'fresh run' if rel in fresh else 'results/'}"]
+            continue
+        a, b = _data_lines(fresh_root / rel), _data_lines(RESULTS / rel)
+        if a != b:
+            differ[str(rel)] = _column_report(a, b)
     return differ
 
 
@@ -83,8 +127,10 @@ def main() -> int:
         if code != 0:
             return code
         differ = _compare(Path(tmp))
-    for rel in differ:
+    for rel, columns in differ.items():
         print(f"differs: {rel}")
+        for line in columns:
+            print(f"  {line}")
     if differ:
         return 1
     print(f"all CSV data lines match results/ ({len(RUNS)} commands)")

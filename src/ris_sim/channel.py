@@ -1,9 +1,10 @@
-"""Path loss, small-scale fading, surface phase configuration, and
-per-realization composite channel gains.
+"""Radio parameters, the free-space path-loss constant, and the unit-power
+fading amplitude samplers.
 
 Unit-power normalization throughout: every fading amplitude satisfies
 E{|h|^2} = 1.  The direct link is Rayleigh, both reflected hops are
-Nakagami-m.
+Nakagami-m.  The per-link path losses and the serving and interference
+draws built from these parameters live in ``montecarlo``.
 """
 
 from __future__ import annotations
@@ -17,18 +18,9 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 __all__ = [
     "ChannelParams",
-    "PhaseConfig",
-    "FadingRealization",
     "pathloss_constant",
-    "pathloss_direct",
-    "pathloss_reflected",
     "sample_rayleigh",
     "sample_nakagami",
-    "sample_fading",
-    "ris_phase_alignment",
-    "composite_amplitude",
-    "serving_power_realization",
-    "interference_power_realization",
 ]
 
 
@@ -37,8 +29,7 @@ class ChannelParams:
     """Radio parameters of one deployment.
 
     ``c`` is the linear path gain at 1 m.  ``alpha`` must exceed 2 for the
-    interference integrals to converge.  ``power_alloc`` is inert metadata
-    (recorded but used by no formula).
+    interference integrals to converge.
     """
 
     c: float = 6.3326e-5
@@ -46,12 +37,8 @@ class ChannelParams:
     m1: float = 2.0
     m2: float = 2.0
     n_elements: int = 200
-    frequency: float = 3e9
-    gain_tx: float = 1.0
-    gain_rx: float = 1.0
     power_w: float = 1e-3
     sigma2_w: float = 1e-12
-    power_alloc: tuple[float, float] = (0.6, 0.4)
 
     def __post_init__(self):
         if not self.c > 0:
@@ -66,62 +53,12 @@ class ChannelParams:
             raise ValueError("power must be positive and noise nonnegative")
 
 
-@dataclass(frozen=True)
-class PhaseConfig:
-    """Surface phase-shift mode: continuous alignment or a uniform grid."""
-
-    mode: str = "ideal"
-    bits: int = 2
-
-    def __post_init__(self):
-        if self.mode not in ("ideal", "quantized"):
-            raise ValueError(f"unknown phase mode {self.mode!r}")
-        if not 1 <= self.bits <= 8:
-            raise ValueError("bits must lie in [1, 8]")
-
-
-@dataclass
-class FadingRealization:
-    """One draw of the serving-link small-scale fading.
-
-    ``phases[n]`` is the total reflected-path phase of element n relative to
-    the direct path, i.e. arg(h_bs_ris) + arg(h_ris_ue) - arg(h_direct).
-    Amplitudes are nonnegative and the three length-N sequences agree.
-    """
-
-    g_direct: float
-    h_bs_ris: np.ndarray
-    h_ris_ue: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.h_bs_ris)
-        if not (len(self.h_ris_ue) == n and len(self.phases) == n):
-            raise ValueError("per-element sequences must share one length")
-        if self.g_direct < 0 or np.any(self.h_bs_ris < 0) or np.any(self.h_ris_ue < 0):
-            raise ValueError("amplitudes must be nonnegative")
-
-
 def pathloss_constant(frequency: float, gain_tx: float = 1.0, gain_rx: float = 1.0) -> float:
     """Free-space gain at 1 m: (wavelength * sqrt(Gt*Gr) / 4 pi)^2."""
     if not frequency > 0:
         raise ValueError(f"frequency must be positive, got {frequency}")
     wavelength = SPEED_OF_LIGHT / frequency
     return (wavelength * math.sqrt(gain_tx * gain_rx) / (4.0 * math.pi)) ** 2
-
-
-def pathloss_direct(c: float, d: float, alpha: float) -> float:
-    """Direct-link gain c * d**(-alpha)."""
-    if not d > 0:
-        raise ValueError(f"distance must be positive, got {d}")
-    return c * d ** (-alpha)
-
-
-def pathloss_reflected(c: float, d_bs_ris: float, d_ris_ue: float, alpha: float) -> float:
-    """Product-distance reflected gain c * (d_bs_ris * d_ris_ue)**(-alpha)."""
-    if not (d_bs_ris > 0 and d_ris_ue > 0):
-        raise ValueError("both hop distances must be positive")
-    return c * (d_bs_ris * d_ris_ue) ** (-alpha)
 
 
 def sample_rayleigh(rng: np.random.Generator, size=None):
@@ -134,150 +71,3 @@ def sample_nakagami(m: float, rng: np.random.Generator, size=None):
     if m < 0.5:
         raise ValueError(f"Nakagami shape must be at least 0.5, got {m}")
     return np.sqrt(rng.gamma(shape=m, scale=1.0 / m, size=size))
-
-
-def sample_fading(params: ChannelParams, rng: np.random.Generator) -> FadingRealization:
-    """Draw the serving link: Rayleigh direct hop plus N Nakagami hop pairs."""
-    n = params.n_elements
-    return FadingRealization(
-        g_direct=float(sample_rayleigh(rng)),
-        h_bs_ris=sample_nakagami(params.m1, rng, n),
-        h_ris_ue=sample_nakagami(params.m2, rng, n),
-        phases=rng.uniform(0.0, 2.0 * math.pi, n),
-    )
-
-
-def ris_phase_alignment(fading: FadingRealization, config: PhaseConfig) -> np.ndarray:
-    """Element phase shifts that steer each reflected term onto the direct path.
-
-    Ideal mode cancels the residual phase exactly.  Quantized mode rounds
-    each shift to the nearest of 2**bits uniformly spaced levels in [0, 2 pi).
-    """
-    shifts = np.mod(-fading.phases, 2.0 * math.pi)
-    if config.mode == "ideal":
-        return shifts
-    levels = 2 ** config.bits
-    step = 2.0 * math.pi / levels
-    return np.mod(np.round(shifts / step) * step, 2.0 * math.pi)
-
-
-def composite_amplitude(
-    pl_direct: float,
-    pl_reflected: float,
-    fading: FadingRealization,
-    config: PhaseConfig,
-) -> float:
-    """|sqrt(PL_d) g + sqrt(PL_r) sum_n h h exp(i(phase + shift))| for the
-    configured shifts.  With ideal shifts this collapses to the scalar sum
-    sqrt(PL_d) g + sqrt(PL_r) sum |h||h|."""
-    shifts = ris_phase_alignment(fading, config)
-    products = fading.h_bs_ris * fading.h_ris_ue
-    if config.mode == "ideal":
-        reflected = products.sum()
-        return math.sqrt(pl_direct) * fading.g_direct + math.sqrt(pl_reflected) * reflected
-    total = math.sqrt(pl_direct) * fading.g_direct + math.sqrt(pl_reflected) * np.sum(
-        products * np.exp(1j * (fading.phases + shifts))
-    )
-    return float(abs(total))
-
-
-def serving_power_realization(
-    pl_direct: float,
-    pl_reflected: float,
-    fading: FadingRealization,
-    config: PhaseConfig | None = None,
-) -> float:
-    """Received power of the assisted serving link for one fading draw."""
-    if pl_direct < 0 or pl_reflected < 0:
-        raise ValueError("path-loss gains must be nonnegative")
-    if config is None:
-        config = PhaseConfig()
-    return composite_amplitude(pl_direct, pl_reflected, fading, config) ** 2
-
-
-def _misaligned_reflection_power(
-    n_elements: int, m1: float, m2: float, rng: np.random.Generator
-) -> float:
-    """|sum_n h h exp(i theta)|^2 with i.i.d. uniform element phases."""
-    amp = sample_nakagami(m1, rng, n_elements) * sample_nakagami(m2, rng, n_elements)
-    theta = rng.uniform(0.0, 2.0 * math.pi, n_elements)
-    return float(abs(np.sum(amp * np.exp(1j * theta))) ** 2)
-
-
-def interference_power_realization(
-    topology,
-    params: ChannelParams,
-    target: np.ndarray | None,
-    rng: np.random.Generator,
-    moved_interferers: int = 0,
-    serving_bs_index: int | None = None,
-    interference_radius: float = 10.0,
-    mode: str = "exponential",
-) -> float:
-    """Aggregate interference at ``target`` (origin when None) for one draw.
-
-    Every BS except ``serving_bs_index`` contributes a direct term with mean
-    power c * d**(-alpha), plus one misaligned reflected term per surface in
-    the field with mean power N c^2 (d_bs_ris * d_ris_target)**(-alpha).
-    ``mode`` "exact" samples the element-wise phase sums; "exponential" draws
-    each term from an exponential law with the same mean, which is the
-    distribution the per-term kernels 1/(1 + s * mean) encode and is
-    indistinguishable at N >> 1.
-
-    ``moved_interferers`` near mobile users each add a reflected bounce from
-    their own serving BS/surface pair; positions are uniform within
-    ``interference_radius`` of the target.
-    """
-    if mode not in ("exponential", "exact"):
-        raise ValueError(f"unknown interference mode {mode!r}")
-    tgt = np.zeros(2) if target is None else np.asarray(target, dtype=float)
-    bs = topology.bs
-    keep = np.ones(bs.shape[0], dtype=bool)
-    if serving_bs_index is not None:
-        keep[serving_bs_index] = False
-    bs = bs[keep]
-
-    total = 0.0
-    alpha = params.alpha
-    if bs.shape[0] > 0:
-        d_bs = np.hypot(bs[:, 0] - tgt[0], bs[:, 1] - tgt[1])
-        direct_means = params.c * d_bs ** (-alpha)
-        # Rayleigh power is exactly exponential, so both modes agree here.
-        total += float(np.sum(direct_means * rng.exponential(size=d_bs.size)))
-        if topology.ris.shape[0] > 0:
-            d_ris = np.hypot(topology.ris[:, 0] - tgt[0], topology.ris[:, 1] - tgt[1])
-            d_pair = np.linalg.norm(bs[:, None, :] - topology.ris[None, :, :], axis=2)
-            means = params.n_elements * params.c**2 * (d_pair * d_ris[None, :]) ** (-alpha)
-            if mode == "exponential":
-                total += float(np.sum(means * rng.exponential(size=means.shape)))
-            else:
-                unit = np.empty(means.shape)
-                for idx in np.ndindex(means.shape):
-                    unit[idx] = _misaligned_reflection_power(
-                        params.n_elements, params.m1, params.m2, rng
-                    )
-                total += float(np.sum(means / params.n_elements * unit))
-
-    from .geometry import associate_nearest, associate_serving_ris
-
-    for _ in range(moved_interferers):
-        if topology.bs.shape[0] == 0:
-            break
-        r = interference_radius * math.sqrt(rng.random())
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        pos = tgt + np.array([r * math.cos(theta), r * math.sin(theta)])
-        i = associate_nearest(pos, topology.bs)
-        j = associate_serving_ris(i, topology)
-        if j is None:
-            continue
-        d_ij = float(np.linalg.norm(topology.bs[i] - topology.ris[j]))
-        d_jk = float(np.linalg.norm(topology.ris[j] - tgt))
-        if d_ij <= 0 or d_jk <= 0:
-            continue
-        mean = params.n_elements * params.c**2 * (d_ij * d_jk) ** (-alpha)
-        if mode == "exponential":
-            total += mean * float(rng.exponential())
-        else:
-            unit = _misaligned_reflection_power(params.n_elements, params.m1, params.m2, rng)
-            total += mean / params.n_elements * unit
-    return total

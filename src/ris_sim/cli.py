@@ -3,7 +3,8 @@ the numeric validation reports.
 
 Commands: topology | validate-power | outage-sweep | sis-sim | r0-sweep |
 validate-laplace.  Exit codes: 0 success, 2 configuration error, 3 numeric
-validation failure.  RIS_SIM_THREADS is the fallback for --threads.
+validation failure (including an overflow or a failed quadrature in the
+numeric layers).  RIS_SIM_THREADS is the fallback for --threads.
 
 Every output file starts with the resolved configuration as comment lines,
 and identical seeds produce byte-identical files.
@@ -133,18 +134,13 @@ def cmd_validate_power(cfg: ExperimentConfig, out_dir: Path, threads: int) -> in
     """Empirical vs analytic CDF of the serving power at the representative
     link distances; fails (exit 3) when the KS distance reaches 0.05."""
     ch = cfg.channel_params()
-    pl_d = ch.c * cfg.d_direct ** (-ch.alpha)
-    pl_r = ch.c * (cfg.d_bs_ris * cfg.d_ris_ue) ** (-ch.alpha)
+    pl_d, pl_r = cfg.link_geometry().pathloss(ch.c, ch.alpha)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 0))))
     n = cfg.trials
-    g = rng.rayleigh(scale=math.sqrt(0.5), size=n)
-    h1 = np.sqrt(rng.gamma(ch.m1, 1.0 / ch.m1, (n, ch.n_elements)))
-    h2 = np.sqrt(rng.gamma(ch.m2, 1.0 / ch.m2, (n, ch.n_elements)))
-    amp = math.sqrt(pl_d) * g + math.sqrt(pl_r) * np.sum(h1 * h2, axis=1)
-    samples = np.sort(amp * amp)
+    samples = np.sort(montecarlo.draw_serving_power(ch, pl_d, pl_r, n, rng))
 
     fit = cfg.serving_gamma_fit()
-    analytic = np.array([s0_gamma_cdf(float(x), fit) for x in samples])
+    analytic = s0_gamma_cdf(samples, fit)
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     ks = float(max(np.abs(hi - analytic).max(), np.abs(lo - analytic).max()))
@@ -420,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _log(f"configuration error: {exc}")
         return EXIT_CONFIG
+    except (ArithmeticError, RuntimeError) as exc:
+        _log(f"numeric failure: {type(exc).__name__}: {exc}")
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -47,6 +48,22 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+def _check_numbers(config) -> None:
+    """ConfigError naming the first int, float or grid field that holds
+    something else.  PyYAML reads an exponent without a sign (``1.0e6``)
+    as a string, which would otherwise fail deep inside a command."""
+    kinds = {"int": numbers.Integral, "float": numbers.Real, "tuple": numbers.Real}
+    for f in fields(config):
+        kind = kinds.get(f.type)
+        if kind is None:
+            continue
+        value = getattr(config, f.name)
+        items = value if f.type == "tuple" else (value,)
+        if not all(isinstance(v, kind) and not isinstance(v, bool) for v in items):
+            expected = "an integer" if f.type == "int" else "numeric"
+            raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep axis per experiment, with an optional grouping axis.
@@ -65,6 +82,7 @@ class SweepConfig:
     reference_frequency_ghz: float = 1.0
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.axis not in SWEEP_AXES:
             raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if self.group_by not in GROUP_AXES:
@@ -130,6 +148,7 @@ class ExperimentConfig:
     sweep: SweepConfig = field(default_factory=SweepConfig)
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.reflected_form not in REFLECTED_FORMS:
             raise ConfigError(
                 f"reflected_form must be one of {REFLECTED_FORMS}, got {self.reflected_form!r}"
@@ -140,6 +159,11 @@ class ExperimentConfig:
             raise ConfigError("trials must be positive")
         if self.n_elements < 1:
             raise ConfigError("n_elements must be at least 1")
+        if not 0 <= self.series_order <= 60:
+            raise ConfigError(
+                f"series_order must lie in [0, 60] (factorial conditioning), "
+                f"got {self.series_order}"
+            )
         # Matern type-II thinning retains under one BS per pi r_b^2 at any
         # parent intensity (the matern_parent_intensity test)
         if self.lambda_b * (math.pi * self.r_b**2) >= 1.0:
@@ -168,7 +192,6 @@ class ExperimentConfig:
             lambda_u=self.lambda_u,
             r_b=self.r_b,
             r_r=self.r_r,
-            seed=self.seed,
             window=self.window(),
         )
 
@@ -177,19 +200,14 @@ class ExperimentConfig:
         constant from the wavelength instead of scaling the configured one."""
         if frequency_ghz is None:
             c = self.pathloss_const
-            freq = self.frequency_ghz * 1e9
         else:
-            freq = frequency_ghz * 1e9
-            c = pathloss_constant(freq, self.gain_tx, self.gain_rx)
+            c = pathloss_constant(frequency_ghz * 1e9, self.gain_tx, self.gain_rx)
         return ChannelParams(
             c=c,
             alpha=self.alpha,
             m1=self.m1,
             m2=self.m2,
             n_elements=self.n_elements,
-            frequency=freq,
-            gain_tx=self.gain_tx,
-            gain_rx=self.gain_rx,
             power_w=self.power_w,
             sigma2_w=self.sigma2_w,
         )
@@ -215,8 +233,7 @@ class ExperimentConfig:
     def serving_gamma_fit(self, c: float | None = None, n_elements: int | None = None):
         c = self.pathloss_const if c is None else c
         n = self.n_elements if n_elements is None else n_elements
-        pl_d = c * self.d_direct ** (-self.alpha)
-        pl_r = c * (self.d_bs_ris * self.d_ris_ue) ** (-self.alpha)
+        pl_d, pl_r = self.link_geometry().pathloss(c, self.alpha)
         return gamma_fit_from_moments(s0_moments(pl_d, pl_r, n, self.m1, self.m2))
 
     def outage_params(self, power_dbm: float | None = None, **laplace_overrides) -> OutageParams:
@@ -236,7 +253,6 @@ class ExperimentConfig:
             topology=self.topology_config(),
             channel=self.channel_params(),
             link=self.link_geometry(),
-            threshold=self.sinr_threshold,
             r_i=self.r_i,
             serving_mode=self.serving_mode,
             moved_mode=moved_mode,
@@ -280,18 +296,20 @@ def _from_dict(data: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     kwargs = dict(data)
-    if "sweep" in kwargs and kwargs["sweep"] is not None:
-        sw = kwargs["sweep"]
-        sweep_known = {f.name for f in SweepConfig.__dataclass_fields__.values()}
-        sweep_unknown = set(sw) - sweep_known
-        if sweep_unknown:
-            raise ConfigError(f"unknown sweep keys: {sorted(sweep_unknown)}")
-        if "grid" in sw:
-            sw = dict(sw, grid=tuple(sw["grid"]))
-        if "group_grid" in sw and sw["group_grid"] is not None:
-            sw = dict(sw, group_grid=tuple(sw["group_grid"]))
-        kwargs["sweep"] = SweepConfig(**sw)
     try:
+        if "sweep" in kwargs and kwargs["sweep"] is not None:
+            sw = kwargs["sweep"]
+            if not isinstance(sw, dict):
+                raise ConfigError("sweep must be a mapping")
+            sweep_known = {f.name for f in SweepConfig.__dataclass_fields__.values()}
+            sweep_unknown = set(sw) - sweep_known
+            if sweep_unknown:
+                raise ConfigError(f"unknown sweep keys: {sorted(sweep_unknown)}")
+            if "grid" in sw:
+                sw = dict(sw, grid=tuple(sw["grid"]))
+            if "group_grid" in sw and sw["group_grid"] is not None:
+                sw = dict(sw, group_grid=tuple(sw["group_grid"]))
+            kwargs["sweep"] = SweepConfig(**sw)
         return ExperimentConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc

@@ -92,8 +92,8 @@ class TopologyConfig:
 
     ``lambda_b`` is the realized hard-core BS density; the parent Poisson
     intensity is inferred from the Matern type-II retention formula so the
-    generated field actually carries this density.  ``ris_height_m`` is kept
-    for completeness; all link distances are horizontal.
+    generated field actually carries this density.  All link distances are
+    horizontal.
     """
 
     lambda_b: float = 1e-5
@@ -101,9 +101,7 @@ class TopologyConfig:
     lambda_u: float = 1e-2
     r_b: float = 50.0
     r_r: float = 10.0
-    seed: int = 0
     window: Window = field(default_factory=Window)
-    ris_height_m: float = 0.0
 
     def __post_init__(self):
         for name in ("lambda_b", "lambda_r", "lambda_u"):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, PhaseConfig
+from .channel import ChannelParams, sample_nakagami, sample_rayleigh
 from .geometry import (
     TopologyConfig,
     associate_nearest,
@@ -38,6 +38,7 @@ __all__ = [
     "SimulationSetup",
     "TrialResult",
     "EnsembleStats",
+    "draw_serving_power",
     "simulate_trial",
     "run_ensemble",
     "sinr_from_powers",
@@ -63,6 +64,10 @@ class LinkGeometry:
         if min(self.d_direct, self.d_bs_ris, self.d_ris_ue) <= 0:
             raise ValueError("link distances must be positive")
 
+    def pathloss(self, c: float, alpha: float) -> tuple[float, float]:
+        """(direct, reflected) gains c d^(-alpha) and c (d_bs_ris d_ris_ue)^(-alpha)."""
+        return c * self.d_direct ** (-alpha), c * (self.d_bs_ris * self.d_ris_ue) ** (-alpha)
+
 
 @dataclass(frozen=True)
 class SimulationSetup:
@@ -71,8 +76,6 @@ class SimulationSetup:
     topology: TopologyConfig = field(default_factory=TopologyConfig)
     channel: ChannelParams = field(default_factory=ChannelParams)
     link: LinkGeometry = field(default_factory=LinkGeometry)
-    phase: PhaseConfig = field(default_factory=PhaseConfig)
-    threshold: float = 1e-2
     r_i: float = 10.0
     serving_mode: str = "pinned"
     moved_mode: str = "network_field"
@@ -82,8 +85,6 @@ class SimulationSetup:
             raise ValueError(f"unknown serving mode {self.serving_mode!r}")
         if self.moved_mode not in ("network_field", "cell_reflected"):
             raise ValueError(f"unknown moved-interferer mode {self.moved_mode!r}")
-        if self.threshold < 0:
-            raise ValueError("threshold must be nonnegative")
         if not self.r_i > 0:
             raise ValueError("r_i must be positive")
 
@@ -154,7 +155,8 @@ def _field_kernel(
     ch: ChannelParams,
     exclude: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Mean powers of the fixed-infrastructure interference at the origin.
+    """Mean powers of the fixed-infrastructure interference at the origin
+    (shift ``bs`` and ``ris`` by a receiver position to evaluate it there).
 
     Built once per topology: the direct means c d^(-alpha) of every
     interfering BS (the serving BS ``exclude`` left out) and the BS x surface
@@ -207,18 +209,6 @@ def _draw_field_interference(
     return total
 
 
-def _field_interference(
-    bs: np.ndarray,
-    ris: np.ndarray,
-    ch: ChannelParams,
-    rng: np.random.Generator,
-    exclude: int | None = None,
-) -> float:
-    """One draw of the fixed-infrastructure interference at the origin: a
-    fresh kernel and one draw from it, consuming the same random numbers."""
-    return _draw_field_interference(_field_kernel(bs, ris, ch, exclude), rng)
-
-
 def _moved_interference(
     setup: SimulationSetup,
     bs: np.ndarray,
@@ -260,22 +250,27 @@ def _moved_interference(
     return total
 
 
-def _serving_power(
-    setup: SimulationSetup,
+def draw_serving_power(
+    ch: ChannelParams,
     pl_direct: float,
     pl_reflected: float,
+    n: int,
     rng: np.random.Generator,
-) -> float:
-    """Ideal-phase serving power (scalar coherent sum, squared)."""
-    ch = setup.channel
-    g = rng.rayleigh(scale=math.sqrt(0.5))
+) -> np.ndarray:
+    """``n`` ideal-phase serving powers (sqrt(PL_d) g + sqrt(PL_r) sum h1 h2)^2.
+
+    Every element is aligned onto the direct path, so the reflected term is
+    the scalar sum of the N Nakagami amplitude products.  The draw order is
+    n Rayleigh amplitudes, then the (n, N) first hops, then the second hops;
+    without a reflected link (``pl_reflected == 0``) the hops are not drawn.
+    """
+    if pl_direct < 0 or pl_reflected < 0:
+        raise ValueError("path-loss gains must be nonnegative")
+    amp = math.sqrt(pl_direct) * sample_rayleigh(rng, n)
     if pl_reflected > 0.0:
-        h1 = np.sqrt(rng.gamma(ch.m1, 1.0 / ch.m1, ch.n_elements))
-        h2 = np.sqrt(rng.gamma(ch.m2, 1.0 / ch.m2, ch.n_elements))
-        reflected = float(np.sum(h1 * h2))
-    else:
-        reflected = 0.0
-    amp = math.sqrt(pl_direct) * g + math.sqrt(pl_reflected) * reflected
+        shape = (n, ch.n_elements)
+        hops = sample_nakagami(ch.m1, rng, shape) * sample_nakagami(ch.m2, rng, shape)
+        amp += math.sqrt(pl_reflected) * np.sum(hops, axis=1)
     return amp * amp
 
 
@@ -316,8 +311,7 @@ def _simulate_trial_counted(
         raise RuntimeError("failed to sample a nonempty BS field after 1000 attempts")
 
     if setup.serving_mode == "pinned":
-        pl_d = ch.c * setup.link.d_direct ** (-ch.alpha)
-        pl_r = ch.c * (setup.link.d_bs_ris * setup.link.d_ris_ue) ** (-ch.alpha)
+        pl_d, pl_r = setup.link.pathloss(ch.c, ch.alpha)
     else:
         serving_index = associate_nearest(np.zeros(2), bs)
         d_direct = float(np.hypot(*bs[serving_index]))
@@ -330,7 +324,7 @@ def _simulate_trial_counted(
             d_jk = float(np.hypot(*ris[j]))
             pl_r = ch.c * (d_ij * d_jk) ** (-ch.alpha)
 
-    s0 = _serving_power(setup, pl_d, pl_r, rng)
+    s0 = float(draw_serving_power(ch, pl_d, pl_r, 1, rng)[0])
     kernel = _field_kernel(bs, ris, ch, exclude=serving_index)
     i_before = _draw_field_interference(kernel, rng)
     i_after = _draw_field_interference(kernel, rng)
@@ -361,13 +355,8 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0) -> Ensemble
 
     if setup.serving_mode == "pinned":
         batch_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
-        pl_d = ch.c * setup.link.d_direct ** (-ch.alpha)
-        pl_r = ch.c * (setup.link.d_bs_ris * setup.link.d_ris_ue) ** (-ch.alpha)
-        g = batch_rng.rayleigh(scale=math.sqrt(0.5), size=trials)
-        h1 = np.sqrt(batch_rng.gamma(ch.m1, 1.0 / ch.m1, (trials, ch.n_elements)))
-        h2 = np.sqrt(batch_rng.gamma(ch.m2, 1.0 / ch.m2, (trials, ch.n_elements)))
-        amp = math.sqrt(pl_d) * g + math.sqrt(pl_r) * np.sum(h1 * h2, axis=1)
-        s0[:] = amp * amp
+        pl_d, pl_r = setup.link.pathloss(ch.c, ch.alpha)
+        s0[:] = draw_serving_power(ch, pl_d, pl_r, trials, batch_rng)
         for t in range(trials):
             rng = _trial_rng(seed, t)
             bs, ris, ris_parent = _sample_field(setup.topology, rng)
@@ -453,37 +442,23 @@ def make_sinr_sampler(setup: SimulationSetup, seed: int = 0):
 
     def sampler(positions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         positions = np.atleast_2d(positions)
-        n = positions.shape[0]
         d_all = np.linalg.norm(positions[:, None, :] - bs[None, :, :], axis=2)
         serving = np.argmin(d_all, axis=1)
-        sinr = np.empty(n)
-        for k in range(n):
+        sinr = np.empty(positions.shape[0])
+        for k, pos in enumerate(positions):
             i = serving[k]
             pl_d = ch.c * max(d_all[k, i], 1e-3) ** (-alpha)
             j = serving_ris[i]
             if j >= 0:
                 d_ij = float(np.linalg.norm(bs[i] - ris[j]))
-                d_jk = float(np.linalg.norm(ris[j] - positions[k]))
+                d_jk = float(np.linalg.norm(ris[j] - pos))
                 pl_r = ch.c * (max(d_ij, 1e-3) * max(d_jk, 1e-3)) ** (-alpha)
             else:
                 pl_r = 0.0
-            s0 = _serving_power(setup, pl_d, pl_r, rng)
-            interferers = np.delete(np.arange(bs.shape[0]), i)
-            i_direct = float(
-                np.sum(
-                    ch.c * d_all[k, interferers] ** (-alpha)
-                    * rng.exponential(size=interferers.size)
-                )
-            )
-            i_refl = 0.0
-            if ris.shape[0] > 0 and interferers.size > 0:
-                d_jk_all = np.linalg.norm(ris - positions[k], axis=1)
-                d_pair = np.linalg.norm(
-                    bs[interferers][:, None, :] - ris[None, :, :], axis=2
-                )
-                means = ch.n_elements * ch.c**2 * (d_pair * d_jk_all[None, :]) ** (-alpha)
-                i_refl = float(np.sum(means * rng.exponential(size=means.shape)))
-            sinr[k] = ch.power_w * s0 / (ch.power_w * (i_direct + i_refl) + ch.sigma2_w)
+            s0 = draw_serving_power(ch, pl_d, pl_r, 1, rng)[0]
+            kernel = _field_kernel(bs - pos, ris - pos, ch, exclude=i)
+            interference = _draw_field_interference(kernel, rng)
+            sinr[k] = ch.power_w * s0 / (ch.power_w * interference + ch.sigma2_w)
         return sinr
 
     return sampler

@@ -15,7 +15,7 @@ import numpy as np
 
 from .interference_analytic import LaplaceParams, transform_exponent_coeffs
 from .power_analytic import GammaFit
-from .special_functions import jet_compose_transform, jet_variable
+from .special_functions import Jet, jet_variable
 
 __all__ = [
     "OutageParams",
@@ -96,17 +96,27 @@ def _transform_coefficients(
     return noise, q_pow * arg_scale**two_over_alpha, two_over_alpha, q_lin * arg_scale, q_const
 
 
-def outage_transform_jet(params: OutageParams, stage: str, form: str = "affine"):
-    """Jet around s = 1 of exp(-s T sigma^2 / (P eta)) * L(s T / eta)."""
+def _shifted_exponent_jet(params: OutageParams, stage: str, form: str) -> tuple[Jet, float]:
+    """Jet around s = 1 of the composite exponent less its value there, and
+    that value ``level``.
+
+    With E(s) = (noise + lin) s + p_coeff s^p + const the transform is
+    exp(-E(s)) = exp(shifted) * exp(-level), where shifted = E(1) - E(s) has
+    a zero constant term, so its exp starts at 1.
+    """
     noise, p_coeff, p_exp, lin, const = _transform_coefficients(params, stage, form)
-    return jet_compose_transform(
-        noise_coeff=noise,
-        power_coeff=p_coeff,
-        power_exponent=p_exp,
-        linear_coeff=lin,
-        constant_term=const,
-        order=params.series_order - 1,
-    )
+    level = noise + p_coeff + lin + const
+    s = jet_variable(1.0, params.series_order - 1)
+    shifted = s * (-(noise + lin)) + (noise + lin)
+    if p_coeff != 0.0:
+        shifted = shifted - (s.pow(p_exp) - 1.0) * p_coeff
+    return shifted, level
+
+
+def outage_transform_jet(params: OutageParams, stage: str, form: str = "affine") -> Jet:
+    """Jet around s = 1 of exp(-s T sigma^2 / (P eta)) * L(s T / eta)."""
+    shifted, level = _shifted_exponent_jet(params, stage, form)
+    return shifted.exp() * math.exp(-level)
 
 
 def log_coverage(params: OutageParams, stage: str, form: str = "affine") -> float:
@@ -120,13 +130,7 @@ def log_coverage(params: OutageParams, stage: str, form: str = "affine") -> floa
     """
     if params.threshold == 0.0:
         return 0.0
-    noise, p_coeff, p_exp, lin, const = _transform_coefficients(params, stage, form)
-    level = noise + p_coeff + lin + const
-    order = params.series_order - 1
-    s = jet_variable(1.0, order)
-    shifted = s * (-(noise + lin)) + (noise + lin)
-    if p_coeff != 0.0:
-        shifted = shifted - (s.pow(p_exp) - 1.0) * p_coeff
+    shifted, level = _shifted_exponent_jet(params, stage, form)
     jet = shifted.exp()
     signs = (-1.0) ** np.arange(params.series_order)
     series_sum = float(np.dot(signs, jet.coef))

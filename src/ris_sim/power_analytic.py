@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .special_functions import ln_gamma, lower_incomplete_gamma_regularized
+import numpy as np
+from scipy.special import gammainc, gammaln
 
 __all__ = [
     "MomentPair",
@@ -68,14 +69,14 @@ class GammaFit:
 
     def raw_moment(self, k: int) -> float:
         """E{X^k} = scale^k * Gamma(shape + k) / Gamma(shape)."""
-        return self.scale**k * math.exp(ln_gamma(self.shape + k) - ln_gamma(self.shape))
+        return self.scale**k * math.exp(gammaln(self.shape + k) - gammaln(self.shape))
 
 
 def nakagami_amplitude_mean(m: float) -> float:
     """Mean amplitude Gamma(m + 1/2) / (Gamma(m) sqrt(m)) at unit power."""
     if m < 0.5:
         raise ValueError(f"Nakagami shape must be at least 0.5, got {m}")
-    return math.exp(ln_gamma(m + 0.5) - ln_gamma(m)) / math.sqrt(m)
+    return math.exp(gammaln(m + 0.5) - gammaln(m)) / math.sqrt(m)
 
 
 def sr_moments(n_elements: int, m1: float, m2: float) -> MomentPair:
@@ -133,11 +134,14 @@ def s0_moments(
     return MomentPair(mean, second)
 
 
-def s0_gamma_cdf(x: float, fit: GammaFit) -> float:
-    """Regularized lower incomplete gamma at x / scale."""
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return lower_incomplete_gamma_regularized(fit.shape, x / fit.scale)
+def s0_gamma_cdf(x: float | np.ndarray, fit: GammaFit) -> float | np.ndarray:
+    """Regularized lower incomplete gamma at x / scale, element-wise for an
+    array ``x`` (a float for a scalar)."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError(f"x must be nonnegative, got {x.min()}")
+    cdf = gammainc(fit.shape, x / fit.scale)
+    return float(cdf) if cdf.ndim == 0 else cdf
 
 
 def s0_gamma_pdf(x: float, fit: GammaFit) -> float:
@@ -153,7 +157,7 @@ def s0_gamma_pdf(x: float, fit: GammaFit) -> float:
     log_pdf = (
         (fit.shape - 1.0) * math.log(x)
         - x / fit.scale
-        - ln_gamma(fit.shape)
+        - gammaln(fit.shape)
         - fit.shape * math.log(fit.scale)
     )
     return math.exp(log_pdf)

@@ -1,10 +1,12 @@
-"""Numerics kernel: log-gamma, regularized incomplete gamma, and truncated
-power series (jet) arithmetic.
+"""Truncated power series (jet) arithmetic.
 
 Jets carry the Taylor coefficients of a function around a fixed expansion
-point and stay closed under +, *, exp, log, powers and reciprocals.  They are
-what the outage series uses to extract high-order derivatives of the
+point and stay closed under +, -, *, exp and real powers.  They are what the
+outage series uses to extract high-order derivatives of the
 noise-times-interference transform without symbolic algebra.
+
+The gamma special functions (log-gamma, regularized incomplete gamma) come
+from ``scipy.special``; ``power_analytic`` uses them directly.
 """
 
 from __future__ import annotations
@@ -15,130 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ln_gamma",
-    "lower_incomplete_gamma_regularized",
-    "upper_incomplete_gamma_regularized",
     "Jet",
     "jet_variable",
-    "jet_compose_transform",
 ]
-
-# Lanczos coefficients, g=7, n=9.  Relative error below 1e-13 on the
-# positive real axis, comfortably inside the 1e-12 contract.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_EPS = np.finfo(float).eps
-_MAX_ITER = 800
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # Reflection keeps the Lanczos sum in its accurate range.
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def _igam_series(shape: float, x: float) -> float:
-    """Lower regularized gamma by power series, for x < shape + 1."""
-    term = 1.0 / shape
-    total = term
-    a = shape
-    for _ in range(_MAX_ITER):
-        a += 1.0
-        term *= x / a
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    else:
-        raise ArithmeticError(f"igam series failed to converge (shape={shape}, x={x})")
-    log_front = shape * math.log(x) - x - ln_gamma(shape)
-    return math.exp(log_front) * total
-
-
-def _igamc_cont_fraction(shape: float, x: float) -> float:
-    """Upper regularized gamma by modified Lentz continued fraction."""
-    tiny = 1e-300
-    b = x + 1.0 - shape
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - shape)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise ArithmeticError(f"igamc fraction failed to converge (shape={shape}, x={x})")
-    log_front = shape * math.log(x) - x - ln_gamma(shape)
-    return math.exp(log_front) * h
-
-
-def lower_incomplete_gamma_regularized(shape: float, x: float) -> float:
-    """gamma(shape, x) / Gamma(shape), the CDF of a unit-scale gamma law.
-
-    Series for x < shape + 1, continued fraction otherwise; absolute error
-    below 1e-10 over the tested domain.
-    """
-    if not shape > 0.0:
-        raise ValueError(f"shape must be positive, got {shape}")
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    if x < shape + 1.0:
-        return _igam_series(shape, x)
-    return 1.0 - _igamc_cont_fraction(shape, x)
-
-
-def upper_incomplete_gamma_regularized(shape: float, x: float) -> float:
-    """Gamma(shape, x) / Gamma(shape), complement of the lower tail."""
-    if not shape > 0.0:
-        raise ValueError(f"shape must be positive, got {shape}")
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    if x < shape + 1.0:
-        return 1.0 - _igam_series(shape, x)
-    return _igamc_cont_fraction(shape, x)
-
-
-# ---------------------------------------------------------------------------
-# Truncated power series (jets)
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -182,12 +63,6 @@ class Jet:
     def __sub__(self, other) -> "Jet":
         return Jet(self.coef - self._coerce(other))
 
-    def __rsub__(self, other) -> "Jet":
-        return Jet(self._coerce(other) - self.coef)
-
-    def __neg__(self) -> "Jet":
-        return Jet(-self.coef)
-
     def __mul__(self, other) -> "Jet":
         if isinstance(other, Jet):
             if other.order != self.order:
@@ -198,22 +73,6 @@ class Jet:
         return Jet(self.coef * float(other))
 
     __rmul__ = __mul__
-
-    def reciprocal(self) -> "Jet":
-        a = self.coef
-        if a[0] == 0.0:
-            raise ZeroDivisionError("jet reciprocal at zero constant term")
-        n = a.size
-        r = np.zeros(n)
-        r[0] = 1.0 / a[0]
-        for k in range(1, n):
-            r[k] = -np.dot(a[1 : k + 1], r[k - 1 :: -1]) / a[0]
-        return Jet(r)
-
-    def __truediv__(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return Jet(self.coef / float(other))
 
     def exp(self) -> "Jet":
         a = self.coef
@@ -229,20 +88,6 @@ class Jet:
         if not np.all(np.isfinite(e)):
             raise ArithmeticError("jet exp produced non-finite coefficients")
         return Jet(e)
-
-    def log(self) -> "Jet":
-        a = self.coef
-        if a[0] <= 0.0:
-            raise ValueError("jet log requires a positive constant term")
-        n = a.size
-        l = np.zeros(n)
-        l[0] = math.log(a[0])
-        for k in range(1, n):
-            s = 0.0
-            for j in range(1, k):
-                s += j * l[j] * a[k - j]
-            l[k] = (a[k] - s / k) / a[0]
-        return Jet(l)
 
     def pow(self, exponent: float) -> "Jet":
         """Real power of a jet with positive constant term."""
@@ -267,30 +112,3 @@ def jet_variable(value: float, order: int) -> Jet:
     if order >= 1:
         coef[1] = 1.0
     return Jet(coef)
-
-
-def jet_compose_transform(
-    noise_coeff: float,
-    power_coeff: float,
-    power_exponent: float,
-    linear_coeff: float,
-    constant_term: float,
-    order: int,
-    center: float = 1.0,
-) -> Jet:
-    """Jet of exp(-(noise_coeff*s + power_coeff*s**power_exponent
-    + linear_coeff*s + constant_term)) around ``center``.
-
-    This is the composite whose high-order derivatives the outage series
-    consumes: a noise factor linear in s times an interference transform whose
-    exponent mixes a fractional power of s with affine terms.
-    """
-    if order > 60:
-        raise ValueError(f"jet order {order} rejected: factorial conditioning above 60")
-    if order < 0:
-        raise ValueError("jet order must be nonnegative")
-    s = jet_variable(center, order)
-    exponent = s * (-(noise_coeff + linear_coeff)) - constant_term
-    if power_coeff != 0.0:
-        exponent = exponent - s.pow(power_exponent) * power_coeff
-    return exponent.exp()

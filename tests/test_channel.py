@@ -1,4 +1,11 @@
-"""Path loss, fading samplers, phase configuration, composite gains."""
+"""Path loss, fading samplers, and the serving and interference draws built
+from them.
+
+The serving draw is ``montecarlo.draw_serving_power`` and the field
+interference is ``montecarlo._field_kernel`` plus
+``montecarlo._draw_field_interference``; the checks here use test-local
+oracles (replayed generator streams, element-wise phase sums) for both.
+"""
 
 import math
 
@@ -7,24 +14,29 @@ import pytest
 
 from ris_sim.channel import (
     ChannelParams,
-    FadingRealization,
-    PhaseConfig,
-    composite_amplitude,
-    interference_power_realization,
     pathloss_constant,
-    pathloss_direct,
-    pathloss_reflected,
-    ris_phase_alignment,
-    sample_fading,
     sample_nakagami,
     sample_rayleigh,
-    serving_power_realization,
 )
-from ris_sim.geometry import NetworkTopology
+from ris_sim.montecarlo import (
+    LinkGeometry,
+    _draw_field_interference,
+    _field_kernel,
+    draw_serving_power,
+)
+
+NO_SURFACES = np.zeros((0, 2))
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _direct_means(distances, c):
+    """Interference direct means (alpha = 3) of BSs placed on the x axis."""
+    bs = np.column_stack((np.asarray(distances, dtype=float), np.zeros(len(distances))))
+    direct, _ = _field_kernel(bs, NO_SURFACES, ChannelParams(c=c, alpha=3.0))
+    return direct
 
 
 class TestPathloss:
@@ -49,34 +61,46 @@ class TestPathloss:
             pathloss_constant(0.0)
 
     def test_direct_reference_distance(self):
-        assert pathloss_direct(6.3326e-5, 1.0, 3.0) == 6.3326e-5
+        pl_d, _ = LinkGeometry(d_direct=1.0).pathloss(6.3326e-5, 3.0)
+        assert pl_d == 6.3326e-5
+        assert _direct_means([1.0], 6.3326e-5)[0] == 6.3326e-5
 
     def test_direct_value(self):
-        assert pathloss_direct(6.3326e-5, 100.0, 3.0) == pytest.approx(6.3326e-11, rel=1e-12)
+        pl_d, _ = LinkGeometry(d_direct=100.0).pathloss(6.3326e-5, 3.0)
+        assert pl_d == pytest.approx(6.3326e-11, rel=1e-12)
+        assert _direct_means([100.0], 6.3326e-5)[0] == pytest.approx(6.3326e-11, rel=1e-12)
 
     def test_direct_power_law(self):
-        assert pathloss_direct(1.0, 20.0, 3.0) == pytest.approx(
-            pathloss_direct(1.0, 10.0, 3.0) / 8.0, rel=1e-12
-        )
+        near, far = _direct_means([10.0, 20.0], 1.0)
+        assert far == pytest.approx(near / 8.0, rel=1e-12)
 
     def test_reflected_product(self):
-        assert pathloss_reflected(6.3326e-5, 50.0, 20.0, 3.0) == pytest.approx(
-            6.3326e-14, rel=1e-12
-        )
+        _, pl_r = LinkGeometry(d_bs_ris=50.0, d_ris_ue=20.0).pathloss(6.3326e-5, 3.0)
+        assert pl_r == pytest.approx(6.3326e-14, rel=1e-12)
 
     def test_reflected_symmetry(self):
-        assert pathloss_reflected(1.0, 7.0, 3.0, 3.0) == pathloss_reflected(1.0, 3.0, 7.0, 3.0)
+        a = LinkGeometry(d_bs_ris=7.0, d_ris_ue=3.0).pathloss(1.0, 3.0)[1]
+        b = LinkGeometry(d_bs_ris=3.0, d_ris_ue=7.0).pathloss(1.0, 3.0)[1]
+        assert a == b
+        # the interference pair means: BS-surface and surface-receiver swapped
+        ch = ChannelParams(c=1.0, n_elements=1)
+        _, pairs_a = _field_kernel(np.array([[10.0, 0.0]]), np.array([[3.0, 0.0]]), ch)
+        _, pairs_b = _field_kernel(np.array([[10.0, 0.0]]), np.array([[7.0, 0.0]]), ch)
+        assert pairs_a[0, 0] == pairs_b[0, 0]
 
     def test_monotone_in_distance(self):
-        d = np.linspace(1.0, 100.0, 25)
-        vals = [pathloss_direct(1.0, float(x), 3.0) for x in d]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
+        vals = _direct_means(np.linspace(1.0, 100.0, 25), 1.0)
+        assert np.all(np.diff(vals) < 0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            pathloss_direct(1.0, 0.0, 3.0)
+            LinkGeometry(d_direct=0.0)
         with pytest.raises(ValueError):
-            pathloss_reflected(1.0, 0.0, 5.0, 3.0)
+            LinkGeometry(d_bs_ris=0.0)
+        with pytest.raises(ValueError):
+            ChannelParams(alpha=2.0)
+        with pytest.raises(ValueError):
+            ChannelParams(c=0.0)
 
 
 class TestFadingSamplers:
@@ -100,133 +124,118 @@ class TestFadingSamplers:
             sample_nakagami(0.3, _rng())
 
 
-def _manual_fading(n, phases=None):
-    phases = np.zeros(n) if phases is None else np.asarray(phases, dtype=float)
-    return FadingRealization(
-        g_direct=1.0,
-        h_bs_ris=np.full(n, 0.9),
-        h_ris_ue=np.full(n, 1.1),
-        phases=phases,
-    )
+def _replay_fading(ch, n, seed):
+    """The serving draw's amplitudes, replayed in its documented order."""
+    rng = _rng(seed)
+    g = rng.rayleigh(scale=math.sqrt(0.5), size=n)
+    h1 = np.sqrt(rng.gamma(ch.m1, 1.0 / ch.m1, (n, ch.n_elements)))
+    h2 = np.sqrt(rng.gamma(ch.m2, 1.0 / ch.m2, (n, ch.n_elements)))
+    return g, h1, h2, rng
 
 
 class TestPhaseAlignment:
-    def test_zero_phases_zero_shifts(self):
-        fading = _manual_fading(4)
-        shifts = ris_phase_alignment(fading, PhaseConfig())
-        assert np.allclose(shifts, 0.0)
-
     def test_ideal_coherence_is_scalar_sum(self):
+        ch = ChannelParams()
         rng = _rng(4)
-        params = ChannelParams()
-        fading = sample_fading(params, rng)
-        amp = composite_amplitude(1e-10, 1e-14, fading, PhaseConfig())
-        expected = math.sqrt(1e-10) * fading.g_direct + math.sqrt(1e-14) * float(
-            np.sum(fading.h_bs_ris * fading.h_ris_ue)
-        )
-        assert amp == pytest.approx(expected, rel=1e-12)
-
-    def test_two_bit_rounding(self):
-        fading = _manual_fading(1, phases=[-math.pi / 3.0])
-        shifts = ris_phase_alignment(fading, PhaseConfig(mode="quantized", bits=2))
-        assert shifts[0] == pytest.approx(math.pi / 2)
+        s0 = draw_serving_power(ch, 1e-10, 1e-14, 3, rng)
+        g, h1, h2, ref = _replay_fading(ch, 3, 4)
+        expected = (math.sqrt(1e-10) * g + math.sqrt(1e-14) * np.sum(h1 * h2, axis=1)) ** 2
+        assert s0 == pytest.approx(expected, rel=1e-12)
+        assert rng.random() == ref.random()
 
     def test_quantized_never_beats_ideal(self):
-        params = ChannelParams(n_elements=64)
-        rng = _rng(5)
-        for _ in range(50):
-            fading = sample_fading(params, rng)
-            ideal = composite_amplitude(1e-10, 1e-14, fading, PhaseConfig())
-            quant = composite_amplitude(
-                1e-10, 1e-14, fading, PhaseConfig(mode="quantized", bits=2)
-            )
-            assert quant <= ideal + 1e-12 * ideal
-
-    def test_bits_validation(self):
-        with pytest.raises(ValueError):
-            PhaseConfig(mode="quantized", bits=0)
+        # test-local oracle: the same amplitudes with each element's residual
+        # phase rounded to a 2-bit grid instead of cancelled
+        ch = ChannelParams(n_elements=64)
+        s0 = draw_serving_power(ch, 1e-10, 1e-14, 50, _rng(5))
+        g, h1, h2, _ = _replay_fading(ch, 50, 5)
+        residual = _rng(6).uniform(0.0, 2.0 * math.pi, h1.shape)
+        step = 2.0 * math.pi / 4
+        error = residual - np.round(residual / step) * step
+        quantized = np.abs(
+            math.sqrt(1e-10) * g + math.sqrt(1e-14) * np.sum(h1 * h2 * np.exp(1j * error), axis=1)
+        ) ** 2
+        assert np.all(quantized <= s0 * (1 + 1e-12))
 
 
 class TestServingPower:
     def test_direct_only_when_no_reflection(self):
-        fading = _manual_fading(3)
-        s0 = serving_power_realization(4.0, 0.0, fading)
-        assert s0 == pytest.approx(4.0 * fading.g_direct**2)
+        ch = ChannelParams(n_elements=3)
+        rng = _rng(7)
+        s0 = draw_serving_power(ch, 4.0, 0.0, 5, rng)
+        ref = _rng(7)
+        g = ref.rayleigh(scale=math.sqrt(0.5), size=5)
+        assert np.array_equal(s0, (2.0 * g) ** 2)
+        # no Nakagami hops are drawn without a reflected link
+        assert rng.random() == ref.random()
 
     def test_matches_closed_form_mean(self):
-        # oracle below in power-analytic terms; 2e4 draws, 2% tolerance
+        # oracle in power-analytic terms; 2e4 draws, 2% tolerance
         from ris_sim.power_analytic import s0_moments
 
-        params = ChannelParams()
-        pl_d = params.c * 100.0**-3
-        pl_r = params.c * (30.0 * 80.0) ** -3
-        rng = _rng(6)
-        draws = [
-            serving_power_realization(pl_d, pl_r, sample_fading(params, rng))
-            for _ in range(20_000)
-        ]
-        expected = s0_moments(pl_d, pl_r, params.n_elements, params.m1, params.m2).mean
+        ch = ChannelParams()
+        pl_d, pl_r = LinkGeometry().pathloss(ch.c, ch.alpha)
+        draws = draw_serving_power(ch, pl_d, pl_r, 20_000, _rng(6))
+        expected = s0_moments(pl_d, pl_r, ch.n_elements, ch.m1, ch.m2).mean
         assert np.mean(draws) == pytest.approx(expected, rel=0.02)
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
-            serving_power_realization(-1.0, 0.0, _manual_fading(2))
+            draw_serving_power(ChannelParams(), -1.0, 0.0, 1, _rng())
+        with pytest.raises(ValueError):
+            draw_serving_power(ChannelParams(), 1.0, -1.0, 1, _rng())
 
 
-def _one_bs_one_ris_topology():
-    bs = np.array([[300.0, 0.0]])
-    ris = np.array([[320.0, 0.0]])
-    return NetworkTopology(
-        bs, ris, np.array([0]), np.zeros((0, 2)), np.zeros(0, dtype=int), np.array([0])
-    )
+def _misaligned_reflection_power(n_elements, m1, m2, rng):
+    """|sum_n h h exp(i theta)|^2 with i.i.d. uniform element phases."""
+    amp = sample_nakagami(m1, rng, n_elements) * sample_nakagami(m2, rng, n_elements)
+    theta = rng.uniform(0.0, 2.0 * math.pi, n_elements)
+    return float(abs(np.sum(amp * np.exp(1j * theta))) ** 2)
+
+
+ONE_BS = np.array([[300.0, 0.0]])
+ONE_SURFACE = np.array([[320.0, 0.0]])
 
 
 class TestInterferenceRealization:
     def test_empty_field_zero(self):
-        topo = NetworkTopology(
-            np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=int),
-            np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0, dtype=int),
-        )
-        assert interference_power_realization(topo, ChannelParams(), None, _rng()) == 0.0
+        kernel = _field_kernel(NO_SURFACES, NO_SURFACES, ChannelParams())
+        rng = _rng()
+        assert _draw_field_interference(kernel, rng) == 0.0
+        assert rng.random() == _rng().random()
 
     def test_single_bs_mean(self):
-        bs = np.array([[250.0, 0.0]])
-        topo = NetworkTopology(
-            bs, np.zeros((0, 2)), np.zeros(0, dtype=int),
-            np.zeros((0, 2)), np.zeros(0, dtype=int), np.array([-1]),
-        )
         ch = ChannelParams()
+        kernel = _field_kernel(np.array([[250.0, 0.0]]), NO_SURFACES, ch)
         rng = _rng(7)
-        vals = [interference_power_realization(topo, ch, None, rng) for _ in range(100_000)]
-        expected = ch.c * 250.0**-3
-        assert np.mean(vals) == pytest.approx(expected, rel=0.01)
+        vals = [_draw_field_interference(kernel, rng) for _ in range(100_000)]
+        assert np.mean(vals) == pytest.approx(ch.c * 250.0**-3, rel=0.01)
 
     def test_reflected_mean_exact_mode(self):
         # Monte Carlo of the element-wise misaligned sums as the oracle for
         # the per-surface mean power N c^2 (d_ij d_jk)^(-alpha)
-        topo = _one_bs_one_ris_topology()
         ch = ChannelParams()
+        _, pairs = _field_kernel(ONE_BS, ONE_SURFACE, ch)
         rng = _rng(8)
-        vals = [
-            interference_power_realization(topo, ch, None, rng, mode="exact")
+        unit = [
+            _misaligned_reflection_power(ch.n_elements, ch.m1, ch.m2, rng)
             for _ in range(20_000)
         ]
-        expected = ch.c * 300.0**-3 + ch.n_elements * ch.c**2 * (20.0 * 320.0) ** -3
-        assert np.mean(vals) == pytest.approx(expected, rel=0.02)
+        oracle = np.mean(unit) * ch.c**2 * (20.0 * 320.0) ** -3
+        assert pairs.shape == (1, 1)
+        assert pairs[0, 0] == pytest.approx(oracle, rel=0.02)
 
     def test_exponential_mode_same_mean(self):
-        topo = _one_bs_one_ris_topology()
         ch = ChannelParams()
+        kernel = _field_kernel(ONE_BS, ONE_SURFACE, ch)
         rng = _rng(9)
-        vals = [interference_power_realization(topo, ch, None, rng) for _ in range(100_000)]
+        vals = [_draw_field_interference(kernel, rng) for _ in range(100_000)]
         expected = ch.c * 300.0**-3 + ch.n_elements * ch.c**2 * (20.0 * 320.0) ** -3
         assert np.mean(vals) == pytest.approx(expected, rel=0.02)
 
     def test_serving_exclusion(self):
-        topo = _one_bs_one_ris_topology()
         ch = ChannelParams(n_elements=1)
-        val = interference_power_realization(
-            topo, ch, None, _rng(10), serving_bs_index=0
-        )
+        kernel = _field_kernel(ONE_BS, ONE_SURFACE, ch, exclude=0)
         # the only BS is excluded; the surface term needs an interfering BS
-        assert val == 0.0
+        assert kernel[0].size == 0 and kernel[1] is None
+        assert _draw_field_interference(kernel, _rng(10)) == 0.0

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ris_sim
-from ris_sim.cli import EXIT_CONFIG, EXIT_OK, main
+from ris_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 
 SRC = str(Path(ris_sim.__file__).resolve().parents[1])
 
@@ -18,6 +18,18 @@ def _write(tmp_path: Path, name: str, text: str) -> str:
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _run_cli(tmp_path: Path, config_text: str, command: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    cfg = _write(tmp_path, "bad.yaml", config_text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "ris_sim.cli", "--config", cfg, "--trials", "100",
+         "--out", str(tmp_path / "o"), command],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def _read_rows(path: Path):
@@ -43,19 +55,27 @@ class TestExitCodes:
             ("lambda_b: 1.0e-3\nr_b: 50\n", "outage-sweep"),
             ("lambda_b: 1.0e-3\nr_b: 50\n", "topology"),
             ("n_elements: 0\n", "outage-sweep"),
+            ("series_order: 61\n", "outage-sweep"),
+            # PyYAML reads an exponent without a sign as a string
+            ("sinr_threshold: 1.0e6\n", "outage-sweep"),
         ],
     )
     def test_impossible_parameters_exit_config(self, tmp_path, text, command):
-        cfg = _write(tmp_path, "bad.yaml", text)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ris_sim.cli", "--config", cfg, "--trials", "100",
-             "--out", str(tmp_path / "o"), command],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _run_cli(tmp_path, text, command)
         assert proc.returncode == EXIT_CONFIG
         assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["r0-sweep", "validate-laplace"])
+    def test_numeric_failure_exits_validation(self, tmp_path, command):
+        # alpha just above 2 overflows the outage jet and fails the quadrature
+        text = (
+            "alpha: 2.0001\nsinr_threshold: 1.0e+6\n"
+            "sweep:\n  axis: ue_density\n  grid: [1.0e-3, 1.0e-2]\n"
+        )
+        proc = _run_cli(tmp_path, text, command)
+        assert proc.returncode == EXIT_VALIDATION
+        assert "numeric failure" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

@@ -72,6 +72,31 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(text="n_elements: 0\n")
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("sinr_threshold: 1.0e6\n", "sinr_threshold"),
+            ("power_dbm: high\n", "power_dbm"),
+            ("trials: 1.0e+5\n", "trials"),
+            ("seed: true\n", "seed"),
+            ("sweep:\n  axis: ue_density\n  grid: [1.0e-3, 1.0e6]\n", "grid"),
+        ],
+    )
+    def test_non_numeric_value_named(self, text, key):
+        with pytest.raises(ConfigError, match=key):
+            load_config(text=text)
+
+    @pytest.mark.parametrize("text", ["sweep: 5\n", "sweep:\n  axis: ue_density\n  grid: 5\n"])
+    def test_malformed_sweep_rejected(self, text):
+        with pytest.raises(ConfigError):
+            load_config(text=text)
+
+    def test_series_order_range(self):
+        for order in (-1, 61):
+            with pytest.raises(ConfigError, match="series_order"):
+                ExperimentConfig(series_order=order)
+        assert ExperimentConfig(series_order=60).series_order == 60
+
     def test_hard_core_density_reachable(self):
         with pytest.raises(ConfigError):
             load_config(text="lambda_b: 1.0e-3\nr_b: 50\n")

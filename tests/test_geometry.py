@@ -286,7 +286,7 @@ class TestBuildTopology:
     def _config(self):
         return TopologyConfig(
             lambda_b=2e-5, lambda_r=2e-5, lambda_u=1e-4,
-            window=Window("disk", radius=500.0), seed=42,
+            window=Window("disk", radius=500.0),
         )
 
     def test_association_is_optimal(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ris_sim.channel import ChannelParams
-from ris_sim.geometry import TopologyConfig, Window
+from ris_sim.geometry import TopologyConfig, Window, serving_surfaces
 from ris_sim.montecarlo import (
     LinkGeometry,
     SimulationSetup,
@@ -155,7 +155,7 @@ class TestEnsemble:
         setup = _setup()
         stats = run_ensemble(setup, 3000, seed=2)
         ch = setup.channel
-        r = rates_from_ensemble(stats, ch.power_w, ch.sigma2_w, setup.threshold)
+        r = rates_from_ensemble(stats, ch.power_w, ch.sigma2_w, 1e-2)
         assert r.beta_hat + r.mu_hat + r.unchanged == pytest.approx(1.0, abs=1e-12)
 
     def test_resampling_counted_in_associated_mode(self):
@@ -197,7 +197,62 @@ class TestEstimators:
         assert sinr == pytest.approx([2.0, 4.0 / 3.0])
 
 
+def _reference_sampler(setup, seed):
+    """The per-agent loop as written before the sampler used the field kernel:
+    serving draw, then direct then pair exponentials, distances by norm."""
+    bs, ris, ris_parent = _sample_field(setup.topology, np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence((seed, 1)))))
+    ch = setup.channel
+    serving_ris = serving_surfaces(bs, ris, ris_parent)
+
+    def sampler(positions, rng):
+        d_all = np.linalg.norm(positions[:, None, :] - bs[None, :, :], axis=2)
+        sinr = np.empty(positions.shape[0])
+        for k, i in enumerate(np.argmin(d_all, axis=1)):
+            pl_d = ch.c * max(d_all[k, i], 1e-3) ** (-ch.alpha)
+            j = serving_ris[i]
+            pl_r = 0.0
+            if j >= 0:
+                d_ij = float(np.linalg.norm(bs[i] - ris[j]))
+                d_jk = float(np.linalg.norm(ris[j] - positions[k]))
+                pl_r = ch.c * (max(d_ij, 1e-3) * max(d_jk, 1e-3)) ** (-ch.alpha)
+            g = rng.rayleigh(scale=math.sqrt(0.5))
+            refl = 0.0
+            if pl_r > 0.0:
+                h1 = np.sqrt(rng.gamma(ch.m1, 1.0 / ch.m1, ch.n_elements))
+                h2 = np.sqrt(rng.gamma(ch.m2, 1.0 / ch.m2, ch.n_elements))
+                refl = float(np.sum(h1 * h2))
+            s0 = (math.sqrt(pl_d) * g + math.sqrt(pl_r) * refl) ** 2
+            others = np.delete(np.arange(bs.shape[0]), i)
+            total = float(np.sum(ch.c * d_all[k, others] ** (-ch.alpha)
+                                 * rng.exponential(size=others.size)))
+            if ris.shape[0] > 0 and others.size > 0:
+                d_jk_all = np.linalg.norm(ris - positions[k], axis=1)
+                d_pair = np.linalg.norm(bs[others][:, None, :] - ris[None, :, :], axis=2)
+                means = ch.n_elements * ch.c**2 * (d_pair * d_jk_all[None, :]) ** (-ch.alpha)
+                total += float(np.sum(means * rng.exponential(size=means.shape)))
+            sinr[k] = ch.power_w * s0 / (ch.power_w * total + ch.sigma2_w)
+        return sinr
+
+    return sampler
+
+
 class TestSinrSampler:
+    def test_matches_per_agent_reference(self):
+        # same draws in the same order; the kernel measures distances with
+        # hypot on shifted coordinates, so only the last bits may move
+        from ris_sim.montecarlo import make_sinr_sampler
+
+        topo = TopologyConfig(lambda_b=5e-5, lambda_r=5e-5, window=Window("disk", radius=500.0))
+        setup = _setup(topology=topo)
+        positions = _rng(99).uniform(-300.0, 300.0, (20, 2))
+        for seed in range(3):
+            rng, ref_rng = _rng(seed), _rng(seed)
+            got = make_sinr_sampler(setup, seed)(positions, rng)
+            want = _reference_sampler(setup, seed)(positions, ref_rng)
+            assert got == pytest.approx(want, rel=1e-13)
+            assert rng.random() == ref_rng.random()
+
     def test_drives_the_agent_simulation(self):
         from ris_sim.mobility_sim import AbmConfig, run_abm
         from ris_sim.montecarlo import make_sinr_sampler

@@ -1,95 +1,128 @@
-"""Numerics kernel tests: log-gamma and incomplete gamma against library
-oracles, jet arithmetic against algebra and finite differences."""
+"""Numerics kernel tests.
+
+The gamma special functions come from ``scipy.special``; the log-gamma and
+incomplete-gamma checks run them where the package uses them
+(``power_analytic``) against closed forms, the standard library and
+mpmath.  Jet arithmetic is checked against algebra, mpmath Taylor
+coefficients and finite differences.
+"""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_sim.special_functions import (
-    Jet,
-    jet_compose_transform,
-    jet_variable,
-    ln_gamma,
-    lower_incomplete_gamma_regularized,
-    upper_incomplete_gamma_regularized,
+from ris_sim.experiment_config import ConfigError, ExperimentConfig
+from ris_sim.interference_analytic import LaplaceParams, transform_exponent_coeffs
+from ris_sim.outage_epidemic import OutageParams, outage_transform_jet
+from ris_sim.power_analytic import (
+    GammaFit,
+    nakagami_amplitude_mean,
+    s0_gamma_cdf,
+    s0_gamma_pdf,
 )
+from ris_sim.special_functions import Jet, jet_variable
+
+
+def _unit(shape):
+    return GammaFit(shape, 1.0)
 
 
 class TestLnGamma:
     def test_at_one(self):
-        assert abs(ln_gamma(1.0)) < 1e-13
+        # unit exponential law: E{X^k} = k!
+        for k in range(5):
+            assert _unit(1.0).raw_moment(k) == pytest.approx(math.factorial(k), rel=1e-13)
 
     def test_half(self):
-        assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-12)
+        # Gamma(1) / (Gamma(1/2) sqrt(1/2)) = sqrt(2 / pi)
+        assert nakagami_amplitude_mean(0.5) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
 
     def test_ratio_gamma_2p5_over_2(self):
-        ratio = math.exp(ln_gamma(2.5) - ln_gamma(2.0))
+        ratio = nakagami_amplitude_mean(2.0) * math.sqrt(2.0)
         assert ratio == pytest.approx(1.3293403881791372, rel=1e-12)
 
     def test_against_stdlib_grid(self):
         for x in np.concatenate([np.linspace(0.05, 2, 50), np.geomspace(2, 1000, 50)]):
-            ref = math.lgamma(float(x))
-            assert abs(ln_gamma(float(x)) - ref) <= 1e-12 * max(1.0, abs(ref))
+            x = float(x)
+            assert _unit(x).raw_moment(2) == pytest.approx(x * (x + 1.0), rel=1e-10)
+            ref = math.exp(-math.lgamma(x) - x + (x - 1.0) * math.log(x))
+            assert s0_gamma_pdf(x, _unit(x)) == pytest.approx(ref, rel=1e-10)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            ln_gamma(0.0)
+            GammaFit(0.0, 1.0)
         with pytest.raises(ValueError):
-            ln_gamma(-1.5)
+            nakagami_amplitude_mean(0.3)
+        with pytest.raises(ValueError):
+            s0_gamma_pdf(-1.5, _unit(2.0))
 
 
 class TestIncompleteGamma:
     def test_zero(self):
-        assert lower_incomplete_gamma_regularized(2.5, 0.0) == 0.0
+        assert s0_gamma_cdf(0.0, _unit(2.5)) == 0.0
+        assert np.array_equal(s0_gamma_cdf(np.zeros(3), _unit(2.5)), np.zeros(3))
 
     def test_limit_one(self):
-        assert lower_incomplete_gamma_regularized(2.5, 1e4) == pytest.approx(1.0, abs=1e-12)
+        assert s0_gamma_cdf(1e4, _unit(2.5)) == pytest.approx(1.0, abs=1e-12)
 
     def test_exponential_median(self):
-        assert lower_incomplete_gamma_regularized(1.0, math.log(2.0)) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        assert s0_gamma_cdf(math.log(2.0), _unit(1.0)) == pytest.approx(0.5, abs=1e-12)
+        x = np.geomspace(1e-6, 40.0, 200)
+        assert np.abs(s0_gamma_cdf(x, _unit(1.0)) + np.expm1(-x)).max() < 1e-12
 
     def test_erlang_two(self):
-        expected = 1.0 - 3.0 * math.exp(-2.0)
-        assert lower_incomplete_gamma_regularized(2.0, 2.0) == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert s0_gamma_cdf(2.0, _unit(2.0)) == pytest.approx(1.0 - 3.0 * math.exp(-2.0), abs=1e-12)
+        x = np.geomspace(1e-6, 40.0, 200)
+        expected = 1.0 - (1.0 + x) * np.exp(-x)
+        assert np.abs(s0_gamma_cdf(x, _unit(2.0)) - expected).max() < 1e-12
 
     def test_against_scipy(self):
+        # scaled law: the CDF at x * scale is the unit CDF at x, for arrays
+        # and scalars alike
+        xs = np.array([1e-8, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 700.0, 1500.0])
         for shape in [0.3, 0.7, 1.0, 2.0, 6.18, 50.0, 712.0]:
-            for x in [1e-8, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 700.0, 1500.0]:
-                ours = lower_incomplete_gamma_regularized(shape, x)
-                assert abs(ours - sps.gammainc(shape, x)) < 1e-10
+            fit = GammaFit(shape, 6.07e-11)
+            ours = s0_gamma_cdf(xs * fit.scale, fit)
+            assert np.abs(ours - sps.gammainc(shape, xs)).max() < 1e-10
+            assert [s0_gamma_cdf(float(x), fit) for x in xs * fit.scale] == list(ours)
 
     def test_monotone_and_bounded(self):
-        xs = np.geomspace(1e-4, 100, 60)
-        vals = [lower_incomplete_gamma_regularized(3.7, float(x)) for x in xs]
-        assert all(0.0 <= v <= 1.0 for v in vals)
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        vals = s0_gamma_cdf(np.geomspace(1e-4, 100, 60), _unit(3.7))
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        assert np.all(np.diff(vals) >= 0.0)
 
     def test_complement(self):
+        # upper tail against mpmath's regularized incomplete gamma
         for shape in [0.5, 1.0, 4.2, 80.0]:
-            for x in [0.2, 1.0, 7.0, 120.0]:
-                total = lower_incomplete_gamma_regularized(
-                    shape, x
-                ) + upper_incomplete_gamma_regularized(shape, x)
-                assert total == pytest.approx(1.0, abs=1e-10)
+            xs = np.array([0.2, 1.0, 7.0, 120.0])
+            upper = 1.0 - s0_gamma_cdf(xs, _unit(shape))
+            for x, got in zip(xs, upper):
+                want = float(mp.gammainc(shape, float(x), mp.inf, regularized=True))
+                assert got == pytest.approx(want, abs=1e-10)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            lower_incomplete_gamma_regularized(0.0, 1.0)
+            s0_gamma_cdf(-0.1, _unit(1.0))
         with pytest.raises(ValueError):
-            lower_incomplete_gamma_regularized(1.0, -0.1)
+            s0_gamma_cdf(np.array([1.0, -0.1]), _unit(1.0))
 
 
 coef_strategy = st.lists(
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), min_size=5, max_size=5
 )
+
+
+def _taylor(fn, coef):
+    """mpmath Taylor coefficients of fn(sum_k coef[k] t^k) around t = 0."""
+    with mp.workdps(40):
+        poly = [mp.mpf(c) for c in coef]
+        series = mp.taylor(lambda t: fn(mp.polyval(poly[::-1], t)), 0, len(coef) - 1)
+        return np.array([float(c) for c in series])
 
 
 class TestJet:
@@ -105,41 +138,43 @@ class TestJet:
 
     @given(coef_strategy)
     @settings(max_examples=60, deadline=None)
-    def test_exp_log_roundtrip(self, coef):
-        j = Jet(np.concatenate([[1.5], np.asarray(coef[1:])]))
-        back = j.exp().log()
-        assert np.abs(back.coef - j.coef).max() <= 1e-10 * max(1.0, np.abs(j.coef).max())
+    def test_exp_matches_mpmath_taylor(self, coef):
+        got = Jet(coef).exp().coef
+        want = _taylor(mp.exp, coef)
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
-    def test_reciprocal(self):
-        j = Jet([2.0, -0.5, 0.3, 0.1])
-        prod = j * j.reciprocal()
-        expected = np.zeros(4)
-        expected[0] = 1.0
-        assert np.abs(prod.coef - expected).max() < 1e-14
-
-    def test_pow_matches_exp_log(self):
-        j = Jet([1.7, 0.4, -0.2, 0.05, 0.01])
-        direct = j.pow(2.0 / 3.0)
-        via_log = (j.log() * (2.0 / 3.0)).exp()
-        assert np.abs(direct.coef - via_log.coef).max() < 1e-13
+    def test_pow_matches_mpmath_taylor(self):
+        coef = [1.7, 0.4, -0.2, 0.05, 0.01]
+        for exponent in (2.0 / 3.0, 0.5, -1.0, 2.0 / 2.0001):
+            got = Jet(coef).pow(exponent).coef
+            want = _taylor(lambda v: v**exponent, coef)
+            assert np.abs(got - want).max() < 1e-13
 
     def test_affine_exponential_is_exact(self):
         # exp(-a s) around s=1 has coefficients e^{-a} (-a)^k / k!
         a = 3.25
-        jet = jet_compose_transform(a, 0.0, 1.0, 0.0, 0.0, order=8)
+        jet = (jet_variable(1.0, 8) * (-a)).exp()
         expected = [math.exp(-a) * (-a) ** k / math.factorial(k) for k in range(9)]
         assert np.abs(jet.coef - expected).max() < 1e-15
 
     def test_order_zero_is_plain_value(self):
-        jet = jet_compose_transform(0.7, 0.2, 2.0 / 3.0, 0.1, 0.05, order=0)
-        assert jet.coef[0] == pytest.approx(math.exp(-(0.7 + 0.2 + 0.1 + 0.05)), rel=1e-14)
+        # a one-term series: the transform jet is the transform value at s = 1
+        params = OutageParams(
+            fit=GammaFit(6.0, 1e-10), threshold=1e-2, power_w=1e-3,
+            sigma2_w=1e-12, laplace=LaplaceParams(), series_order=1,
+        )
+        q_pow, q_lin, q_const = transform_exponent_coeffs(params.laplace, "before", "affine")
+        arg = params.threshold / params.fit.scale
+        noise = params.threshold * params.sigma2_w / (params.power_w * params.fit.scale)
+        value = math.exp(-(noise + q_pow * arg ** (2.0 / 3.0) + q_lin * arg + q_const))
+        jet = outage_transform_jet(params, "before", "affine")
+        assert jet.order == 0
+        assert jet.coef[0] == pytest.approx(value, rel=1e-14)
 
     def test_derivatives_match_finite_differences(self):
         # composite with the same shape as the outage transform; the stencil
         # is evaluated in extended precision because the step-1e-4 third
         # difference sits below float64 cancellation noise
-        import mpmath as mp
-
         mp.mp.dps = 50
         noise, p_coeff, lin, const = 0.52, 0.036, 0.0096, 0.0093
         p_exp = mp.mpf(2) / 3
@@ -148,7 +183,8 @@ class TestJet:
             s = mp.mpf(s)
             return mp.e ** (-(noise * s + p_coeff * s**p_exp + lin * s + const))
 
-        jet = jet_compose_transform(noise, p_coeff, 2.0 / 3.0, lin, const, order=3)
+        s = jet_variable(1.0, 3)
+        jet = (s * (-(noise + lin)) - const - s.pow(2.0 / 3.0) * p_coeff).exp()
         h = mp.mpf("1e-4")
         fd1 = (f(1 + h) - f(1 - h)) / (2 * h)
         fd2 = (f(1 + h) - 2 * f(1) + f(1 - h)) / h**2
@@ -157,8 +193,14 @@ class TestJet:
             assert jet.derivative(order) == pytest.approx(float(fd), rel=1e-5)
 
     def test_rejects_large_order(self):
+        # the outage jet's order is capped at 60 (factorial conditioning)
         with pytest.raises(ValueError):
-            jet_compose_transform(1.0, 0.0, 1.0, 0.0, 0.0, order=61)
+            OutageParams(
+                fit=GammaFit(6.0, 1e-10), threshold=1e-2, power_w=1e-3,
+                sigma2_w=1e-12, laplace=LaplaceParams(), series_order=61,
+            )
+        with pytest.raises(ConfigError):
+            ExperimentConfig(series_order=61)
 
     def test_variable_jet(self):
         s = jet_variable(2.0, 3)
