@@ -71,13 +71,29 @@ def _config_header(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
+def _write_atomic(path: Path, write) -> None:
+    """Call ``write(fh)`` on a temporary file beside ``path``, then move it
+    over ``path``; on any failure the temporary file is removed and ``path``
+    is left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
+    def write(fh):
         fh.write(_config_header(cfg))
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+    _write_atomic(path, write)
     _log(f"wrote {path}")
 
 
@@ -108,13 +124,10 @@ def cmd_topology(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     topo = build_topology(cfg.topology_config(), rng)
     out = out_dir / "topology.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     # newline=None turns the csv module's \r\n row ends into \n
     points = io.StringIO(newline=None)
     export_topology_csv(topo, points)
-    with open(out, "w", newline="") as fh:
-        fh.write(_config_header(cfg))
-        fh.write(points.getvalue())
+    _write_atomic(out, lambda fh: fh.write(_config_header(cfg) + points.getvalue()))
 
     n_bs = topo.bs.shape[0]
     min_spacing = math.inf
@@ -302,12 +315,29 @@ def cmd_validate_laplace(cfg: ExperimentConfig, out_dir: Path, threads: int) -> 
     """
     p = cfg.laplace_params()
     s_grid = np.geomspace(1e2, 1e9, 50)
+
+    # closed forms and the quadrature oracle first: a failing quadrature
+    # exits before the ensembles are paid for
+    analytic = []
+    worst_rel = 0.0
+    for stage in ("before", "after"):
+        q_pow, q_lin, q_const = transform_exponent_coeffs(p, stage, cfg.reflected_form)
+        qp2, ql2, qc2 = transform_exponent_coeffs(p, stage, "pgfl")
+        for s in s_grid:
+            closed_default = math.exp(-(q_pow * s ** (2 / p.alpha) + q_lin * s + q_const))
+            closed_pgfl = math.exp(-(qp2 * s ** (2 / p.alpha) + ql2 * s + qc2))
+            oracle = laplace_quadrature_oracle(float(s), p, stage)
+            worst_rel = max(worst_rel, abs(closed_pgfl - oracle) / oracle)
+            analytic.append((stage, s, closed_default, oracle, closed_pgfl))
+
     setup = cfg.simulation_setup()
     mc_trials = min(max(cfg.trials, 1000), 100_000)
     stats = montecarlo.run_ensemble(setup, mc_trials, cfg.seed)
     alt_stats = montecarlo.run_ensemble(
         cfg.simulation_setup(moved_mode="cell_reflected"), mc_trials, cfg.seed + 1
     )
+    samples = {"before": (stats.i_before, alt_stats.i_before),
+               "after": (stats.i_after, alt_stats.i_after)}
 
     # Monte Carlo comparison is meaningful only where the estimator is
     # conditioned and the finite window's truncated tail is below the noise.
@@ -315,27 +345,15 @@ def cmd_validate_laplace(cfg: ExperimentConfig, out_dir: Path, threads: int) -> 
     two_pi_lb = 2.0 * math.pi * cfg.lambda_b
 
     rows = []
-    worst_rel = 0.0
-    for stage, samples, alt_samples in (
-        ("before", stats.i_before, alt_stats.i_before),
-        ("after", stats.i_after, alt_stats.i_after),
-    ):
-        for s in s_grid:
-            q_pow, q_lin, q_const = transform_exponent_coeffs(p, stage, cfg.reflected_form)
-            closed_default = math.exp(-(q_pow * s ** (2 / p.alpha) + q_lin * s + q_const))
-            qp2, ql2, qc2 = transform_exponent_coeffs(p, stage, "pgfl")
-            closed_pgfl = math.exp(-(qp2 * s ** (2 / p.alpha) + ql2 * s + qc2))
-            oracle = laplace_quadrature_oracle(float(s), p, stage)
-            rel = abs(closed_pgfl - oracle) / oracle
-            worst_rel = max(worst_rel, rel)
-            truncation_bias = two_pi_lb * s * p.c / cfg.window_radius
-            if s * median_i <= 5.0 and truncation_bias < 2e-5:
-                est, stderr = empirical_laplace(float(s), samples)
-                alt_est, _ = empirical_laplace(float(s), alt_samples)
-                mc, se, alt = est, stderr, alt_est
-            else:
-                mc, se, alt = "", "", ""
-            rows.append((s, closed_default, oracle, mc, se, stage, closed_pgfl, alt))
+    for stage, s, closed_default, oracle, closed_pgfl in analytic:
+        truncation_bias = two_pi_lb * s * p.c / cfg.window_radius
+        if s * median_i <= 5.0 and truncation_bias < 2e-5:
+            own, alt_samples = samples[stage]
+            mc, se = empirical_laplace(float(s), own)
+            alt, _ = empirical_laplace(float(s), alt_samples)
+        else:
+            mc, se, alt = "", "", ""
+        rows.append((s, closed_default, oracle, mc, se, stage, closed_pgfl, alt))
     _write_csv(
         out_dir / "laplace_validation.csv", cfg,
         ["s", "closed_form", "quadrature", "monte_carlo", "stderr",

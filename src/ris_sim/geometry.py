@@ -28,6 +28,7 @@ __all__ = [
     "sample_ris_clusters",
     "associate_nearest",
     "associate_serving_ris",
+    "nearest_per_group",
     "serving_surfaces",
     "build_topology",
     "export_topology_csv",
@@ -157,35 +158,63 @@ def matern_parent_intensity(retained_intensity: float, r_b: float) -> float:
 
 
 def sample_mhcpp(
-    parent_intensity: float, r_b: float, window: Window, rng: np.random.Generator
+    parent_intensity: float,
+    r_b: float,
+    window: Window,
+    rng: np.random.Generator,
+    trial_counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Matern type-II hard-core thinning of a Poisson parent process.
 
     Each parent draws an independent uniform mark; a point survives iff no
-    other point within ``r_b`` (inclusive: a pair exactly ``r_b`` apart
-    competes) holds a smaller mark.  The competing pairs come from a k-d tree
-    query, and in each pair the member with the strictly larger mark loses,
-    so equal marks eliminate neither; the cost is O(n log n) in the parent
-    count plus the number of close pairs.  Parents are sampled on the window
-    dilated by ``r_b`` and clipped back afterwards, so points near the
-    boundary see their full competition neighborhood (no edge bias).
+    other point of its own field within ``r_b`` (inclusive: a pair exactly
+    ``r_b`` apart competes) holds a smaller mark, so equal marks eliminate
+    neither.  Candidate pairs come from one k-d tree query and are confirmed
+    on squared distances, at O(n log n) in the parent count plus the number
+    of close pairs.  Parents are sampled on the window dilated by ``r_b`` and
+    clipped back afterwards, so points near the boundary see their full
+    competition neighborhood (no edge bias).
+
+    ``trial_counts``, an int array of length B, asks for B independent fields
+    at once: one Poisson field of B times the intensity whose points are split
+    uniformly over the B trials (a multinomial draw, which gives each trial an
+    independent Poisson field).  The points come back concatenated in trial
+    order and ``trial_counts[t]`` is set to trial t's point count.  For the
+    thinning each trial is shifted along x, leaving 2 ``r_b`` between
+    neighbouring trials, so no two trials compete.  Without ``trial_counts``
+    one field is drawn: parent count, positions, then marks.
     """
     if not r_b > 0:
         raise ValueError("r_b must be positive")
     if parent_intensity < 0:
         raise ValueError("parent intensity must be nonnegative")
+    trials = 1 if trial_counts is None else trial_counts.size
     dilated = window.dilate(r_b)
-    parents = sample_hppp(parent_intensity, dilated, rng)
+    parents = sample_hppp(parent_intensity * trials, dilated, rng)
     n = parents.shape[0]
+    split = rng.multinomial(n, np.full(trials, 1.0 / trials)) if trials > 1 else [n]
     if n == 0:
+        if trial_counts is not None:
+            trial_counts[:] = 0
         return parents
     marks = rng.random(n)
-    a, b = cKDTree(parents).query_pairs(r_b, output_type="ndarray").T
+    trial = np.repeat(np.arange(trials), split)
+    half_width = dilated.radius if dilated.shape == "disk" else dilated.half_extents[0]
+    shifted = parents.copy()
+    shifted[:, 0] += (2.0 * half_width + 2.0 * r_b) * trial
+    # the padded radius covers the rounding of the shift; the confirmation
+    # below uses the unshifted coordinates
+    a, b = cKDTree(shifted).query_pairs(r_b * (1.0 + 1e-6), output_type="ndarray").T
+    diff = parents[a] - parents[b]
+    close = np.einsum("ij,ij->i", diff, diff) <= r_b**2
+    a, b = a[close], b[close]
     loses = np.zeros(n, dtype=bool)
     loses[a[marks[a] > marks[b]]] = True
     loses[b[marks[b] > marks[a]]] = True
-    kept = parents[~loses]
-    return kept[window.contains(kept)]
+    keep = ~loses & window.contains(parents)
+    if trial_counts is not None:
+        trial_counts[:] = np.bincount(trial[keep], minlength=trials)
+    return parents[keep]
 
 
 def sample_ris_clusters(
@@ -232,22 +261,29 @@ def associate_nearest(ue: np.ndarray, bs: np.ndarray) -> int:
     return int(np.argmin(d2))
 
 
+def nearest_per_group(d2: np.ndarray, group: np.ndarray, n_groups: int) -> np.ndarray:
+    """For each group 0..n_groups-1, the index of its entry with the smallest
+    ``d2``, or -1 for a group with no entries.  Ties resolve to the lowest index.
+    """
+    nearest = np.full(n_groups, -1, dtype=int)
+    if d2.size == 0:
+        return nearest
+    # stable sort by (group, d2): each group's first entry is its nearest
+    order = np.lexsort((d2, group))
+    sorted_group = group[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = sorted_group[1:] != sorted_group[:-1]
+    nearest[sorted_group[first]] = order[first]
+    return nearest
+
+
 def serving_surfaces(bs: np.ndarray, ris: np.ndarray, ris_parent: np.ndarray) -> np.ndarray:
     """Index of each BS's closest cluster child, or -1 for an empty cluster.
 
     Ties resolve to the lowest surface index.
     """
-    serving = np.full(bs.shape[0], -1, dtype=int)
-    if ris.shape[0] == 0:
-        return serving
     d2 = np.sum((ris - bs[ris_parent]) ** 2, axis=1)
-    # stable sort by (parent, distance): each cluster's first entry is its nearest
-    order = np.lexsort((d2, ris_parent))
-    parent = ris_parent[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = parent[1:] != parent[:-1]
-    serving[parent[first]] = order[first]
-    return serving
+    return nearest_per_group(d2, ris_parent, bs.shape[0])
 
 
 def associate_serving_ris(bs_index: int, topology: NetworkTopology) -> int | None:
@@ -291,9 +327,14 @@ def export_topology_csv(topology: NetworkTopology, dest: str | Path | TextIO) ->
     writer.writerow(["kind", "index", "x", "y", "parent_index", "serving_index"])
     for i, (x, y) in enumerate(topology.bs):
         serving = topology.serving_ris[i]
-        writer.writerow(["bs", i, repr(x), repr(y), "", "" if serving < 0 else serving])
+        writer.writerow(["bs", i, _coord(x), _coord(y), "", "" if serving < 0 else serving])
     for j, (x, y) in enumerate(topology.ris):
-        writer.writerow(["ris", j, repr(x), repr(y), topology.ris_parent[j], ""])
+        writer.writerow(["ris", j, _coord(x), _coord(y), topology.ris_parent[j], ""])
     for k, (x, y) in enumerate(topology.ue):
         serving = topology.serving_bs[k]
-        writer.writerow(["ue", k, repr(x), repr(y), "", "" if serving < 0 else serving])
+        writer.writerow(["ue", k, _coord(x), _coord(y), "", "" if serving < 0 else serving])
+
+
+def _coord(v) -> str:
+    # repr of a numpy scalar is "np.float64(...)" under numpy 2
+    return repr(float(v))

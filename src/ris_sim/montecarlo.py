@@ -14,6 +14,14 @@ lambda_b * lambda_u * pi * r_i**2 across the window, each point adding a
 direct-strength term.  The per-cell alternative (Poisson(lambda_u pi r_i**2)
 movers whose reflected bounce from their own serving surface reaches the
 target) is implemented too and reported alongside in validation output.
+
+Ensembles are sampled in chunks of trials.  A chunk draws the fields, the
+serving links and the moved users of all its trials in vectorized passes
+from one generator, stream (seed, chunk + 1); only the per-topology
+interference kernel runs trial by trial.  The chunk size comes from the
+setup alone, so a trial's interference depends on the seed and on its
+position, never on how many trials the run has.  Pinned serving powers are
+one batch over all trials from stream (seed, 0).
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ import numpy as np
 from .channel import ChannelParams, sample_nakagami, sample_rayleigh
 from .geometry import (
     TopologyConfig,
-    associate_nearest,
     matern_parent_intensity,
+    nearest_per_group,
     sample_mhcpp,
     sample_ris_clusters,
     serving_surfaces,
@@ -132,20 +140,72 @@ class RateEstimate:
     unchanged: float
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # stream 0 is reserved for the batched serving-power draw
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial + 1))))
+# Matern parents, surfaces and network-field movers sampled per chunk: bounds
+# a chunk's memory whatever the densities
+_CHUNK_POINTS = 1 << 16
 
 
-def _sample_field(cfg: TopologyConfig, rng: np.random.Generator):
-    """Interferer infrastructure only: BS positions and surface positions."""
+def _stream(seed: int, index: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
+
+
+def _chunk_trials(setup: SimulationSetup) -> int:
+    """Trials per chunk: the point budget over the expected points per trial.
+
+    Derived from the setup alone, so a trial's stream never depends on the
+    trial count.
+    """
+    cfg = setup.topology
+    area = cfg.window.area()
+    points = matern_parent_intensity(cfg.lambda_b, cfg.r_b) * cfg.window.dilate(cfg.r_b).area()
+    points += cfg.lambda_r * area
+    if setup.moved_mode == "network_field":
+        points += cfg.lambda_b * cfg.lambda_u * math.pi * setup.r_i**2 * area
+    return max(1, int(_CHUNK_POINTS / max(points, 1.0)))
+
+
+def _sample_fields(cfg: TopologyConfig, rng: np.random.Generator, trials: int,
+                   nonempty: bool = False):
+    """Interferer infrastructure of ``trials`` independent trials.
+
+    Returns (bs, bs_start, ris, ris_parent, resampled): trial t owns
+    ``bs[bs_start[t]:bs_start[t + 1]]``, and ``ris_parent`` indexes ``bs``, so
+    the surfaces come in trial order too.  With ``nonempty`` the trials whose
+    BS field came out empty are redrawn together until every trial has a BS;
+    ``resampled`` counts the redrawn fields, and a trial still empty after
+    1000 attempts raises ``RuntimeError``.
+    """
     parent = matern_parent_intensity(cfg.lambda_b, cfg.r_b)
-    bs = sample_mhcpp(parent, cfg.r_b, cfg.window, rng)
+    counts = np.empty(trials, dtype=int)
+    bs = sample_mhcpp(parent, cfg.r_b, cfg.window, rng, counts)
+    resampled = 0
+    empty = np.flatnonzero(counts == 0) if nonempty else np.empty(0, dtype=int)
+    if empty.size:
+        points, owner = [bs], [np.repeat(np.arange(trials), counts)]
+        for _ in range(999):
+            resampled += empty.size
+            redrawn = np.empty(empty.size, dtype=int)
+            points.append(sample_mhcpp(parent, cfg.r_b, cfg.window, rng, redrawn))
+            owner.append(np.repeat(empty, redrawn))
+            counts[empty] = redrawn
+            empty = empty[redrawn == 0]
+            if empty.size == 0:
+                break
+        else:
+            raise RuntimeError("failed to sample a nonempty BS field after 1000 attempts")
+        bs = np.concatenate(points)[np.argsort(np.concatenate(owner), kind="stable")]
+    bs_start = np.concatenate(([0], np.cumsum(counts)))
     if bs.shape[0] > 0 and cfg.lambda_r > 0:
         ris, ris_parent = sample_ris_clusters(bs, cfg.lambda_r, cfg.lambda_b, cfg.r_r, rng)
     else:
         ris = np.empty((0, 2))
         ris_parent = np.empty(0, dtype=int)
+    return bs, bs_start, ris, ris_parent, resampled
+
+
+def _sample_field(cfg: TopologyConfig, rng: np.random.Generator):
+    """Interferer infrastructure of one trial: BS positions and surface positions."""
+    bs, _, ris, ris_parent, _ = _sample_fields(cfg, rng, 1)
     return bs, ris, ris_parent
 
 
@@ -201,76 +261,98 @@ def _draw_field_interference(
     direct, pairs = kernel
     if direct.size == 0:
         return 0.0
-    total = float(np.sum(direct * rng.exponential(size=direct.size)))
+    total = float((direct * rng.exponential(size=direct.size)).sum())
     if pairs is not None:
         fading = rng.exponential(size=pairs.shape)
         fading *= pairs
-        total += float(np.sum(fading))
+        total += float(fading.sum())
     return total
+
+
+def _bounce_length(bs: np.ndarray, ris: np.ndarray) -> np.ndarray:
+    """d(BS, surface) * d(surface, origin) for each row of matched BSs and surfaces."""
+    return np.hypot(*(ris - bs).T) * np.hypot(ris[:, 0], ris[:, 1])
+
+
+def _nearest_bs_in_trial(
+    bs: np.ndarray, bs_start: np.ndarray, positions: np.ndarray, trial: np.ndarray
+) -> np.ndarray:
+    """Index into ``bs`` of each position's nearest BS among its own trial's
+    BSs (ties to the lowest index, as ``associate_nearest``), or -1 when its
+    trial has no BS."""
+    # every (position, BS of its trial) pair, the BSs in index order
+    n_bs = np.diff(bs_start)[trial]
+    owner = np.repeat(np.arange(trial.size), n_bs)
+    pair_bs = np.arange(owner.size) + np.repeat(bs_start[trial] - (np.cumsum(n_bs) - n_bs), n_bs)
+    d2 = np.sum((bs[pair_bs] - positions[owner]) ** 2, axis=1)
+    nearest = nearest_per_group(d2, owner, trial.size)
+    return np.where(nearest >= 0, pair_bs[nearest], -1)
 
 
 def _moved_interference(
     setup: SimulationSetup,
     bs: np.ndarray,
+    bs_start: np.ndarray,
     ris: np.ndarray,
-    ris_parent: np.ndarray,
+    serving_ris: np.ndarray | None,
     rng: np.random.Generator,
-) -> float:
-    """Extra interference from users that moved near the target."""
+) -> np.ndarray:
+    """Extra interference from users that moved near the target, per trial
+    of a chunk laid out as ``_sample_fields`` returns it (``serving_ris`` as
+    ``serving_surfaces`` returns it; only the cell_reflected mode reads it)."""
     cfg, ch = setup.topology, setup.channel
+    trials = bs_start.size - 1
     if setup.moved_mode == "network_field":
         density = cfg.lambda_b * cfg.lambda_u * math.pi * setup.r_i**2
-        count = rng.poisson(density * cfg.window.area())
-        if count == 0:
-            return 0.0
-        pts = cfg.window.sample_uniform(count, rng)
+        counts = rng.poisson(density * cfg.window.area(), size=trials)
+        pts = cfg.window.sample_uniform(int(counts.sum()), rng)
+        trial = np.repeat(np.arange(trials), counts)
         d = np.hypot(pts[:, 0], pts[:, 1])
-        d = d[d > 0]
-        return float(np.sum(ch.c * d ** (-ch.alpha) * rng.exponential(size=d.size)))
+        near = d > 0
+        power = ch.c * d[near] ** (-ch.alpha) * rng.exponential(size=int(near.sum()))
+        return np.bincount(trial[near], weights=power, minlength=trials)
 
-    count = rng.poisson(cfg.lambda_u * math.pi * setup.r_i**2)
-    if count == 0 or bs.shape[0] == 0 or ris.shape[0] == 0:
-        return 0.0
-    total = 0.0
-    r = setup.r_i * np.sqrt(rng.random(count))
-    theta = rng.uniform(0.0, 2.0 * math.pi, count)
+    counts = rng.poisson(cfg.lambda_u * math.pi * setup.r_i**2, size=trials)
+    total = int(counts.sum())
+    r = setup.r_i * np.sqrt(rng.random(total))
+    theta = rng.uniform(0.0, 2.0 * math.pi, total)
     positions = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-    serving = serving_surfaces(bs, ris, ris_parent)
-    for pos in positions:
-        i = associate_nearest(pos, bs)
-        j = serving[i]
-        if j < 0:
-            continue
-        d_ij = math.sqrt(float(np.sum((ris[j] - bs[i]) ** 2)))
-        d_jk = float(np.hypot(ris[j, 0], ris[j, 1]))
-        if d_ij <= 0 or d_jk <= 0:
-            continue
-        mean = ch.n_elements * ch.c**2 * (d_ij * d_jk) ** (-ch.alpha)
-        total += mean * float(rng.exponential())
-    return total
+    trial = np.repeat(np.arange(trials), counts)
+    i = _nearest_bs_in_trial(bs, bs_start, positions, trial)
+    has_bs = i >= 0
+    i, trial = i[has_bs], trial[has_bs]
+    j = serving_ris[i]
+    served = j >= 0
+    bounce = _bounce_length(bs[i[served]], ris[j[served]])
+    trial = trial[served]
+    reaches = bounce > 0
+    mean = ch.n_elements * ch.c**2 * bounce[reaches] ** (-ch.alpha)
+    power = mean * rng.exponential(size=mean.size)
+    return np.bincount(trial[reaches], weights=power, minlength=trials)
 
 
 def draw_serving_power(
     ch: ChannelParams,
-    pl_direct: float,
-    pl_reflected: float,
+    pl_direct: float | np.ndarray,
+    pl_reflected: float | np.ndarray,
     n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """``n`` ideal-phase serving powers (sqrt(PL_d) g + sqrt(PL_r) sum h1 h2)^2.
 
     Every element is aligned onto the direct path, so the reflected term is
-    the scalar sum of the N Nakagami amplitude products.  The draw order is
-    n Rayleigh amplitudes, then the (n, N) first hops, then the second hops;
-    without a reflected link (``pl_reflected == 0``) the hops are not drawn.
+    the scalar sum of the N Nakagami amplitude products.  The gains are scalars
+    or length-``n`` arrays (one link per draw).  The draw order is n Rayleigh
+    amplitudes, then the (n, N) first hops, then the second hops; when no
+    draw has a reflected link (``pl_reflected == 0``) the hops are not drawn.
     """
-    if pl_direct < 0 or pl_reflected < 0:
+    if np.any(np.less(pl_direct, 0)) or np.any(np.less(pl_reflected, 0)):
         raise ValueError("path-loss gains must be nonnegative")
-    amp = math.sqrt(pl_direct) * sample_rayleigh(rng, n)
-    if pl_reflected > 0.0:
+    amp = np.sqrt(pl_direct) * sample_rayleigh(rng, n)
+    if np.any(np.greater(pl_reflected, 0.0)):
         shape = (n, ch.n_elements)
         hops = sample_nakagami(ch.m1, rng, shape) * sample_nakagami(ch.m2, rng, shape)
-        amp += math.sqrt(pl_reflected) * np.sum(hops, axis=1)
+        amp += np.sqrt(pl_reflected) * np.sum(hops, axis=1)
     return amp * amp
 
 
@@ -283,8 +365,48 @@ def sinr_from_powers(
     return power_w * np.asarray(s0) / (power_w * np.asarray(interference) + sigma2_w)
 
 
+def _simulate_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generator):
+    """``trials`` trials drawn from one generator.
+
+    Returns (s0, i_before, i_after, resampled).  The fields, the associated
+    serving links and powers, and the moved users are sampled for the whole
+    chunk in vectorized passes; only the per-topology interference kernel
+    and its two fading draws run per trial.  Pinned mode leaves the serving
+    powers to the caller (s0 is None): they do not depend on the field.
+    """
+    ch = setup.channel
+    associated = setup.serving_mode == "associated"
+    bs, bs_start, ris, ris_parent, resampled = _sample_fields(
+        setup.topology, rng, trials, nonempty=associated)
+    serving_ris = None
+    if associated or setup.moved_mode == "cell_reflected":
+        serving_ris = serving_surfaces(bs, ris, ris_parent)
+    s0 = serving = None
+    if associated:
+        # each trial's typical user at the origin
+        serving = _nearest_bs_in_trial(bs, bs_start, np.zeros((trials, 2)), np.arange(trials))
+        pl_d = ch.c * np.hypot(bs[serving, 0], bs[serving, 1]) ** (-ch.alpha)
+        j = serving_ris[serving]
+        has = j >= 0
+        pl_r = np.zeros(trials)
+        pl_r[has] = ch.c * _bounce_length(bs[serving[has]], ris[j[has]]) ** (-ch.alpha)
+        s0 = draw_serving_power(ch, pl_d, pl_r, trials, rng)
+    i_after = _moved_interference(setup, bs, bs_start, ris, serving_ris, rng)
+
+    ris_start = np.searchsorted(ris_parent, bs_start)
+    i_before = np.empty(trials)
+    for t in range(trials):
+        kernel = _field_kernel(
+            bs[bs_start[t]:bs_start[t + 1]], ris[ris_start[t]:ris_start[t + 1]], ch,
+            exclude=None if serving is None else serving[t] - bs_start[t],
+        )
+        i_before[t] = _draw_field_interference(kernel, rng)
+        i_after[t] += _draw_field_interference(kernel, rng)
+    return s0, i_before, i_after, resampled
+
+
 def simulate_trial(setup: SimulationSetup, rng: np.random.Generator) -> TrialResult:
-    """One independent trial.
+    """One trial: the one-trial chunk of ``run_ensemble``.
 
     Pinned mode fixes the serving-link distances and keeps every field BS as
     an interferer.  Associated mode serves the typical user from the nearest
@@ -292,57 +414,25 @@ def simulate_trial(setup: SimulationSetup, rng: np.random.Generator) -> TrialRes
     The after-movement interference redraws the field fading and adds the
     moved-user terms on a shared topology; the serving power is drawn once.
     """
-    result, _ = _simulate_trial_counted(setup, rng)
-    return result
-
-
-def _simulate_trial_counted(
-    setup: SimulationSetup, rng: np.random.Generator
-) -> tuple[TrialResult, int]:
     ch = setup.channel
-    serving_index = None
-    resamples = 0
-    for _ in range(1000):
-        bs, ris, ris_parent = _sample_field(setup.topology, rng)
-        if setup.serving_mode == "pinned" or bs.shape[0] > 0:
-            break
-        resamples += 1
-    else:
-        raise RuntimeError("failed to sample a nonempty BS field after 1000 attempts")
-
-    if setup.serving_mode == "pinned":
-        pl_d, pl_r = setup.link.pathloss(ch.c, ch.alpha)
-    else:
-        serving_index = associate_nearest(np.zeros(2), bs)
-        d_direct = float(np.hypot(*bs[serving_index]))
-        pl_d = ch.c * d_direct ** (-ch.alpha)
-        j = serving_surfaces(bs, ris, ris_parent)[serving_index]
-        if j < 0:
-            pl_r = 0.0
-        else:
-            d_ij = float(np.linalg.norm(bs[serving_index] - ris[j]))
-            d_jk = float(np.hypot(*ris[j]))
-            pl_r = ch.c * (d_ij * d_jk) ** (-ch.alpha)
-
-    s0 = float(draw_serving_power(ch, pl_d, pl_r, 1, rng)[0])
-    kernel = _field_kernel(bs, ris, ch, exclude=serving_index)
-    i_before = _draw_field_interference(kernel, rng)
-    i_after = _draw_field_interference(kernel, rng)
-    i_after += _moved_interference(setup, bs, ris, ris_parent, rng)
-
-    sinr_b = float(sinr_from_powers(s0, i_before, ch.power_w, ch.sigma2_w))
-    sinr_a = float(sinr_from_powers(s0, i_after, ch.power_w, ch.sigma2_w))
-    return TrialResult(s0, i_before, i_after, sinr_b, sinr_a), resamples
+    s0, i_before, i_after, _ = _simulate_chunk(setup, 1, rng)
+    if s0 is None:
+        s0 = draw_serving_power(ch, *setup.link.pathloss(ch.c, ch.alpha), 1, rng)
+    s0, i_b, i_a = float(s0[0]), float(i_before[0]), float(i_after[0])
+    sinr_b = float(sinr_from_powers(s0, i_b, ch.power_w, ch.sigma2_w))
+    sinr_a = float(sinr_from_powers(s0, i_a, ch.power_w, ch.sigma2_w))
+    return TrialResult(s0, i_b, i_a, sinr_b, sinr_a)
 
 
 def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0) -> EnsembleStats:
-    """Independent trials with per-trial generators derived from (seed, trial).
+    """``trials`` trials, sampled in chunks from per-(seed, chunk) streams.
 
-    Each trial owns its generator, so trials can run in any order or split
-    across workers without changing the result; the aggregation here is a
-    plain in-order fill.  The pinned-mode serving powers are drawn in one
-    vectorized batch (their law does not depend on the trial's topology), so
-    only the interference needs the per-trial loop.
+    The trials are cut into chunks of a size derived from the setup alone,
+    and chunk c draws everything it samples from stream (seed, c + 1), so a
+    trial's interference (and its serving power in associated mode) depends
+    on the seed and the trial's position but never on the trial count.  The
+    pinned-mode serving powers are drawn in one vectorized batch over all
+    trials from stream (seed, 0) (their law does not depend on the topology).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -354,22 +444,17 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0) -> Ensemble
     i_a = np.empty(trials)
 
     if setup.serving_mode == "pinned":
-        batch_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
         pl_d, pl_r = setup.link.pathloss(ch.c, ch.alpha)
-        s0[:] = draw_serving_power(ch, pl_d, pl_r, trials, batch_rng)
-        for t in range(trials):
-            rng = _trial_rng(seed, t)
-            bs, ris, ris_parent = _sample_field(setup.topology, rng)
-            kernel = _field_kernel(bs, ris, ch)
-            i_b[t] = _draw_field_interference(kernel, rng)
-            after = _draw_field_interference(kernel, rng)
-            i_a[t] = after + _moved_interference(setup, bs, ris, ris_parent, rng)
-    else:
-        for t in range(trials):
-            rng = _trial_rng(seed, t)
-            result, n_resampled = _simulate_trial_counted(setup, rng)
-            resampled += n_resampled
-            s0[t], i_b[t], i_a[t] = result.s0, result.i_before, result.i_after
+        s0[:] = draw_serving_power(ch, pl_d, pl_r, trials, _stream(seed, 0))
+    size = _chunk_trials(setup)
+    for c, start in enumerate(range(0, trials, size)):
+        stop = min(start + size, trials)
+        chunk_s0, before, after, n_resampled = _simulate_chunk(
+            setup, stop - start, _stream(seed, c + 1))
+        i_b[start:stop], i_a[start:stop] = before, after
+        if chunk_s0 is not None:
+            s0[start:stop] = chunk_s0
+        resampled += n_resampled
     return EnsembleStats(s0, i_b, i_a, resampled, seed)
 
 
@@ -431,8 +516,7 @@ def make_sinr_sampler(setup: SimulationSetup, seed: int = 0):
     users); each call serves every agent from its nearest BS at the realized
     distances, draws fresh fading, and returns the SINR vector.
     """
-    field_rng = _trial_rng(seed, 0)
-    bs, ris, ris_parent = _sample_field(setup.topology, field_rng)
+    bs, ris, ris_parent = _sample_field(setup.topology, _stream(seed, 1))
     if bs.shape[0] == 0:
         raise RuntimeError("sampled an empty BS field; enlarge the window or density")
     ch = setup.channel

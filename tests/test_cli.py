@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output contracts, determinism."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -79,6 +80,58 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
 
+class TestFailFast:
+    def test_validate_laplace_fails_before_the_ensembles(self, tmp_path, monkeypatch):
+        from ris_sim import montecarlo
+
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("ensemble built before the quadrature oracle ran")
+
+        monkeypatch.setattr(montecarlo, "run_ensemble", no_ensemble)
+        cfg = _write(tmp_path, "bad.yaml", "alpha: 2.0001\nsinr_threshold: 1.0e+6\n")
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "validate-laplace"]) == EXIT_VALIDATION
+        assert not out.exists()
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def _rows_then_failure():
+        yield (1.0, "a")
+        yield (2.0, "b")
+        raise ArithmeticError("row formatting failed")
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        from ris_sim.cli import _write_csv
+        from ris_sim.experiment_config import ExperimentConfig
+
+        path = tmp_path / "out.csv"
+        path.write_text("old contents\n")
+        with pytest.raises(ArithmeticError):
+            _write_csv(path, ExperimentConfig(), ["x", "y"], self._rows_then_failure())
+        assert path.read_text() == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        from ris_sim.cli import _write_csv
+        from ris_sim.experiment_config import ExperimentConfig
+
+        with pytest.raises(ArithmeticError):
+            _write_csv(tmp_path / "out.csv", ExperimentConfig(), ["x"], self._rows_then_failure())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_successful_write_replaces_the_old_file(self, tmp_path):
+        from ris_sim.cli import _write_csv
+        from ris_sim.experiment_config import ExperimentConfig
+
+        path = tmp_path / "out.csv"
+        path.write_text("old contents\n")
+        _write_csv(path, ExperimentConfig(), ["x", "y"], [(1.5, "a")])
+        lines = path.read_text().splitlines()
+        assert lines[-2:] == ["x,y", "1.5,a"]
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 class TestTopologyCommand:
     def test_writes_points_and_summary(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -89,6 +142,8 @@ class TestTopologyCommand:
         captured = capsys.readouterr()
         assert "min BS spacing" in captured.out
         assert sorted(p.name for p in out.iterdir()) == ["topology.csv"]
+        # plain float reprs, readable back with float()
+        assert all(math.isfinite(float(r[k])) for r in rows for k in ("x", "y"))
 
     def test_byte_identical_for_same_seed(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -118,6 +173,18 @@ class TestOutageSweep:
         assert all(b <= a + 1e-12 for a, b in zip(analytic, analytic[1:]))
         for r in rows:
             assert float(r["P_o_prime_analytic"]) >= float(r["P_o_analytic"]) - 1e-12
+
+
+    def test_byte_identical_across_repeats_and_threads(self, tmp_path):
+        def data(out, *extra):
+            argv = ["--trials", "600", "--seed", "4", "--out", str(out), *extra, "outage-sweep"]
+            assert main(argv) == EXIT_OK
+            return [l for l in (out / "outage_sweep.csv").read_bytes().splitlines()
+                    if not l.startswith(b"#")]
+
+        first = data(tmp_path / "a", "--threads", "1")
+        assert data(tmp_path / "b", "--threads", "1") == first
+        assert data(tmp_path / "c", "--threads", "2") == first
 
 
 class TestR0Sweep:

@@ -1,5 +1,6 @@
 """Point-process samplers and association rules."""
 
+import csv
 import math
 
 import numpy as np
@@ -199,6 +200,109 @@ class TestMhcpp:
             matern_parent_intensity(2e-4, 50.0)
 
 
+def _bruteforce_thinning(parents, marks, r_b, window):
+    """The O(n^2) Matern type-II rule on one field's own parents and marks."""
+    diff = parents[:, None, :] - parents[None, :, :]
+    close = np.einsum("ijk,ijk->ij", diff, diff) <= r_b**2
+    np.fill_diagonal(close, False)
+    loses = (close & (marks[None, :] < marks[:, None])).any(axis=1)
+    kept = parents[~loses]
+    return kept[window.contains(kept)]
+
+
+class _ScriptedTrials:
+    """Generator stand-in placing fixed parents, trial by trial, in a
+    rectangle window: ``fields`` is a list of (points, marks) per trial."""
+
+    def __init__(self, fields):
+        points = [np.asarray(p, dtype=float).reshape(-1, 2) for p, _ in fields]
+        self.split = np.array([p.shape[0] for p in points])
+        self.points = np.concatenate(points)
+        self.marks = np.concatenate([np.asarray(m, dtype=float) for _, m in fields])
+        self._coords = iter((self.points[:, 0], self.points[:, 1]))
+
+    def poisson(self, lam):
+        return self.points.shape[0]
+
+    def uniform(self, low, high, size):
+        return next(self._coords).copy()
+
+    def multinomial(self, n, pvals):
+        assert n == self.split.sum() and len(pvals) == self.split.size
+        return self.split.copy()
+
+    def random(self, size):
+        return self.marks.copy()
+
+
+class TestMhcppTrials:
+    """Several fields thinned at once, each trial shifted along x."""
+
+    @pytest.mark.parametrize(
+        "window",
+        [Window("disk", radius=300.0), Window("rectangle", half_extents=(300.0, 200.0))],
+    )
+    def test_each_trial_matches_bruteforce_on_its_own_parents(self, window):
+        r_b, trials = 50.0, 40
+        for seed in range(10):
+            for lam_p in (2e-5, 3e-4):
+                counts = np.empty(trials, dtype=int)
+                rng = _rng(seed)
+                got = sample_mhcpp(lam_p, r_b, window, rng, counts)
+                # replay the draws: one field of trials x the intensity, its
+                # split over the trials, then the marks
+                replay = _rng(seed)
+                parents = sample_hppp(lam_p * trials, window.dilate(r_b), replay)
+                split = replay.multinomial(parents.shape[0], np.full(trials, 1.0 / trials))
+                marks = replay.random(parents.shape[0])
+                assert rng.random() == replay.random()
+                ends = np.cumsum(split)
+                want = [
+                    _bruteforce_thinning(parents[e - k:e], marks[e - k:e], r_b, window)
+                    for e, k in zip(ends, split)
+                ]
+                assert np.array_equal(counts, [w.shape[0] for w in want])
+                assert np.array_equal(got, np.concatenate(want))
+
+    def test_trials_at_the_shift_boundary_do_not_compete(self):
+        # dilated half-width 150, so trial t is shifted by 400 t and the
+        # dilated windows of neighbouring trials end 2 r_b apart.  Trial 1
+        # repeats trial 0's point with a lower mark and adds one on the left
+        # edge, 2 r_b from trial 0's right edge once shifted; neither may thin
+        # trial 0.  A pair exactly r_b apart still competes in a shifted
+        # trial, and a pair just beyond r_b does not.
+        window = Window("rectangle", half_extents=(100.0, 100.0))
+        fields = [
+            ([(100.0, 0.0), (150.0, 10.0)], [0.9, 0.95]),
+            ([(100.0, 0.0), (-150.0, 10.0)], [0.1, 0.05]),
+            ([(150.0, 150.0)], [0.05]),
+            ([(-100.0, 0.0), (0.0, 0.0), (50.0, 0.0)], [0.8, 0.3, 0.6]),
+            ([(0.0, 0.0), (50.000001, 0.0)], [0.4, 0.2]),
+        ]
+        counts = np.empty(len(fields), dtype=int)
+        got = sample_mhcpp(1e-4, 50.0, window, _ScriptedTrials(fields), counts)
+        want = [
+            _bruteforce_thinning(np.asarray(p, dtype=float), np.asarray(m), 50.0, window)
+            for p, m in fields
+        ]
+        assert np.array_equal(got, np.concatenate(want))
+        assert counts.tolist() == [w.shape[0] for w in want] == [1, 1, 0, 2, 2]
+
+    def test_one_trial_is_the_single_field_draw(self):
+        window = Window("disk", radius=400.0)
+        counts = np.empty(1, dtype=int)
+        rng, ref_rng = _rng(11), _rng(11)
+        got = sample_mhcpp(1e-4, 50.0, window, rng, counts)
+        assert np.array_equal(got, sample_mhcpp(1e-4, 50.0, window, ref_rng))
+        assert counts[0] == got.shape[0]
+        assert rng.random() == ref_rng.random()
+
+    def test_empty_parents(self):
+        counts = np.full(5, 7)
+        got = sample_mhcpp(0.0, 50.0, Window(), _rng(), counts)
+        assert got.shape == (0, 2) and not counts.any()
+
+
 class TestRisClusters:
     def test_zero_density(self):
         bs = np.zeros((3, 2))
@@ -314,3 +418,11 @@ class TestBuildTopology:
         assert kinds == {"bs", "ris", "ue"}
         n_rows = len(lines) - 1
         assert n_rows == topo.bs.shape[0] + topo.ris.shape[0] + topo.ue.shape[0]
+
+    def test_export_csv_coordinates_are_plain_floats(self, tmp_path):
+        topo = build_topology(self._config(), _rng(42))
+        path = tmp_path / "topo.csv"
+        export_topology_csv(topo, path)
+        rows = list(csv.DictReader(path.read_text().splitlines()))
+        points = np.concatenate((topo.bs, topo.ris, topo.ue))
+        assert [(float(r["x"]), float(r["y"])) for r in rows] == [tuple(p) for p in points]

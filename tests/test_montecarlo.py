@@ -4,15 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+from ris_sim import montecarlo
 from ris_sim.channel import ChannelParams
-from ris_sim.geometry import TopologyConfig, Window, serving_surfaces
+from ris_sim.geometry import (
+    TopologyConfig,
+    Window,
+    associate_nearest,
+    matern_parent_intensity,
+    sample_mhcpp,
+    sample_ris_clusters,
+    serving_surfaces,
+)
 from ris_sim.montecarlo import (
     LinkGeometry,
     SimulationSetup,
     _draw_field_interference,
     _field_kernel,
     _sample_field,
+    draw_serving_power,
     empirical_outage,
     empirical_rates,
     outage_from_ensemble,
@@ -269,3 +280,162 @@ class TestSinrSampler:
         )
         t, mean_s, mean_x, _ = run_abm(cfg, sinr_sampler=sampler)
         assert np.allclose(mean_s + mean_x, 15.0)
+
+
+def _reference_trial(setup, rng):
+    """One trial as the per-trial loop drew it before the chunked engine:
+    field (empty fields redrawn in associated mode), serving power, kernel
+    draws, then the moved users one by one.  Returns (s0, i_before, i_after,
+    resampled)."""
+    cfg, ch = setup.topology, setup.channel
+    parent = matern_parent_intensity(cfg.lambda_b, cfg.r_b)
+    resamples = 0
+    while True:
+        bs = sample_mhcpp(parent, cfg.r_b, cfg.window, rng)
+        ris, ris_parent = np.empty((0, 2)), np.empty(0, dtype=int)
+        if bs.shape[0] > 0 and cfg.lambda_r > 0:
+            ris, ris_parent = sample_ris_clusters(bs, cfg.lambda_r, cfg.lambda_b, cfg.r_r, rng)
+        if setup.serving_mode == "pinned" or bs.shape[0] > 0:
+            break
+        resamples += 1
+    serving = serving_surfaces(bs, ris, ris_parent)
+    exclude = None
+    if setup.serving_mode == "pinned":
+        pl_d, pl_r = setup.link.pathloss(ch.c, ch.alpha)
+    else:
+        exclude = associate_nearest(np.zeros(2), bs)
+        pl_d = ch.c * float(np.hypot(*bs[exclude])) ** (-ch.alpha)
+        j = serving[exclude]
+        pl_r = 0.0
+        if j >= 0:
+            d = float(np.linalg.norm(bs[exclude] - ris[j])) * float(np.hypot(*ris[j]))
+            pl_r = ch.c * d ** (-ch.alpha)
+    s0 = float(draw_serving_power(ch, pl_d, pl_r, 1, rng)[0])
+    kernel = _field_kernel(bs, ris, ch, exclude=exclude)
+    i_before = _draw_field_interference(kernel, rng)
+    i_after = _draw_field_interference(kernel, rng)
+    if setup.moved_mode == "network_field":
+        density = cfg.lambda_b * cfg.lambda_u * math.pi * setup.r_i**2
+        pts = cfg.window.sample_uniform(rng.poisson(density * cfg.window.area()), rng)
+        d = np.hypot(pts[:, 0], pts[:, 1])
+        d = d[d > 0]
+        i_after += float(np.sum(ch.c * d ** (-ch.alpha) * rng.exponential(size=d.size)))
+    else:
+        count = rng.poisson(cfg.lambda_u * math.pi * setup.r_i**2)
+        r = setup.r_i * np.sqrt(rng.random(count))
+        theta = rng.uniform(0.0, 2.0 * math.pi, count)
+        for pos in np.column_stack((r * np.cos(theta), r * np.sin(theta))):
+            if bs.shape[0] == 0:
+                break
+            i = associate_nearest(pos, bs)
+            j = serving[i]
+            if j < 0:
+                continue
+            d_ij = float(np.linalg.norm(ris[j] - bs[i]))
+            d_jk = float(np.hypot(*ris[j]))
+            if d_ij > 0 and d_jk > 0:
+                mean = ch.n_elements * ch.c**2 * (d_ij * d_jk) ** (-ch.alpha)
+                i_after += mean * float(rng.exponential())
+    return s0, i_before, i_after, resamples
+
+
+def _reference_ensemble(setup, trials, seed):
+    rows = np.array([
+        _reference_trial(setup, np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence((seed, t + 1)))))
+        for t in range(trials)
+    ])
+    return rows[:, 0], rows[:, 1], rows[:, 2], int(rows[:, 3].sum())
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """About a dozen trials per chunk on the _setup() fields."""
+    monkeypatch.setattr(montecarlo, "_CHUNK_POINTS", 500)
+
+
+class TestChunkEngine:
+    @pytest.mark.parametrize("serving_mode", ["pinned", "associated"])
+    @pytest.mark.parametrize("moved_mode", ["network_field", "cell_reflected"])
+    def test_law_matches_per_trial_loop(self, serving_mode, moved_mode):
+        # two-sample KS on independent ensembles of both engines; a real
+        # change of law at this size shows as p far below 1e-3
+        topo = TopologyConfig(lambda_u=5e-2, window=Window("disk", radius=500.0))
+        setup = _setup(topology=topo, serving_mode=serving_mode, moved_mode=moved_mode)
+        n = 3000
+        got = run_ensemble(setup, n, seed=21)
+        s0, i_before, i_after, _ = _reference_ensemble(setup, n, seed=22)
+        assert ks_2samp(got.i_before, i_before).pvalue > 1e-3
+        assert ks_2samp(got.i_after, i_after).pvalue > 1e-3
+        assert ks_2samp(got.s0, s0).pvalue > 1e-3
+        # the moved users add interference in a nonzero share of trials
+        assert np.mean(got.i_after > got.i_before) > 0.2
+
+    def test_resampled_matches_per_trial_loop(self):
+        # empty fields are common in this small window; the redraw count per
+        # trial is a geometric mean that both engines must share
+        topo = TopologyConfig(lambda_b=5e-5, window=Window("disk", radius=80.0))
+        setup = _setup(topology=topo, serving_mode="associated")
+        n = 2000
+        got = run_ensemble(setup, n, seed=3)
+        *_, want = _reference_ensemble(setup, n, seed=4)
+        assert got.resampled > 0 and want > 0
+        assert abs(got.resampled - want) < 5 * math.sqrt(want)
+
+    def test_empty_fields_give_up_after_1000_attempts(self):
+        topo = TopologyConfig(lambda_b=0.0, lambda_r=0.0, window=Window("disk", radius=100.0))
+        with pytest.raises(RuntimeError, match="1000 attempts"):
+            run_ensemble(_setup(topology=topo, serving_mode="associated"), 5, seed=0)
+
+    @pytest.mark.parametrize("serving_mode", ["pinned", "associated"])
+    def test_first_chunk_independent_of_trial_count(self, small_chunks, serving_mode):
+        setup = _setup(serving_mode=serving_mode, moved_mode="cell_reflected")
+        chunk = montecarlo._chunk_trials(setup)
+        assert 5 <= chunk <= 50
+        one = run_ensemble(setup, chunk, seed=8)
+        two = run_ensemble(setup, 2 * chunk, seed=8)
+        assert np.array_equal(one.i_before, two.i_before[:chunk])
+        assert np.array_equal(one.i_after, two.i_after[:chunk])
+        if serving_mode == "associated":
+            # pinned serving powers are one batch over all trials
+            assert np.array_equal(one.s0, two.s0[:chunk])
+        assert not np.array_equal(two.i_before[:chunk], two.i_before[chunk:])
+
+    def test_chunk_size_shrinks_with_density(self):
+        sparse = _setup()
+        dense = _setup(topology=TopologyConfig(
+            lambda_b=1e-4, lambda_r=1e-4, window=Window("disk", radius=500.0)))
+        assert montecarlo._chunk_trials(sparse) > 10 * montecarlo._chunk_trials(dense) >= 10
+
+    @pytest.mark.parametrize("serving_mode", ["pinned", "associated"])
+    def test_repeats_identical_and_seeds_differ(self, small_chunks, serving_mode):
+        setup = _setup(serving_mode=serving_mode, moved_mode="cell_reflected")
+        a, b = run_ensemble(setup, 100, seed=5), run_ensemble(setup, 100, seed=5)
+        c = run_ensemble(setup, 100, seed=6)
+        for field_name in ("s0", "i_before", "i_after"):
+            x, y, z = getattr(a, field_name), getattr(b, field_name), getattr(c, field_name)
+            assert x.tobytes() == y.tobytes()
+            assert not np.array_equal(x, z)
+        assert a.resampled == b.resampled
+
+    def test_cell_reflected_nearest_bs_matches_associate_nearest(self):
+        rng = _rng(17)
+        topo = TopologyConfig(lambda_b=5e-5, window=Window("disk", radius=300.0))
+        counts = np.empty(30, dtype=int)
+        bs = sample_mhcpp(matern_parent_intensity(topo.lambda_b, topo.r_b), topo.r_b,
+                          topo.window, rng, counts)
+        bs_start = np.concatenate(([0], np.cumsum(counts)))
+        # trial 3 without BSs, and an exact tie in trial 4
+        bs = np.concatenate((bs[:bs_start[3]], [[10.0, 0.0], [-10.0, 0.0]], bs[bs_start[5]:]))
+        counts[3:5] = 0, 2
+        bs_start = np.concatenate(([0], np.cumsum(counts)))
+        trial = np.repeat(np.arange(30), 6)
+        positions = rng.uniform(-300.0, 300.0, (trial.size, 2))
+        positions[trial == 4] = [0.0, 5.0]
+        got = montecarlo._nearest_bs_in_trial(bs, bs_start, positions, trial)
+        assert np.all(got[trial == 3] == -1)
+        assert np.all(got[trial == 4] == bs_start[4])
+        for k, t in enumerate(trial):
+            own = bs[bs_start[t]:bs_start[t + 1]]
+            want = -1 if own.shape[0] == 0 else bs_start[t] + associate_nearest(positions[k], own)
+            assert got[k] == want
