@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import montecarlo
 from .experiment_config import (
@@ -132,9 +133,8 @@ def cmd_topology(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     n_bs = topo.bs.shape[0]
     min_spacing = math.inf
     if n_bs >= 2:
-        diff = topo.bs[:, None, :] - topo.bs[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        min_spacing = float(d[np.triu_indices(n_bs, k=1)].min())
+        # distance to each BS's nearest other BS
+        min_spacing = float(cKDTree(topo.bs).query(topo.bs, k=2)[0][:, 1].min())
     print(f"base stations: {n_bs}")
     print(f"surfaces: {topo.ris.shape[0]}")
     print(f"users: {topo.ue.shape[0]}")
@@ -243,27 +243,7 @@ def cmd_sis_sim(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 
 def _r0_point(cfg: ExperimentConfig, axis_value: float, group_value: float | None):
     """Analytic rates at one sweep point."""
-    laplace_overrides = {}
-    power_dbm = cfg.power_dbm
-    if cfg.sweep.group_by == "bs_density" and group_value is not None:
-        laplace_overrides["lambda_b"] = group_value
-    if cfg.sweep.group_by == "ris_elements" and group_value is not None:
-        laplace_overrides["n_elements"] = int(group_value)
-
-    axis = cfg.sweep.axis
-    if axis == "ue_density":
-        laplace_overrides["lambda_u"] = axis_value
-    elif axis == "ris_elements":
-        laplace_overrides["n_elements"] = int(axis_value)
-    elif axis == "frequency_ghz":
-        from .channel import pathloss_constant
-
-        laplace_overrides["c"] = pathloss_constant(axis_value * 1e9, cfg.gain_tx, cfg.gain_rx)
-        if cfg.sweep.r_i_scales_with_wavelength:
-            laplace_overrides["r_i"] = cfg.r_i * cfg.sweep.reference_frequency_ghz / axis_value
-    elif axis == "power_dbm":
-        power_dbm = axis_value
-    return analytic_rates(cfg.outage_params(power_dbm=power_dbm, **laplace_overrides), cfg.reflected_form)
+    return analytic_rates(cfg.sweep_outage_params(axis_value, group_value), cfg.reflected_form)
 
 
 def cmd_r0_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int,
@@ -397,6 +377,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_threads() -> int:
+    raw = os.environ.get("RIS_SIM_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"RIS_SIM_THREADS must be an integer, got {raw!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -411,13 +399,13 @@ def main(argv: list[str] | None = None) -> int:
         if overrides:
             _log(f"overrides: {overrides}")
             cfg = with_overrides(cfg, **overrides)
+        threads = args.threads
+        if threads is None:
+            threads = _env_threads()
     except ConfigError as exc:
         _log(f"configuration error: {exc}")
         return EXIT_CONFIG
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("RIS_SIM_THREADS", "1"))
     out_dir = Path(cfg.out_dir)
 
     commands = {

@@ -18,7 +18,7 @@ from pathlib import Path
 import yaml
 
 from .channel import ChannelParams, pathloss_constant
-from .geometry import TopologyConfig, Window
+from .geometry import TopologyConfig, Window, matern_parent_intensity
 from .interference_analytic import REFLECTED_FORMS, LaplaceParams
 from .mobility_sim import AbmConfig
 from .montecarlo import LinkGeometry, SimulationSetup
@@ -39,6 +39,10 @@ __all__ = [
 SWEEP_AXES = ("power_dbm", "ue_density", "frequency_ghz", "ris_elements")
 GROUP_AXES = ("bs_density", "ris_elements", None)
 
+# expected points of any one field (Matern parents, surfaces, users) in the
+# window: one topology of that size still fits comfortably in memory
+MAX_WINDOW_POINTS = 1e7
+
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent experiment configuration."""
@@ -48,11 +52,21 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _check_numbers(config) -> None:
-    """ConfigError naming the first int, float or grid field that holds
-    something else.  PyYAML reads an exponent without a sign (``1.0e6``)
-    as a string, which would otherwise fail deep inside a command."""
-    kinds = {"int": numbers.Integral, "float": numbers.Real, "tuple": numbers.Real}
+    """ConfigError naming the first int, float, grid or string field that
+    holds something else, or a float or grid field that is not finite.
+    PyYAML reads an exponent without a sign (``1.0e6``) as a string, and
+    ``.nan`` or ``.inf`` as floats, which would otherwise fail deep inside a
+    command."""
+    kinds = {"int": numbers.Integral, "float": numbers.Real, "tuple": numbers.Real,
+             "str": str}
     for f in fields(config):
         kind = kinds.get(f.type)
         if kind is None:
@@ -60,8 +74,10 @@ def _check_numbers(config) -> None:
         value = getattr(config, f.name)
         items = value if f.type == "tuple" else (value,)
         if not all(isinstance(v, kind) and not isinstance(v, bool) for v in items):
-            expected = "an integer" if f.type == "int" else "numeric"
+            expected = {"int": "an integer", "str": "a string"}.get(f.type, "numeric")
             raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
+        if f.type in ("float", "tuple") and not all(_finite(v) for v in items):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -155,22 +171,44 @@ class ExperimentConfig:
             )
         if self.serving_mode not in ("pinned", "associated"):
             raise ConfigError(f"serving_mode must be pinned or associated, got {self.serving_mode!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be positive")
-        if self.n_elements < 1:
-            raise ConfigError("n_elements must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        for name in ("trials", "n_elements", "abm_agents", "abm_steps", "abm_ensemble_runs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0 <= self.series_order <= 60:
             raise ConfigError(
                 f"series_order must lie in [0, 60] (factorial conditioning), "
                 f"got {self.series_order}"
             )
-        # Matern type-II thinning retains under one BS per pi r_b^2 at any
-        # parent intensity (the matern_parent_intensity test)
-        if self.lambda_b * (math.pi * self.r_b**2) >= 1.0:
-            raise ConfigError(
-                f"lambda_b={self.lambda_b} unreachable for r_b={self.r_b}: "
-                "lambda_b * pi * r_b^2 must be below 1"
+        # every parameter object a command builds, at every sweep point, so
+        # that a bad value fails here and not inside a command
+        try:
+            # Matern type-II thinning retains under one BS per pi r_b^2 at
+            # any parent intensity (the matern_parent_intensity test)
+            if not self.lambda_b * (math.pi * self.r_b**2) < 1.0:
+                raise ConfigError(
+                    f"lambda_b={self.lambda_b} unreachable for r_b={self.r_b}: "
+                    "lambda_b * pi * r_b^2 must be below 1"
+                )
+            window = self.simulation_setup().topology.window
+            points = max(
+                matern_parent_intensity(self.lambda_b, self.r_b)
+                * window.dilate(self.r_b).area(),
+                self.lambda_r * window.area(),
+                self.lambda_u * window.area(),
             )
+            if not points <= MAX_WINDOW_POINTS:
+                raise ConfigError(
+                    f"window_radius={self.window_radius} holds {points:.3g} expected "
+                    f"points of one field, above {MAX_WINDOW_POINTS:.0e}"
+                )
+            groups = self.sweep.group_grid if self.sweep.group_by else (None,)
+            for group_value in groups:
+                for axis_value in self.sweep.grid:
+                    self.sweep_outage_params(axis_value, group_value)
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     # ---- derived parameter objects -------------------------------------
 
@@ -248,6 +286,31 @@ class ExperimentConfig:
             series_order=self.series_order,
         )
 
+    def sweep_outage_params(self, axis_value: float, group_value: float | None) -> OutageParams:
+        """Outage parameters at one point of the sweep grid (and of the group
+        grid when ``sweep.group_by`` is set)."""
+        laplace_overrides = {}
+        power_dbm = self.power_dbm
+        if self.sweep.group_by == "bs_density" and group_value is not None:
+            laplace_overrides["lambda_b"] = group_value
+        if self.sweep.group_by == "ris_elements" and group_value is not None:
+            laplace_overrides["n_elements"] = int(group_value)
+
+        axis = self.sweep.axis
+        if axis == "ue_density":
+            laplace_overrides["lambda_u"] = axis_value
+        elif axis == "ris_elements":
+            laplace_overrides["n_elements"] = int(axis_value)
+        elif axis == "frequency_ghz":
+            laplace_overrides["c"] = pathloss_constant(axis_value * 1e9, self.gain_tx, self.gain_rx)
+            if self.sweep.r_i_scales_with_wavelength:
+                laplace_overrides["r_i"] = (
+                    self.r_i * self.sweep.reference_frequency_ghz / axis_value
+                )
+        elif axis == "power_dbm":
+            power_dbm = axis_value
+        return self.outage_params(power_dbm=power_dbm, **laplace_overrides)
+
     def simulation_setup(self, moved_mode: str = "network_field") -> SimulationSetup:
         return SimulationSetup(
             topology=self.topology_config(),
@@ -294,7 +357,7 @@ def _from_dict(data: dict) -> ExperimentConfig:
     known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
     unknown = set(data) - known
     if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown configuration keys: {sorted(map(str, unknown))}")
     kwargs = dict(data)
     try:
         if "sweep" in kwargs and kwargs["sweep"] is not None:
@@ -304,7 +367,7 @@ def _from_dict(data: dict) -> ExperimentConfig:
             sweep_known = {f.name for f in SweepConfig.__dataclass_fields__.values()}
             sweep_unknown = set(sw) - sweep_known
             if sweep_unknown:
-                raise ConfigError(f"unknown sweep keys: {sorted(sweep_unknown)}")
+                raise ConfigError(f"unknown sweep keys: {sorted(map(str, sweep_unknown))}")
             if "grid" in sw:
                 sw = dict(sw, grid=tuple(sw["grid"]))
             if "group_grid" in sw and sw["group_grid"] is not None:

@@ -309,8 +309,7 @@ def build_topology(config: TopologyConfig, rng: np.random.Generator) -> NetworkT
     n_ue, n_bs = ue.shape[0], bs.shape[0]
     serving_bs = np.full(n_ue, -1, dtype=int)
     if n_bs > 0 and n_ue > 0:
-        d2 = np.sum((ue[:, None, :] - bs[None, :, :]) ** 2, axis=2)
-        serving_bs = np.argmin(d2, axis=1)
+        serving_bs = cKDTree(bs).query(ue)[1]
 
     serving_ris = serving_surfaces(bs, ris, ris_parent)
     return NetworkTopology(bs, ris, ris_parent, ue, serving_bs, serving_ris)

@@ -14,10 +14,18 @@ Two closed forms are provided for the reflected-interference factor:
   quadrature oracle to better than 1e-6 at the default densities.
 
 The quadrature oracle is the behavioral arbiter whenever the two disagree.
+Its nested reflected-cluster integral, the bulk of its cost, depends on
+(s, p) alone and not on the stage, so it is memoized: it is a pure function
+of a float and a frozen (hashable) dataclass, the cache is bounded (128
+entries, more than the 50-point grids that evaluate both stages), and a
+failing quadrature raises, so a failure is never cached.  Evaluating
+"before" then "after" at the same s therefore pays for it once, with
+bit-identical values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -172,6 +180,7 @@ def _ppp_direct_integral(kernel_scale: float, alpha: float) -> float:
     return _checked_quad(integrand, 0.0, knee) + _checked_quad(integrand, knee, np.inf)
 
 
+@functools.lru_cache(maxsize=128)
 def _reflected_cluster_exponent(s: float, p: LaplaceParams) -> float:
     """integral_0^inf (1 - exp(-2 pi lambda_r * inner(v))) v dv with the inner
     surface integral truncated to [d_min, d_max]."""
@@ -211,12 +220,11 @@ def laplace_quadrature_oracle(s: float, p: LaplaceParams, stage: str = "before")
         raise ValueError(f"stage must be 'before' or 'after', got {stage!r}")
     if s == 0.0:
         return 1.0
-    exponent = 2.0 * math.pi * p.lambda_b * _ppp_direct_integral(s * p.c, p.alpha)
+    direct = _ppp_direct_integral(s * p.c, p.alpha)
+    exponent = 2.0 * math.pi * p.lambda_b * direct
     exponent += 2.0 * math.pi * p.lambda_b * _reflected_cluster_exponent(s, p)
     if stage == "after":
-        exponent += (
-            2.0 * math.pi * p.lambda_u_near * _ppp_direct_integral(s * p.c, p.alpha)
-        )
+        exponent += 2.0 * math.pi * p.lambda_u_near * direct
     return math.exp(-exponent)
 
 

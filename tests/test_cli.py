@@ -5,9 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ris_sim
 from ris_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
@@ -21,11 +24,12 @@ def _write(tmp_path: Path, name: str, text: str) -> str:
     return str(p)
 
 
-def _run_cli(tmp_path: Path, config_text: str, command: str) -> subprocess.CompletedProcess:
+def _run_cli(tmp_path: Path, config_text: str, command: str,
+             **env_vars: str) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, so a traceback would reach stderr."""
     cfg = _write(tmp_path, "bad.yaml", config_text)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p), **env_vars)
     return subprocess.run(
         [sys.executable, "-m", "ris_sim.cli", "--config", cfg, "--trials", "100",
          "--out", str(tmp_path / "o"), command],
@@ -36,6 +40,11 @@ def _run_cli(tmp_path: Path, config_text: str, command: str) -> subprocess.Compl
 def _read_rows(path: Path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     return list(csv.DictReader(lines))
+
+
+def _data_lines(path: Path) -> list[bytes]:
+    """CSV lines without the config header, which embeds out_dir."""
+    return [l for l in path.read_bytes().splitlines() if not l.startswith(b"#")]
 
 
 class TestExitCodes:
@@ -65,6 +74,13 @@ class TestExitCodes:
         proc = _run_cli(tmp_path, text, command)
         assert proc.returncode == EXIT_CONFIG
         assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bad_thread_variable_exits_config(self, tmp_path):
+        text = "sweep:\n  axis: ue_density\n  grid: [1.0e-3, 1.0e-2]\n"
+        proc = _run_cli(tmp_path, text, "r0-sweep", RIS_SIM_THREADS="abc")
+        assert proc.returncode == EXIT_CONFIG
+        assert "RIS_SIM_THREADS" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["r0-sweep", "validate-laplace"])
@@ -145,6 +161,16 @@ class TestTopologyCommand:
         # plain float reprs, readable back with float()
         assert all(math.isfinite(float(r[k])) for r in rows for k in ("x", "y"))
 
+    def test_min_spacing_is_the_closest_pair(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["--seed", "5", "--out", str(out), "topology"]) == EXIT_OK
+        printed = float(capsys.readouterr().out.split("min BS spacing:")[1])
+        bs = [(float(r["x"]), float(r["y"])) for r in _read_rows(out / "topology.csv")
+              if r["kind"] == "bs"]
+        closest = min(math.dist(a, b) for i, a in enumerate(bs) for b in bs[:i])
+        assert printed == pytest.approx(closest, rel=1e-12)
+        assert printed >= 50.0  # the hard-core radius r_b
+
     def test_byte_identical_for_same_seed(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["--seed", "5", "--out", str(out1), "topology"])
@@ -179,8 +205,7 @@ class TestOutageSweep:
         def data(out, *extra):
             argv = ["--trials", "600", "--seed", "4", "--out", str(out), *extra, "outage-sweep"]
             assert main(argv) == EXIT_OK
-            return [l for l in (out / "outage_sweep.csv").read_bytes().splitlines()
-                    if not l.startswith(b"#")]
+            return _data_lines(out / "outage_sweep.csv")
 
         first = data(tmp_path / "a", "--threads", "1")
         assert data(tmp_path / "b", "--threads", "1") == first
@@ -201,11 +226,10 @@ class TestR0Sweep:
 
 
 class TestSisSim:
+    SMALL = "abm_agents: 30\nabm_steps: 8\nabm_ensemble_runs: 3\n"
+
     def test_small_run(self, tmp_path):
-        cfg = _write(
-            tmp_path, "sis.yaml",
-            "abm_agents: 30\nabm_steps: 8\nabm_ensemble_runs: 3\n",
-        )
+        cfg = _write(tmp_path, "sis.yaml", self.SMALL)
         out = tmp_path / "o"
         assert main(["--config", cfg, "--out", str(out), "sis-sim"]) == EXIT_OK
         rows = _read_rows(out / "sis_abm.csv")
@@ -214,6 +238,37 @@ class TestSisSim:
         for r in rows:
             assert float(r["mean_S"]) + float(r["mean_X"]) == pytest.approx(30.0)
         assert (out / "sis_ode.csv").exists()
+
+    def test_byte_identical_across_repeats_and_threads(self, tmp_path):
+        cfg = _write(tmp_path, "sis.yaml", self.SMALL)
+
+        def data(out, threads):
+            argv = ["--config", cfg, "--seed", "4", "--out", str(out),
+                    "--threads", threads, "sis-sim"]
+            assert main(argv) == EXIT_OK
+            return [_data_lines(out / name) for name in ("sis_abm.csv", "sis_ode.csv")]
+
+        first = data(tmp_path / "a", "1")
+        assert data(tmp_path / "b", "1") == first
+        assert data(tmp_path / "c", "2") == first
+
+
+class TestValidateLaplace:
+    def test_byte_identical_across_repeats_and_threads(self, tmp_path):
+        from ris_sim import interference_analytic
+
+        # the first run evaluates the oracle afresh, the repeats reuse its memo
+        interference_analytic._reflected_cluster_exponent.cache_clear()
+
+        def data(out, threads):
+            argv = ["--trials", "1000", "--seed", "4", "--out", str(out),
+                    "--threads", threads, "validate-laplace"]
+            assert main(argv) == EXIT_OK
+            return _data_lines(out / "laplace_validation.csv")
+
+        first = data(tmp_path / "a", "1")
+        assert data(tmp_path / "b", "1") == first
+        assert data(tmp_path / "c", "2") == first
 
 
 class TestValidatePower:
@@ -234,3 +289,117 @@ class TestValidatePower:
         a = [l for l in (out1 / "power_cdf.csv").read_bytes().splitlines() if not l.startswith(b"#")]
         b = [l for l in (out2 / "power_cdf.csv").read_bytes().splitlines() if not l.startswith(b"#")]
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Exit-code fuzz: any configuration gives exit 0, 2 or 3, never an exception
+# ---------------------------------------------------------------------------
+
+# the numeric keys of configs/schema.md, each with a typical value
+_FLOAT_KEYS = {
+    "lambda_b": 1e-5, "lambda_r": 1e-5, "lambda_u": 1e-2, "r_b": 50.0, "r_r": 10.0,
+    "window_radius": 1000.0, "frequency_ghz": 3.0, "gain_tx": 1.0, "gain_rx": 1.0,
+    "pathloss_const": 6.3326e-5, "alpha": 3.0, "m1": 2.0, "m2": 2.0,
+    "power_dbm": -5.0, "noise_dbm": -90.0, "sinr_threshold": 1e-2,
+    "d_direct": 100.0, "d_bs_ris": 30.0, "d_ris_ue": 80.0,
+    "d_min": 1.0, "d_max": 1000.0, "r_i": 10.0,
+}
+_INT_KEYS = {
+    "seed": 12345, "trials": 100000, "n_elements": 200, "series_order": 0,
+    "abm_agents": 100, "abm_x0": 5, "abm_steps": 200, "abm_ensemble_runs": 100,
+}
+# spellings PyYAML reads as a string, a non-finite float, a bool, null, a
+# list, a mapping or an integer in another base
+_ODD_TOKENS = [
+    "1.0e6", "1e3", "abc", "'5'", ".inf", "-.inf", ".nan", "1.0e+400", "-0.0",
+    "true", "null", "[1, 2]", "{}", "0x10", "1_000",
+]
+_ODD_DOCUMENTS = ["- 1\n- 2\n", "42\n", "sweep: 5\n", "lambda_b: [\n", "? [1, 2]\n: 3\n"]
+
+
+def _yaml_float(value: float) -> str:
+    # a mantissa with a dot and a signed exponent, which PyYAML reads as a float
+    return f"{value:.17e}"
+
+
+def _float_tokens(typical: float, wild: bool = True):
+    near = st.sampled_from([0.5, 1.0, 2.0]).map(lambda f: _yaml_float(typical * f))
+    if not wild:
+        return near
+    return st.one_of(
+        near,
+        st.sampled_from([0.0, -1.0, -typical, 1e-300, 1e30, 1e300]).map(_yaml_float),
+        st.floats(allow_nan=False, allow_infinity=False).map(_yaml_float),
+        st.sampled_from(_ODD_TOKENS),
+    )
+
+
+def _int_tokens(typical: int, wild: bool = True):
+    near = st.sampled_from([typical // 2, typical, 2 * typical]).map(str)
+    if not wild:
+        return near
+    return st.one_of(
+        near,
+        st.sampled_from([0, -1, 1, 10**30]).map(str),
+        st.integers(-10**6, 10**6).map(str),
+        st.sampled_from(_ODD_TOKENS),
+    )
+
+
+# a typical grid value of each sweep and group axis
+_AXIS_TYPICAL = {
+    "ue_density": 1e-3, "frequency_ghz": 3.0, "ris_elements": 200.0, "power_dbm": -5.0,
+    "bs_density": 1e-5, "bogus": 1.0, "null": 1.0,
+}
+
+
+@st.composite
+def _grids(draw, typical, wild):
+    if wild and draw(st.booleans()):
+        tokens = draw(st.lists(_float_tokens(typical), max_size=4))
+    else:
+        factors = [0.5, 1.0, 2.0, 5.0] + ([0.0, -1.0, 1e30] if wild else [])
+        values = draw(st.lists(st.sampled_from(factors), min_size=1, max_size=4))
+        tokens = [_yaml_float(typical * f) for f in sorted(values)]
+    return "[" + ", ".join(tokens) + "]"
+
+
+@st.composite
+def _config_texts(draw):
+    """YAML text: a tame configuration (every value near its typical one) or
+    a wild one (edge values, any float, odd YAML spellings, bad sweeps)."""
+    wild = draw(st.booleans())
+    if wild and draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(_ODD_DOCUMENTS))
+    lines = []
+    for keys, tokens in ((_FLOAT_KEYS, _float_tokens), (_INT_KEYS, _int_tokens)):
+        for key in draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=4)):
+            lines.append(f"{key}: {draw(tokens(keys[key], wild))}")
+    if draw(st.integers(0, 3)):
+        axes = ["ue_density", "frequency_ghz", "ris_elements"]
+        groups = ["null", "bs_density", "ris_elements"]
+        if wild:
+            axes += ["power_dbm", "bogus"]
+            groups += ["bogus"]
+        axis = draw(st.sampled_from(axes))
+        group_by = draw(st.sampled_from(groups))
+        lines.append("sweep:")
+        lines.append(f"  axis: {axis}")
+        lines.append(f"  grid: {draw(_grids(_AXIS_TYPICAL[axis], wild))}")
+        lines.append(f"  group_by: {group_by}")
+        if group_by != "null" or wild and draw(st.booleans()):
+            lines.append(f"  group_grid: {draw(_grids(_AXIS_TYPICAL[group_by], wild))}")
+        if draw(st.booleans()):
+            lines.append("  r_i_scales_with_wavelength: true")
+            lines.append(f"  reference_frequency_ghz: {draw(_float_tokens(1.0, wild))}")
+    return "\n".join(lines) + "\n"
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(text=_config_texts(), command=st.sampled_from(["topology", "r0-sweep"]))
+    def test_exit_code_is_0_2_or_3(self, text, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = _write(Path(tmp), "fuzz.yaml", text)
+            argv = ["--config", cfg, "--trials", "10", "--out", str(Path(tmp) / "o"), command]
+            assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_VALIDATION)

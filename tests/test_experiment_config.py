@@ -91,6 +91,28 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(text=text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "alpha: .nan\n",
+            "window_radius: .inf\n",
+            "r_b: 1.0e+300\n",  # overflows the hard-core check
+            "seed: -1\n",
+            "abm_steps: 0\n",
+            "out_dir: 5\n",
+            "lambda_r: -1.0\n",  # rejected by the derived topology
+            "window_radius: 1.0e+5\n",  # ~3e8 expected users
+            "sweep:\n  axis: ue_density\n  grid: [-1.0, 1.0e-3]\n",
+            "sweep:\n  axis: frequency_ghz\n  grid: [0.0, 1.0]\n",
+            "gain_tx: -1.0\nsweep:\n  axis: frequency_ghz\n  grid: [1.0]\n",
+            "sweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
+            "  group_by: bs_density\n  group_grid: [-1.0]\n",
+        ],
+    )
+    def test_rejected_at_load(self, text):
+        with pytest.raises(ConfigError):
+            load_config(text=text)
+
     def test_series_order_range(self):
         for order in (-1, 61):
             with pytest.raises(ConfigError, match="series_order"):

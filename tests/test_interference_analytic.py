@@ -1,10 +1,12 @@
 """Interference transform closed forms against the quadrature oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ris_sim import interference_analytic as ia
 from ris_sim.interference_analytic import (
     LaplaceParams,
     empirical_laplace,
@@ -120,6 +122,107 @@ class TestQuadratureOracle:
         oracle = laplace_quadrature_oracle(1e2, P, "before")
         affine = laplace_before(1e2, P, "affine")
         assert abs(affine / oracle - 0.9907128645) < 1e-4
+
+
+def _nested_reflected(s, p):
+    """The reflected-cluster integral as the oracle evaluates it, unmemoized."""
+    k = s * p.n_elements * p.c**2
+    if k == 0.0 or p.lambda_r == 0.0:
+        return 0.0
+    a = p.alpha
+
+    def inner(v):
+        def integrand(u):
+            return u / (1.0 + (u * v) ** a / k)
+
+        return ia._checked_quad(integrand, p.d_min, p.d_max)
+
+    two_pi_lr = 2.0 * math.pi * p.lambda_r
+
+    def outer(v):
+        return -math.expm1(-two_pi_lr * inner(v)) * v
+
+    knee = max(k ** (1.0 / a) / p.d_min, p.d_min)
+    return ia._checked_quad(outer, 0.0, knee) + ia._checked_quad(outer, knee, np.inf)
+
+
+def _fresh_oracle(s, p, stage):
+    """The oracle with every integral evaluated afresh."""
+    if s == 0.0:
+        return 1.0
+    exponent = 2.0 * math.pi * p.lambda_b * ia._ppp_direct_integral(s * p.c, p.alpha)
+    exponent += 2.0 * math.pi * p.lambda_b * _nested_reflected(s, p)
+    if stage == "after":
+        exponent += (
+            2.0 * math.pi * p.lambda_u_near * ia._ppp_direct_integral(s * p.c, p.alpha)
+        )
+    return math.exp(-exponent)
+
+
+class TestOracleMemo:
+    """The reflected-cluster integral is memoized on (s, p)."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        ia._reflected_cluster_exponent.cache_clear()
+
+    @staticmethod
+    def _count_quad(monkeypatch):
+        calls = [0]
+        quad = ia.integrate.quad
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(ia.integrate, "quad", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "params", [P, LaplaceParams(lambda_b=0.0)], ids=["default", "no-bs"]
+    )
+    def test_memoized_equals_fresh(self, params):
+        for s in [0.0, 1e2, 1e6, 1e9]:
+            for stage in ("before", "after", "before"):
+                assert laplace_quadrature_oracle(s, params, stage) == _fresh_oracle(
+                    s, params, stage
+                )
+
+    def test_after_pass_reuses_the_nested_integral(self, monkeypatch):
+        grid = [float(s) for s in np.geomspace(1e2, 1e9, 50)]
+        calls = self._count_quad(monkeypatch)
+        for s in grid:
+            laplace_quadrature_oracle(s, P, "before")
+        before = calls[0]
+        for s in grid:
+            laplace_quadrature_oracle(s, P, "after")
+        assert calls[0] - before <= 4 * len(grid)
+        # the nested integral alone takes dozens of quad calls per point
+        assert before > 20 * len(grid)
+
+    def test_key_includes_the_params(self):
+        s = 1e6
+        values = set()
+        for params in (P, replace(P, lambda_r=2e-5), replace(P, n_elements=400)):
+            value = ia._reflected_cluster_exponent(s, params)
+            assert value == _nested_reflected(s, params)
+            values.add(value)
+        assert len(values) == 3
+
+    def test_failure_is_not_cached(self, monkeypatch):
+        calls = [0]
+
+        def failing(*args, **kwargs):
+            calls[0] += 1
+            return math.nan, 0.0
+
+        monkeypatch.setattr(ia.integrate, "quad", failing)
+        for expected_calls in (1, 2):
+            with pytest.raises(ArithmeticError):
+                ia._reflected_cluster_exponent(1e6, P)
+            assert calls[0] == expected_calls
+        monkeypatch.undo()
+        assert ia._reflected_cluster_exponent(1e6, P) == _nested_reflected(1e6, P)
 
 
 class TestEmpiricalLaplace:
