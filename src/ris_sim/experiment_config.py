@@ -42,6 +42,10 @@ GROUP_AXES = ("bs_density", "ris_elements", None)
 # expected points of any one field (Matern parents, surfaces, users) in the
 # window: one topology of that size still fits comfortably in memory
 MAX_WINDOW_POINTS = 1e7
+# expected BS x surface pairs of one trial's field interference, at the base
+# density and at each bs_density group value: each pair-sized array of the
+# kernel stays near 80 MB
+MAX_FIELD_PAIRS = 1e7
 
 
 class ConfigError(ValueError):
@@ -203,6 +207,15 @@ class ExperimentConfig:
                     f"window_radius={self.window_radius} holds {points:.3g} expected "
                     f"points of one field, above {MAX_WINDOW_POINTS:.0e}"
                 )
+            area = window.area()
+            bs_groups = self.sweep.group_grid if self.sweep.group_by == "bs_density" else ()
+            for lambda_b in (self.lambda_b, *bs_groups):
+                pairs = (lambda_b * area) * (self.lambda_r * area)
+                if not pairs <= MAX_FIELD_PAIRS:
+                    raise ConfigError(
+                        f"lambda_b={lambda_b} and lambda_r={self.lambda_r} give {pairs:.3g} "
+                        f"expected BS x surface pairs per trial, above {MAX_FIELD_PAIRS:.0e}"
+                    )
             groups = self.sweep.group_grid if self.sweep.group_by else (None,)
             for group_value in groups:
                 for axis_value in self.sweep.grid:
@@ -333,7 +346,6 @@ class ExperimentConfig:
             seed=self.seed,
             lambda_u=self.lambda_u if lambda_u is None else lambda_u,
             ensemble_runs=self.abm_ensemble_runs,
-            sinr_threshold=self.sinr_threshold,
         )
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "TopologyConfig",
     "NetworkTopology",
     "sample_hppp",
+    "close_pairs",
     "sample_mhcpp",
     "matern_retained_intensity",
     "matern_parent_intensity",
@@ -157,6 +158,29 @@ def matern_parent_intensity(retained_intensity: float, r_b: float) -> float:
     return -math.log1p(-retained_intensity * cell) / cell
 
 
+def close_pairs(
+    points: np.ndarray, group: np.ndarray, window: Window, r: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (a, b), a < b, of points of the same group at distance at
+    most ``r`` (inclusive).
+
+    ``points`` (n, 2) lie in ``window``; ``group`` (n,) holds nonnegative
+    ints.  Each group is shifted along x, leaving 2 ``r`` between neighbouring
+    groups, and one k-d tree query finds the candidate pairs of every group
+    at once, at O(n log n) plus the number of close pairs.  Candidates are
+    confirmed on the unshifted squared distances.
+    """
+    half_width = window.radius if window.shape == "disk" else window.half_extents[0]
+    shifted = points.copy()
+    shifted[:, 0] += (2.0 * half_width + 2.0 * r) * group
+    # the padded radius covers the rounding of the shift; the confirmation
+    # below uses the unshifted coordinates
+    a, b = cKDTree(shifted).query_pairs(r * (1.0 + 1e-6), output_type="ndarray").T
+    diff = points[a] - points[b]
+    close = np.einsum("ij,ij->i", diff, diff) <= r**2
+    return a[close], b[close]
+
+
 def sample_mhcpp(
     parent_intensity: float,
     r_b: float,
@@ -169,20 +193,19 @@ def sample_mhcpp(
     Each parent draws an independent uniform mark; a point survives iff no
     other point of its own field within ``r_b`` (inclusive: a pair exactly
     ``r_b`` apart competes) holds a smaller mark, so equal marks eliminate
-    neither.  Candidate pairs come from one k-d tree query and are confirmed
-    on squared distances, at O(n log n) in the parent count plus the number
-    of close pairs.  Parents are sampled on the window dilated by ``r_b`` and
-    clipped back afterwards, so points near the boundary see their full
-    competition neighborhood (no edge bias).
+    neither.  The competing pairs come from ``close_pairs``.  Parents are
+    sampled on the window dilated by ``r_b`` and clipped back afterwards, so
+    points near the boundary see their full competition neighborhood (no
+    edge bias).
 
     ``trial_counts``, an int array of length B, asks for B independent fields
     at once: one Poisson field of B times the intensity whose points are split
     uniformly over the B trials (a multinomial draw, which gives each trial an
     independent Poisson field).  The points come back concatenated in trial
-    order and ``trial_counts[t]`` is set to trial t's point count.  For the
-    thinning each trial is shifted along x, leaving 2 ``r_b`` between
-    neighbouring trials, so no two trials compete.  Without ``trial_counts``
-    one field is drawn: parent count, positions, then marks.
+    order and ``trial_counts[t]`` is set to trial t's point count.  The
+    trials are the groups of ``close_pairs``, so no two trials compete.
+    Without ``trial_counts`` one field is drawn: parent count, positions,
+    then marks.
     """
     if not r_b > 0:
         raise ValueError("r_b must be positive")
@@ -199,15 +222,7 @@ def sample_mhcpp(
         return parents
     marks = rng.random(n)
     trial = np.repeat(np.arange(trials), split)
-    half_width = dilated.radius if dilated.shape == "disk" else dilated.half_extents[0]
-    shifted = parents.copy()
-    shifted[:, 0] += (2.0 * half_width + 2.0 * r_b) * trial
-    # the padded radius covers the rounding of the shift; the confirmation
-    # below uses the unshifted coordinates
-    a, b = cKDTree(shifted).query_pairs(r_b * (1.0 + 1e-6), output_type="ndarray").T
-    diff = parents[a] - parents[b]
-    close = np.einsum("ij,ij->i", diff, diff) <= r_b**2
-    a, b = a[close], b[close]
+    a, b = close_pairs(parents, trial, dilated, r_b)
     loses = np.zeros(n, dtype=bool)
     loses[a[marks[a] > marks[b]]] = True
     loses[b[marks[b] > marks[a]]] = True

@@ -2,14 +2,18 @@
 
 Agents live in a window, walk a uniform direction and a uniform distance per
 step (reflected at the boundary), and swap between susceptible and infected.
-Rate-driven mode uses per-contact Bernoulli infection trials and per-agent
-recovery trials; SINR-driven mode thresholds each agent's instantaneous SINR
-against a sampled radio field.
+A susceptible agent with k infected neighbours within r_i is infected with
+probability 1 - (1 - beta)^k, the Reed-Frost chain-binomial step (the law of
+k independent Bernoulli(beta) contacts); an infected agent recovers with
+probability mu.
 
-All randomness for a step comes from a generator derived from
-(seed, run, step), with fixed-shape draws, so trajectories with the same
-seed share their contact events exactly.  That makes the monotone coupling
-in beta testable and keeps ensembles reproducible.
+One step advances any number of independent runs at once: the runs of an
+ensemble are cut into chunks of a size derived from the agent count alone,
+and chunk c draws its placement from stream (seed, c, 0) and its step k
+from stream (seed, c, k + 1).  The draws have a fixed shape per agent, so
+trajectories with the same seed share their contact events exactly.  That
+makes the monotone coupling in beta testable and keeps ensembles
+reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Window
+from .geometry import Window, close_pairs
 
 __all__ = [
     "AbmConfig",
@@ -30,6 +34,9 @@ __all__ = [
 ]
 
 MAX_STEP_M = 10.0
+
+# agents advanced by one step call in run_abm: bounds a chunk's memory
+_CHUNK_AGENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -48,11 +55,9 @@ class AbmConfig:
     mu: float = 0.1
     steps: int = 200
     seed: int = 0
-    mode: str = "rate_driven"
     lambda_u: float | None = 1e-3
     window: Window | None = None
     ensemble_runs: int = 100
-    sinr_threshold: float = 1e-2
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0 or not 0.0 <= self.mu <= 1.0:
@@ -61,8 +66,6 @@ class AbmConfig:
             raise ValueError("r_i must be positive")
         if not 0 <= self.x0 <= self.n_agents:
             raise ValueError("x0 must lie in [0, n_agents]")
-        if self.mode not in ("rate_driven", "sinr_driven"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.window is None and self.lambda_u is None:
             raise ValueError("either window or lambda_u must be given")
 
@@ -75,7 +78,11 @@ class AbmConfig:
 
 @dataclass
 class AgentState:
-    """Positions (n, 2) and a boolean infected mask."""
+    """Positions (n, 2) and a boolean infected mask.
+
+    For ``abm_step`` the n agents are R runs of ``n_agents`` each, agent k
+    belonging to run k // n_agents.
+    """
 
     positions: np.ndarray
     infected: np.ndarray
@@ -118,9 +125,9 @@ def random_walk_step(
     return _reflect_into(window, moved)
 
 
-def _step_rng(seed: int, run: int, step: int) -> np.random.Generator:
+def _step_rng(seed: int, chunk: int, step: int) -> np.random.Generator:
     # step -1 (initial placement) maps to stream 0, step k to stream k+1
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, run, step + 1))))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk, step + 1))))
 
 
 def abm_step(
@@ -128,69 +135,58 @@ def abm_step(
     config: AbmConfig,
     rng: np.random.Generator,
     window: Window | None = None,
-    sinr_sampler=None,
 ) -> tuple[AgentState, tuple[int, int]]:
     """One epoch: state transitions computed from the current configuration,
     applied in one shot, then every agent takes a walk step.
 
-    Rate-driven: a susceptible agent runs one Bernoulli(beta) trial per
-    infected neighbor within r_i; an infected agent recovers with
-    probability mu.  Pair and recovery uniforms are drawn with fixed shape,
-    which supports monotone coupling across beta values.
-
-    SINR-driven: ``sinr_sampler(positions, rng)`` supplies per-agent SINRs
-    and the infected set becomes {SINR < threshold} directly.
+    ``state`` holds R runs of ``config.n_agents`` agents inside ``window``
+    (R = 1 for a single run); agents of different runs never meet.  Each agent draws one
+    infection and one recovery uniform, whatever its neighbourhood, which
+    supports monotone coupling across beta values.  Returns the new state
+    and its (susceptible, infected) counts summed over the runs.
     """
     window = window or config.resolve_window()
     n = state.positions.shape[0]
+    if n % config.n_agents:
+        raise ValueError(f"{n} agents are not whole runs of {config.n_agents}")
     infected = state.infected
-
-    if config.mode == "rate_driven":
-        pair_u = rng.random((n, n))
-        recover_u = rng.random(n)
-        diff = state.positions[:, None, :] - state.positions[None, :, :]
-        within = np.einsum("ijk,ijk->ij", diff, diff) <= config.r_i**2
-        np.fill_diagonal(within, False)
-        fires = (within & infected[None, :] & (pair_u < config.beta)).any(axis=1)
-        recovers = infected & (recover_u < config.mu)
-        # a firing contact overrides same-epoch recovery (no immunity), which
-        # is also what keeps trajectories monotone under a shared seed when
-        # beta grows
-        new_infected = fires | (infected & ~recovers)
-    else:
-        if sinr_sampler is None:
-            raise ValueError("sinr_driven mode needs a sinr_sampler")
-        sinr = sinr_sampler(state.positions, rng)
-        new_infected = np.asarray(sinr) < config.sinr_threshold
+    infect_u = rng.random(n)
+    recover_u = rng.random(n)
+    a, b = close_pairs(state.positions, np.arange(n) // config.n_agents, window, config.r_i)
+    k = np.bincount(a[infected[b]], minlength=n) + np.bincount(b[infected[a]], minlength=n)
+    fires = infect_u < 1.0 - (1.0 - config.beta) ** k
+    recovers = infected & (recover_u < config.mu)
+    # a firing contact overrides same-epoch recovery (no immunity), which is
+    # also what keeps trajectories monotone under a shared seed when beta grows
+    new_infected = fires | (infected & ~recovers)
 
     new_positions = random_walk_step(state.positions, window, rng)
     new_state = AgentState(new_positions, new_infected)
     return new_state, new_state.counts
 
 
-def run_abm(
-    config: AbmConfig, sinr_sampler=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def run_abm(config: AbmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Ensemble-averaged trajectory.
 
     Returns (t, mean_S, mean_X, stderr_X) over ``ensemble_runs`` independent
-    runs; deterministic for a fixed config seed.
+    runs; deterministic for a fixed config seed.  The runs are advanced in
+    chunks of ``_CHUNK_AGENTS // n_agents`` (at least one), each from its own
+    streams as the module docstring describes.
     """
     if config.steps < 1:
         raise ValueError("steps must be at least 1")
     window = config.resolve_window()
+    n = config.n_agents
+    size = max(1, _CHUNK_AGENTS // n)
     x_series = np.empty((config.ensemble_runs, config.steps + 1))
-    for run in range(config.ensemble_runs):
-        init_rng = _step_rng(config.seed, run, -1)
-        positions = window.sample_uniform(config.n_agents, init_rng)
-        infected = np.zeros(config.n_agents, dtype=bool)
-        infected[: config.x0] = True
-        state = AgentState(positions, infected)
-        x_series[run, 0] = config.x0
+    for c, start in enumerate(range(0, config.ensemble_runs, size)):
+        runs = min(size, config.ensemble_runs - start)
+        positions = window.sample_uniform(runs * n, _step_rng(config.seed, c, -1))
+        state = AgentState(positions, np.tile(np.arange(n) < config.x0, runs))
+        x_series[start:start + runs, 0] = config.x0
         for step in range(config.steps):
-            rng = _step_rng(config.seed, run, step)
-            state, (_, x) = abm_step(state, config, rng, window, sinr_sampler)
-            x_series[run, step + 1] = x
+            state, _ = abm_step(state, config, _step_rng(config.seed, c, step), window)
+            x_series[start:start + runs, step + 1] = state.infected.reshape(runs, n).sum(axis=1)
     t = np.arange(config.steps + 1, dtype=float)
     mean_x = x_series.mean(axis=0)
     stderr_x = x_series.std(axis=0, ddof=1) / math.sqrt(config.ensemble_runs)

@@ -19,9 +19,10 @@ Ensembles are sampled in chunks of trials.  A chunk draws the fields, the
 serving links and the moved users of all its trials in vectorized passes
 from one generator, stream (seed, chunk + 1); only the per-topology
 interference kernel runs trial by trial.  The chunk size comes from the
-setup alone, so a trial's interference depends on the seed and on its
-position, never on how many trials the run has.  Pinned serving powers are
-one batch over all trials from stream (seed, 0).
+setup alone, so a trial of a full chunk has the same interference whatever
+the trial count; a partial last chunk draws fewer trials from its stream
+and differs.  Pinned serving powers are one batch over all trials from
+stream (seed, 0).
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "rates_from_ensemble",
     "empirical_outage",
     "empirical_rates",
-    "make_sinr_sampler",
     "OutageEstimate",
     "RateEstimate",
 ]
@@ -152,8 +152,8 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 def _chunk_trials(setup: SimulationSetup) -> int:
     """Trials per chunk: the point budget over the expected points per trial.
 
-    Derived from the setup alone, so a trial's stream never depends on the
-    trial count.
+    Derived from the setup alone, so the draws of a full chunk do not
+    depend on the trial count.
     """
     cfg = setup.topology
     area = cfg.window.area()
@@ -201,12 +201,6 @@ def _sample_fields(cfg: TopologyConfig, rng: np.random.Generator, trials: int,
         ris = np.empty((0, 2))
         ris_parent = np.empty(0, dtype=int)
     return bs, bs_start, ris, ris_parent, resampled
-
-
-def _sample_field(cfg: TopologyConfig, rng: np.random.Generator):
-    """Interferer infrastructure of one trial: BS positions and surface positions."""
-    bs, _, ris, ris_parent, _ = _sample_fields(cfg, rng, 1)
-    return bs, ris, ris_parent
 
 
 def _field_kernel(
@@ -428,9 +422,10 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0) -> Ensemble
     """``trials`` trials, sampled in chunks from per-(seed, chunk) streams.
 
     The trials are cut into chunks of a size derived from the setup alone,
-    and chunk c draws everything it samples from stream (seed, c + 1), so a
-    trial's interference (and its serving power in associated mode) depends
-    on the seed and the trial's position but never on the trial count.  The
+    and chunk c draws everything it samples from stream (seed, c + 1), so
+    the interference of a trial in a full chunk (and its serving power in
+    associated mode) depends on the seed and the trial's position, not on
+    the trial count; a partial last chunk draws differently.  The
     pinned-mode serving powers are drawn in one vectorized batch over all
     trials from stream (seed, 0) (their law does not depend on the topology).
     """
@@ -507,42 +502,3 @@ def empirical_rates(
         raise ValueError("need at least 1e3 trials for a usable estimate")
     stats = run_ensemble(setup, trials, seed)
     return rates_from_ensemble(stats, setup.channel.power_w, setup.channel.sigma2_w, threshold)
-
-
-def make_sinr_sampler(setup: SimulationSetup, seed: int = 0):
-    """Per-agent SINR sampler for the SINR-driven agent simulation.
-
-    Samples the infrastructure once (BSs move on much slower timescales than
-    users); each call serves every agent from its nearest BS at the realized
-    distances, draws fresh fading, and returns the SINR vector.
-    """
-    bs, ris, ris_parent = _sample_field(setup.topology, _stream(seed, 1))
-    if bs.shape[0] == 0:
-        raise RuntimeError("sampled an empty BS field; enlarge the window or density")
-    ch = setup.channel
-    alpha = ch.alpha
-
-    serving_ris = serving_surfaces(bs, ris, ris_parent)
-
-    def sampler(positions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        positions = np.atleast_2d(positions)
-        d_all = np.linalg.norm(positions[:, None, :] - bs[None, :, :], axis=2)
-        serving = np.argmin(d_all, axis=1)
-        sinr = np.empty(positions.shape[0])
-        for k, pos in enumerate(positions):
-            i = serving[k]
-            pl_d = ch.c * max(d_all[k, i], 1e-3) ** (-alpha)
-            j = serving_ris[i]
-            if j >= 0:
-                d_ij = float(np.linalg.norm(bs[i] - ris[j]))
-                d_jk = float(np.linalg.norm(ris[j] - pos))
-                pl_r = ch.c * (max(d_ij, 1e-3) * max(d_jk, 1e-3)) ** (-alpha)
-            else:
-                pl_r = 0.0
-            s0 = draw_serving_power(ch, pl_d, pl_r, 1, rng)[0]
-            kernel = _field_kernel(bs - pos, ris - pos, ch, exclude=i)
-            interference = _draw_field_interference(kernel, rng)
-            sinr[k] = ch.power_w * s0 / (ch.power_w * interference + ch.sigma2_w)
-        return sinr
-
-    return sampler

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,10 @@ from ris_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 
 SRC = str(Path(ris_sim.__file__).resolve().parents[1])
 
+# address-space limit of the child processes that check memory bounds: far
+# above what the bounded runs need, far below a runaway allocation
+ADDRESS_SPACE = 2_500_000_000
+
 
 def _write(tmp_path: Path, name: str, text: str) -> str:
     p = tmp_path / name
@@ -24,9 +29,14 @@ def _write(tmp_path: Path, name: str, text: str) -> str:
     return str(p)
 
 
-def _run_cli(tmp_path: Path, config_text: str, command: str,
-             **env_vars: str) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def _run_cli(tmp_path: Path, config_text: str, command: str, *,
+             limit_memory: bool = False, **env_vars: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so a traceback would reach stderr;
+    ``limit_memory`` caps its address space at ``ADDRESS_SPACE``."""
     cfg = _write(tmp_path, "bad.yaml", config_text)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p), **env_vars)
@@ -34,6 +44,7 @@ def _run_cli(tmp_path: Path, config_text: str, command: str,
         [sys.executable, "-m", "ris_sim.cli", "--config", cfg, "--trials", "100",
          "--out", str(tmp_path / "o"), command],
         capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space if limit_memory else None,
     )
 
 
@@ -75,6 +86,13 @@ class TestExitCodes:
         assert proc.returncode == EXIT_CONFIG
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_field_pair_budget_exits_config_under_memory_limit(self, tmp_path):
+        # ~3e8 BS x surface pairs per trial: refused at load, not allocated
+        proc = _run_cli(tmp_path, "lambda_r: 3.0\n", "outage-sweep", limit_memory=True)
+        assert proc.returncode == EXIT_CONFIG
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "pairs per trial" in lines[0]
 
     def test_bad_thread_variable_exits_config(self, tmp_path):
         text = "sweep:\n  axis: ue_density\n  grid: [1.0e-3, 1.0e-2]\n"
@@ -238,6 +256,16 @@ class TestSisSim:
         for r in rows:
             assert float(r["mean_S"]) + float(r["mean_X"]) == pytest.approx(30.0)
         assert (out / "sis_ode.csv").exists()
+
+    def test_many_agents_run_under_memory_limit(self, tmp_path):
+        # memory grows with neighbour pairs, not with agents squared
+        text = "abm_agents: 200000\nabm_steps: 1\nabm_ensemble_runs: 1\n"
+        proc = _run_cli(tmp_path, text, "sis-sim", limit_memory=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Traceback" not in proc.stderr
+        rows = _read_rows(tmp_path / "o" / "sis_abm.csv")
+        assert len(rows) == 12
+        assert all(float(r["mean_S"]) + float(r["mean_X"]) == 200000.0 for r in rows)
 
     def test_byte_identical_across_repeats_and_threads(self, tmp_path):
         cfg = _write(tmp_path, "sis.yaml", self.SMALL)

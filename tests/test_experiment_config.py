@@ -1,5 +1,7 @@
 """Configuration parsing, validation, and round-trip identity."""
 
+from pathlib import Path
+
 import pytest
 
 from ris_sim.experiment_config import (
@@ -41,6 +43,14 @@ class TestLoading:
     def test_bad_yaml(self):
         with pytest.raises(ConfigError):
             load_config(text="a: [unclosed")
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml")),
+        ids=lambda p: p.stem,
+    )
+    def test_shipped_config_loads(self, path):
+        # every load-time budget leaves the shipped configs alone
+        assert load_config(path).seed >= 0
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -102,6 +112,9 @@ class TestValidation:
             "out_dir: 5\n",
             "lambda_r: -1.0\n",  # rejected by the derived topology
             "window_radius: 1.0e+5\n",  # ~3e8 expected users
+            "lambda_r: 3.0\n",  # ~3e8 BS x surface pairs per trial
+            "lambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
+            "  group_by: bs_density\n  group_grid: [1.0e-5, 1.2e-4]\n",  # pairs at 1.2e-4
             "sweep:\n  axis: ue_density\n  grid: [-1.0, 1.0e-3]\n",
             "sweep:\n  axis: frequency_ghz\n  grid: [0.0, 1.0]\n",
             "gain_tx: -1.0\nsweep:\n  axis: frequency_ghz\n  grid: [1.0]\n",
@@ -112,6 +125,12 @@ class TestValidation:
     def test_rejected_at_load(self, text):
         with pytest.raises(ConfigError):
             load_config(text=text)
+
+    def test_pair_budget_at_each_bs_group(self):
+        base = "lambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
+        assert load_config(text=base).lambda_r == 3.0e-2
+        with pytest.raises(ConfigError, match="lambda_b=0.00012 .* pairs"):
+            load_config(text=base + "  group_by: bs_density\n  group_grid: [1.2e-4]\n")
 
     def test_series_order_range(self):
         for order in (-1, 61):

@@ -14,6 +14,7 @@ from ris_sim.geometry import (
     associate_nearest,
     associate_serving_ris,
     build_topology,
+    close_pairs,
     export_topology_csv,
     matern_parent_intensity,
     matern_retained_intensity,
@@ -301,6 +302,58 @@ class TestMhcppTrials:
         counts = np.full(5, 7)
         got = sample_mhcpp(0.0, 50.0, Window(), _rng(), counts)
         assert got.shape == (0, 2) and not counts.any()
+
+
+def _bruteforce_pairs(points, group, r):
+    """Every same-group pair (a, b), a < b, from the full n x n distances."""
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    same = group[:, None] == group[None, :]
+    a, b = np.nonzero(np.triu(same & (d2 <= r**2), k=1))
+    return set(zip(a.tolist(), b.tolist()))
+
+
+def _pair_set(a, b):
+    assert np.all(a < b)
+    pairs = set(zip(a.tolist(), b.tolist()))
+    assert len(pairs) == a.size
+    return pairs
+
+
+class TestClosePairs:
+    @pytest.mark.parametrize(
+        "window", [Window("disk", radius=60.0), Window("rectangle", half_extents=(40.0, 70.0))]
+    )
+    @pytest.mark.parametrize("groups", [1, 2, 7])
+    def test_matches_bruteforce(self, window, groups):
+        rng = _rng(31 + groups)
+        points = window.sample_uniform(400, rng)
+        group = rng.integers(0, groups, 400)
+        want = _bruteforce_pairs(points, group, 10.0)
+        assert len(want) > 20
+        assert _pair_set(*close_pairs(points, group, window, 10.0)) == want
+
+    def test_boundary_and_coincident_points(self):
+        # (0, 1) and (4, 5) are exactly r apart, (0, 2) just beyond it, and
+        # point 3 sits on points 0 and 4 but in a group of its own
+        window = Window("rectangle", half_extents=(20.0, 20.0))
+        points = np.array([[0.0, 0.0], [3.0, 4.0], [-3.0, -4.0 - 1e-9],
+                           [0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
+        group = np.array([0, 0, 0, 1, 2, 2])
+        got = _pair_set(*close_pairs(points, group, window, 5.0))
+        assert got == {(0, 1), (4, 5)} == _bruteforce_pairs(points, group, 5.0)
+
+    def test_coincident_groups_never_pair(self):
+        window = Window("disk", radius=30.0)
+        points = np.tile(window.sample_uniform(50, _rng(5)), (4, 1))
+        group = np.repeat(np.arange(4), 50)
+        a, b = close_pairs(points, group, window, 8.0)
+        assert a.size > 0
+        assert np.all(group[a] == group[b])
+        assert _pair_set(a, b) == _bruteforce_pairs(points, group, 8.0)
+
+    def test_empty(self):
+        a, b = close_pairs(np.empty((0, 2)), np.empty(0, dtype=int), Window(), 5.0)
+        assert a.size == b.size == 0
 
 
 class TestRisClusters:

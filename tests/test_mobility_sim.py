@@ -1,9 +1,11 @@
 """Random-walk mobility and the agent-based epidemic."""
 
+import math
 
 import numpy as np
 import pytest
 
+from ris_sim import mobility_sim
 from ris_sim.geometry import Window
 from ris_sim.mobility_sim import (
     AbmConfig,
@@ -109,27 +111,79 @@ class TestAbmStep:
             )
             assert np.all(state_hi.infected >= state_lo.infected)
 
-    def test_sinr_driven_mode(self):
-        cfg = AbmConfig(
-            n_agents=12, x0=0, beta=0.0, mu=0.0, lambda_u=1e-3,
-            mode="sinr_driven", sinr_threshold=0.5,
+
+def _per_pair_infections(positions, infected, beta, r_i, rng):
+    """Infections of the per-pair step the Reed-Frost step replaced: one
+    Bernoulli(beta) trial per (agent, infected neighbour) pair."""
+    n = positions.shape[0]
+    pair_u = rng.random((n, n))
+    diff = positions[:, None, :] - positions[None, :, :]
+    within = np.einsum("ijk,ijk->ij", diff, diff) <= r_i**2
+    np.fill_diagonal(within, False)
+    return (within & infected[None, :] & (pair_u < beta)).any(axis=1)
+
+
+# agent 2 is the susceptible target at the origin; the agents of _NEAR_ORDER[:k]
+# stand 5 m from it, the rest 40 m away (r_i = 10 m), and every other agent
+# is infected.  The order puts neighbours on both sides of the target's index.
+_TARGET = 2
+_NEAR_ORDER = (0, 3, 1, 4)
+
+
+def _layout(k):
+    positions = np.zeros((5, 2))
+    for slot, agent in enumerate(_NEAR_ORDER):
+        angle = 0.5 * math.pi * slot
+        radius = 5.0 if slot < k else 40.0
+        positions[agent] = radius * math.cos(angle), radius * math.sin(angle)
+    return positions, np.arange(5) != _TARGET
+
+
+class TestReedFrost:
+    BETA = 0.3
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_infection_frequency(self, k):
+        cfg = AbmConfig(n_agents=5, x0=4, beta=self.BETA, mu=0.5, r_i=10.0,
+                        window=Window("rectangle", half_extents=(50.0, 50.0)))
+        positions, infected = _layout(k)
+        runs, seeds = 500, 20
+        state = _state(np.tile(positions, (runs, 1)), np.tile(infected, runs))
+        hits = sum(int(abm_step(state, cfg, _rng(seed))[0].infected[_TARGET::5].sum())
+                   for seed in range(seeds))
+        m = 4000
+        ref_hits = sum(
+            bool(_per_pair_infections(positions, infected, self.BETA, 10.0,
+                                      _rng(10_000 + seed))[_TARGET])
+            for seed in range(m)
         )
+        n = runs * seeds
+        p = 1.0 - (1.0 - self.BETA) ** k
+        if k == 0:
+            assert hits == ref_hits == 0
+            return
+        # binomial z against the law, and two-sample z against the per-pair step
+        assert abs(hits - n * p) / math.sqrt(n * p * (1.0 - p)) < 4.0
+        pooled = (hits + ref_hits) / (n + m)
+        se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n + 1.0 / m))
+        assert abs(hits / n - ref_hits / m) / se < 4.0
+
+    def test_runs_of_one_batch_never_touch(self):
+        # run 0 starts clean on the very coordinates of run 1, which is all
+        # infected; certain contact would infect run 0 at once if runs met
+        cfg = AbmConfig(n_agents=30, x0=0, beta=1.0, mu=0.0, r_i=10.0, lambda_u=1e-2)
         window = cfg.resolve_window()
-        state = _state(window.sample_uniform(12, _rng(10)), [False] * 12)
+        positions = window.sample_uniform(30, _rng(40))
+        state = _state(np.tile(positions, (2, 1)), np.arange(60) >= 30)
+        for step in range(10):
+            state, (_, x) = abm_step(state, cfg, _rng(step), window)
+            assert not state.infected[:30].any()
+            assert x == 30
 
-        def sampler(positions, rng):
-            # left half-plane agents fall below threshold
-            return np.where(positions[:, 0] < 0.0, 0.1, 2.0)
-
-        state, (s, x) = abm_step(state, cfg, _rng(11), window, sinr_sampler=sampler)
-        assert s + x == 12
-        assert x == int((state.infected).sum())
-
-    def test_sinr_driven_requires_sampler(self):
-        cfg = AbmConfig(n_agents=4, x0=0, lambda_u=1e-3, mode="sinr_driven")
-        state = _state(np.zeros((4, 2)), [False] * 4)
-        with pytest.raises(ValueError):
-            abm_step(state, cfg, _rng(12))
+    def test_partial_runs_rejected(self):
+        cfg = AbmConfig(n_agents=4, x0=0, lambda_u=1e-2)
+        with pytest.raises(ValueError, match="whole runs"):
+            abm_step(_state(np.zeros((6, 2)), [False] * 6), cfg, _rng(0))
 
 
 class TestRunAbm:
@@ -166,3 +220,30 @@ class TestRunAbm:
             AbmConfig(x0=200, n_agents=100)
         with pytest.raises(ValueError):
             AbmConfig(lambda_u=None, window=None)
+
+    def test_chunk_streams(self, monkeypatch):
+        # two runs per chunk; chunk c places its agents from stream
+        # (seed, c, 0) and takes step k from stream (seed, c, k + 1)
+        monkeypatch.setattr(mobility_sim, "_CHUNK_AGENTS", 80)
+        cfg = AbmConfig(n_agents=40, x0=5, beta=0.2, mu=0.1, lambda_u=5e-3,
+                        steps=12, ensemble_runs=3, seed=77)
+        window = cfg.resolve_window()
+
+        def stream(*key):
+            return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+        x_series = []
+        for chunk, runs in ((0, 2), (1, 1)):
+            state = _state(window.sample_uniform(runs * 40, stream(77, chunk, 0)),
+                           np.tile(np.arange(40) < 5, runs))
+            x = [np.full(runs, 5)]
+            for step in range(12):
+                state, _ = abm_step(state, cfg, stream(77, chunk, step + 1), window)
+                x.append(state.infected.reshape(runs, 40).sum(axis=1))
+            x_series.append(np.array(x))
+        x_series = np.concatenate(x_series, axis=1)
+        _, mean_s, mean_x, stderr_x = run_abm(cfg)
+        assert np.array_equal(mean_x, x_series.mean(axis=1))
+        assert np.array_equal(stderr_x, x_series.std(axis=1, ddof=1) / math.sqrt(3))
+        assert np.allclose(mean_s + mean_x, 40.0)
+        assert np.all(stderr_x[4:] > 0.0)

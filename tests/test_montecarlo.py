@@ -22,7 +22,7 @@ from ris_sim.montecarlo import (
     SimulationSetup,
     _draw_field_interference,
     _field_kernel,
-    _sample_field,
+    _sample_fields,
     draw_serving_power,
     empirical_outage,
     empirical_rates,
@@ -119,7 +119,7 @@ class TestFieldKernel:
         ch = ChannelParams()
         topo = TopologyConfig(lambda_b=5e-5, lambda_r=1e-4, window=Window("disk", radius=500.0))
         for seed in range(20):
-            bs, ris, _ = _sample_field(topo, _rng(100 + seed))
+            bs, _, ris, _, _ = _sample_fields(topo, _rng(100 + seed), 1)
             for exclude in (None, seed % bs.shape[0]):
                 kernel = _field_kernel(bs, ris, ch, exclude)
                 rng, ref_rng = _rng(seed), _rng(seed)
@@ -206,80 +206,6 @@ class TestEstimators:
     def test_sinr_from_powers_vectorized(self):
         sinr = sinr_from_powers(np.array([1.0, 2.0]), np.array([0.0, 1.0]), 2.0, 1.0)
         assert sinr == pytest.approx([2.0, 4.0 / 3.0])
-
-
-def _reference_sampler(setup, seed):
-    """The per-agent loop as written before the sampler used the field kernel:
-    serving draw, then direct then pair exponentials, distances by norm."""
-    bs, ris, ris_parent = _sample_field(setup.topology, np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((seed, 1)))))
-    ch = setup.channel
-    serving_ris = serving_surfaces(bs, ris, ris_parent)
-
-    def sampler(positions, rng):
-        d_all = np.linalg.norm(positions[:, None, :] - bs[None, :, :], axis=2)
-        sinr = np.empty(positions.shape[0])
-        for k, i in enumerate(np.argmin(d_all, axis=1)):
-            pl_d = ch.c * max(d_all[k, i], 1e-3) ** (-ch.alpha)
-            j = serving_ris[i]
-            pl_r = 0.0
-            if j >= 0:
-                d_ij = float(np.linalg.norm(bs[i] - ris[j]))
-                d_jk = float(np.linalg.norm(ris[j] - positions[k]))
-                pl_r = ch.c * (max(d_ij, 1e-3) * max(d_jk, 1e-3)) ** (-ch.alpha)
-            g = rng.rayleigh(scale=math.sqrt(0.5))
-            refl = 0.0
-            if pl_r > 0.0:
-                h1 = np.sqrt(rng.gamma(ch.m1, 1.0 / ch.m1, ch.n_elements))
-                h2 = np.sqrt(rng.gamma(ch.m2, 1.0 / ch.m2, ch.n_elements))
-                refl = float(np.sum(h1 * h2))
-            s0 = (math.sqrt(pl_d) * g + math.sqrt(pl_r) * refl) ** 2
-            others = np.delete(np.arange(bs.shape[0]), i)
-            total = float(np.sum(ch.c * d_all[k, others] ** (-ch.alpha)
-                                 * rng.exponential(size=others.size)))
-            if ris.shape[0] > 0 and others.size > 0:
-                d_jk_all = np.linalg.norm(ris - positions[k], axis=1)
-                d_pair = np.linalg.norm(bs[others][:, None, :] - ris[None, :, :], axis=2)
-                means = ch.n_elements * ch.c**2 * (d_pair * d_jk_all[None, :]) ** (-ch.alpha)
-                total += float(np.sum(means * rng.exponential(size=means.shape)))
-            sinr[k] = ch.power_w * s0 / (ch.power_w * total + ch.sigma2_w)
-        return sinr
-
-    return sampler
-
-
-class TestSinrSampler:
-    def test_matches_per_agent_reference(self):
-        # same draws in the same order; the kernel measures distances with
-        # hypot on shifted coordinates, so only the last bits may move
-        from ris_sim.montecarlo import make_sinr_sampler
-
-        topo = TopologyConfig(lambda_b=5e-5, lambda_r=5e-5, window=Window("disk", radius=500.0))
-        setup = _setup(topology=topo)
-        positions = _rng(99).uniform(-300.0, 300.0, (20, 2))
-        for seed in range(3):
-            rng, ref_rng = _rng(seed), _rng(seed)
-            got = make_sinr_sampler(setup, seed)(positions, rng)
-            want = _reference_sampler(setup, seed)(positions, ref_rng)
-            assert got == pytest.approx(want, rel=1e-13)
-            assert rng.random() == ref_rng.random()
-
-    def test_drives_the_agent_simulation(self):
-        from ris_sim.mobility_sim import AbmConfig, run_abm
-        from ris_sim.montecarlo import make_sinr_sampler
-
-        setup = _setup()
-        sampler = make_sinr_sampler(setup, seed=1)
-        sinr = sampler(np.array([[0.0, 0.0], [50.0, 50.0]]), _rng(2))
-        assert sinr.shape == (2,)
-        assert np.all(sinr > 0)
-
-        cfg = AbmConfig(
-            n_agents=15, x0=0, beta=0.0, mu=0.0, lambda_u=1e-4,
-            steps=4, ensemble_runs=2, mode="sinr_driven", sinr_threshold=1e-2,
-        )
-        t, mean_s, mean_x, _ = run_abm(cfg, sinr_sampler=sampler)
-        assert np.allclose(mean_s + mean_x, 15.0)
 
 
 def _reference_trial(setup, rng):
@@ -400,6 +326,21 @@ class TestChunkEngine:
             # pinned serving powers are one batch over all trials
             assert np.array_equal(one.s0, two.s0[:chunk])
         assert not np.array_equal(two.i_before[:chunk], two.i_before[chunk:])
+
+    @pytest.mark.parametrize("serving_mode", ["pinned", "associated"])
+    def test_full_chunks_independent_of_trial_count(self, small_chunks, serving_mode):
+        # only a partial last chunk draws differently: its stream serves
+        # fewer trials
+        setup = _setup(serving_mode=serving_mode)
+        chunk = montecarlo._chunk_trials(setup)
+        full = run_ensemble(setup, 2 * chunk, seed=3)
+        more = run_ensemble(setup, 2 * chunk + 5, seed=3)
+        assert np.array_equal(full.i_before, more.i_before[:2 * chunk])
+        assert np.array_equal(full.i_after, more.i_after[:2 * chunk])
+        if serving_mode == "associated":
+            assert np.array_equal(full.s0, more.s0[:2 * chunk])
+        fewer = run_ensemble(setup, chunk + 5, seed=3)
+        assert not np.array_equal(fewer.i_before[chunk:], full.i_before[chunk:chunk + 5])
 
     def test_chunk_size_shrinks_with_density(self):
         sparse = _setup()
