@@ -6,6 +6,10 @@ validate-laplace.  Exit codes: 0 success, 2 configuration error, 3 numeric
 validation failure (including an overflow or a failed quadrature in the
 numeric layers).  RIS_SIM_THREADS is the fallback for --threads.
 
+Monte Carlo ensembles feed validate-power, outage-sweep and
+validate-laplace only; r0-sweep, and the rates behind sis-sim's agents, are
+the analytic chain (gamma fit, transform, outage series, beta and mu).
+
 Every output file starts with the resolved configuration as comment lines,
 and identical seeds produce byte-identical files.
 """
@@ -36,6 +40,8 @@ from .experiment_config import (
 from .geometry import build_topology, export_topology_csv
 from .interference_analytic import (
     empirical_laplace,
+    laplace_after,
+    laplace_before,
     laplace_quadrature_oracle,
     transform_exponent_coeffs,
 )
@@ -241,49 +247,28 @@ def cmd_sis_sim(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def _r0_point(cfg: ExperimentConfig, axis_value: float, group_value: float | None):
-    """Analytic rates at one sweep point."""
-    return analytic_rates(cfg.sweep_outage_params(axis_value, group_value), cfg.reflected_form)
-
-
-def cmd_r0_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int,
-                 with_empirical: bool = False) -> int:
+def cmd_r0_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     """Interference propagation intensity over the configured axis/groups."""
     if cfg.sweep.axis == "power_dbm":
         _log("error: r0-sweep axis must be ue_density, frequency_ghz, or ris_elements")
         return EXIT_CONFIG
     groups = list(cfg.sweep.group_grid) if cfg.sweep.group_by else [None]
     points = [(a, g) for g in groups for a in cfg.sweep.grid]
-    results = _thread_map(lambda p: _r0_point(cfg, p[0], p[1]), points, threads)
-
-    rows = []
-    for (axis_value, group_value), res in zip(points, results):
-        row = [cfg.sweep.axis, axis_value,
-               "" if group_value is None else group_value,
-               res.p_o, res.p_o_prime, res.beta, res.mu, res.r0]
-        if with_empirical:
-            emp = _empirical_r0(cfg, axis_value, group_value)
-            row.extend(emp)
-        rows.append(tuple(row))
-    header = ["axis", "axis_value", "group_value", "P_o", "P_o_prime", "beta", "mu", "r0"]
-    if with_empirical:
-        header += ["beta_hat", "mu_hat", "r0_hat"]
-    _write_csv(out_dir / "r0_sweep.csv", cfg, header, rows)
+    results = _thread_map(
+        lambda p: analytic_rates(cfg.sweep_outage_params(*p), cfg.reflected_form),
+        points, threads,
+    )
+    rows = [
+        (cfg.sweep.axis, axis_value, "" if group_value is None else group_value,
+         res.p_o, res.p_o_prime, res.beta, res.mu, res.r0)
+        for (axis_value, group_value), res in zip(points, results)
+    ]
+    _write_csv(
+        out_dir / "r0_sweep.csv", cfg,
+        ["axis", "axis_value", "group_value", "P_o", "P_o_prime", "beta", "mu", "r0"],
+        rows,
+    )
     return EXIT_OK
-
-
-def _empirical_r0(cfg: ExperimentConfig, axis_value: float, group_value: float | None):
-    overrides = {}
-    if cfg.sweep.axis == "ue_density":
-        overrides["lambda_u"] = axis_value
-    elif cfg.sweep.axis == "ris_elements":
-        overrides["n_elements"] = int(axis_value)
-    if cfg.sweep.group_by == "bs_density" and group_value is not None:
-        overrides["lambda_b"] = group_value
-    point_cfg = with_overrides(cfg, **overrides)
-    setup = point_cfg.simulation_setup()
-    rates = montecarlo.empirical_rates(setup, cfg.sinr_threshold, cfg.trials, cfg.seed)
-    return rates.beta_hat, rates.mu_hat, rates.r0_hat
 
 
 def cmd_validate_laplace(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
@@ -300,12 +285,10 @@ def cmd_validate_laplace(cfg: ExperimentConfig, out_dir: Path, threads: int) -> 
     # exits before the ensembles are paid for
     analytic = []
     worst_rel = 0.0
-    for stage in ("before", "after"):
-        q_pow, q_lin, q_const = transform_exponent_coeffs(p, stage, cfg.reflected_form)
-        qp2, ql2, qc2 = transform_exponent_coeffs(p, stage, "pgfl")
+    for stage, closed in (("before", laplace_before), ("after", laplace_after)):
         for s in s_grid:
-            closed_default = math.exp(-(q_pow * s ** (2 / p.alpha) + q_lin * s + q_const))
-            closed_pgfl = math.exp(-(qp2 * s ** (2 / p.alpha) + ql2 * s + qc2))
+            closed_default = closed(float(s), p, cfg.reflected_form)
+            closed_pgfl = closed(float(s), p, "pgfl")
             oracle = laplace_quadrature_oracle(float(s), p, stage)
             worst_rel = max(worst_rel, abs(closed_pgfl - oracle) / oracle)
             analytic.append((stage, s, closed_default, oracle, closed_pgfl))
@@ -370,9 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("validate-power", help="serving-power CDF vs gamma fit")
     sub.add_parser("outage-sweep", help="outage vs transmit power")
     sub.add_parser("sis-sim", help="six-panel epidemic trajectories")
-    r0 = sub.add_parser("r0-sweep", help="propagation intensity sweeps")
-    r0.add_argument("--with-empirical", action="store_true",
-                    help="add Monte Carlo rate estimates per point")
+    sub.add_parser("r0-sweep", help="propagation intensity sweeps")
     sub.add_parser("validate-laplace", help="transform closed forms vs oracle")
     return parser
 
@@ -413,11 +394,10 @@ def main(argv: list[str] | None = None) -> int:
         "validate-power": cmd_validate_power,
         "outage-sweep": cmd_outage_sweep,
         "sis-sim": cmd_sis_sim,
+        "r0-sweep": cmd_r0_sweep,
         "validate-laplace": cmd_validate_laplace,
     }
     try:
-        if args.command == "r0-sweep":
-            return cmd_r0_sweep(cfg, out_dir, threads, with_empirical=args.with_empirical)
         return commands[args.command](cfg, out_dir, threads)
     except ConfigError as exc:
         _log(f"configuration error: {exc}")

@@ -39,13 +39,18 @@ __all__ = [
 SWEEP_AXES = ("power_dbm", "ue_density", "frequency_ghz", "ris_elements")
 GROUP_AXES = ("bs_density", "ris_elements", None)
 
-# expected points of any one field (Matern parents, surfaces, users) in the
-# window: one topology of that size still fits comfortably in memory
+# expected points of any one field (Matern parents, surfaces, users, one
+# trial's moved users) in the window: one topology of that size still fits
+# comfortably in memory
 MAX_WINDOW_POINTS = 1e7
 # expected BS x surface pairs of one trial's field interference, at the base
 # density and at each bs_density group value: each pair-sized array of the
 # kernel stays near 80 MB
 MAX_FIELD_PAIRS = 1e7
+# Nakagami hop amplitudes of one serving-power batch, trials x n_elements
+# (validate-laplace draws at least 1000 trials): each hop-sized array stays
+# near 400 MB
+MAX_SERVING_HOPS = 5e7
 
 
 class ConfigError(ValueError):
@@ -133,7 +138,9 @@ class ExperimentConfig:
     r_r: float = 10.0
     window_radius: float = 1000.0
 
-    # radio parameters (powers in dBm; C overrides frequency when set)
+    # radio parameters (powers in dBm); the path gain is pathloss_const,
+    # except on a frequency sweep, which derives it from each grid carrier
+    # and the antenna gains (frequency_ghz itself is recorded, not read)
     frequency_ghz: float = 3.0
     gain_tx: float = 1.0
     gain_rx: float = 1.0
@@ -208,6 +215,20 @@ class ExperimentConfig:
                     f"points of one field, above {MAX_WINDOW_POINTS:.0e}"
                 )
             area = window.area()
+            # near-user movers of one trial: a field of lambda_b * area cells
+            # (network_field mode) or the target's own cell (cell_reflected)
+            movers = self.lambda_u * math.pi * self.r_i**2 * max(1.0, self.lambda_b * area)
+            if not movers <= MAX_WINDOW_POINTS:
+                raise ConfigError(
+                    f"r_i={self.r_i} gives {movers:.3g} expected moved users per trial, "
+                    f"above {MAX_WINDOW_POINTS:.0e}"
+                )
+            hops = float(max(self.trials, 1000)) * self.n_elements
+            if not hops <= MAX_SERVING_HOPS:
+                raise ConfigError(
+                    f"trials={self.trials} and n_elements={self.n_elements} give {hops:.3g} "
+                    f"serving-hop draws, above {MAX_SERVING_HOPS:.0e}"
+                )
             bs_groups = self.sweep.group_grid if self.sweep.group_by == "bs_density" else ()
             for lambda_b in (self.lambda_b, *bs_groups):
                 pairs = (lambda_b * area) * (self.lambda_r * area)
@@ -246,15 +267,9 @@ class ExperimentConfig:
             window=self.window(),
         )
 
-    def channel_params(self, frequency_ghz: float | None = None) -> ChannelParams:
-        """Channel parameters; a frequency override recomputes the path-loss
-        constant from the wavelength instead of scaling the configured one."""
-        if frequency_ghz is None:
-            c = self.pathloss_const
-        else:
-            c = pathloss_constant(frequency_ghz * 1e9, self.gain_tx, self.gain_rx)
+    def channel_params(self) -> ChannelParams:
         return ChannelParams(
-            c=c,
+            c=self.pathloss_const,
             alpha=self.alpha,
             m1=self.m1,
             m2=self.m2,

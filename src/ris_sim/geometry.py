@@ -28,7 +28,6 @@ __all__ = [
     "matern_parent_intensity",
     "sample_ris_clusters",
     "associate_nearest",
-    "associate_serving_ris",
     "nearest_per_group",
     "serving_surfaces",
     "build_topology",
@@ -299,14 +298,6 @@ def serving_surfaces(bs: np.ndarray, ris: np.ndarray, ris_parent: np.ndarray) ->
     """
     d2 = np.sum((ris - bs[ris_parent]) ** 2, axis=1)
     return nearest_per_group(d2, ris_parent, bs.shape[0])
-
-
-def associate_serving_ris(bs_index: int, topology: NetworkTopology) -> int | None:
-    """Nearest surface in the BS's own cluster, or None if the cluster is empty."""
-    if not 0 <= bs_index < topology.bs.shape[0]:
-        raise ValueError(f"bs_index {bs_index} out of range")
-    j = serving_surfaces(topology.bs, topology.ris, topology.ris_parent)[bs_index]
-    return None if j < 0 else int(j)
 
 
 def build_topology(config: TopologyConfig, rng: np.random.Generator) -> NetworkTopology:

@@ -169,9 +169,10 @@ def run_abm(config: AbmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     """Ensemble-averaged trajectory.
 
     Returns (t, mean_S, mean_X, stderr_X) over ``ensemble_runs`` independent
-    runs; deterministic for a fixed config seed.  The runs are advanced in
-    chunks of ``_CHUNK_AGENTS // n_agents`` (at least one), each from its own
-    streams as the module docstring describes.
+    runs; deterministic for a fixed config seed.  One run has no spread to
+    estimate an error from, so its ``stderr_X`` is all nan.  The runs are
+    advanced in chunks of ``_CHUNK_AGENTS // n_agents`` (at least one), each
+    from its own streams as the module docstring describes.
     """
     if config.steps < 1:
         raise ValueError("steps must be at least 1")
@@ -189,5 +190,7 @@ def run_abm(config: AbmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
             x_series[start:start + runs, step + 1] = state.infected.reshape(runs, n).sum(axis=1)
     t = np.arange(config.steps + 1, dtype=float)
     mean_x = x_series.mean(axis=0)
-    stderr_x = x_series.std(axis=0, ddof=1) / math.sqrt(config.ensemble_runs)
+    stderr_x = np.full(t.size, np.nan)
+    if config.ensemble_runs > 1:
+        stderr_x = x_series.std(axis=0, ddof=1) / math.sqrt(config.ensemble_runs)
     return t, config.n_agents - mean_x, mean_x, stderr_x

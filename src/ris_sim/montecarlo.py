@@ -45,16 +45,12 @@ from .geometry import (
 __all__ = [
     "LinkGeometry",
     "SimulationSetup",
-    "TrialResult",
     "EnsembleStats",
     "draw_serving_power",
-    "simulate_trial",
     "run_ensemble",
     "sinr_from_powers",
     "outage_from_ensemble",
     "rates_from_ensemble",
-    "empirical_outage",
-    "empirical_rates",
     "OutageEstimate",
     "RateEstimate",
 ]
@@ -97,17 +93,6 @@ class SimulationSetup:
             raise ValueError("r_i must be positive")
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """One trial's powers and SINRs; sinr = P*s0 / (P*i + sigma2)."""
-
-    s0: float
-    i_before: float
-    i_after: float
-    sinr_before: float
-    sinr_after: float
-
-
 @dataclass
 class EnsembleStats:
     """Raw per-trial samples plus bookkeeping; estimators live below."""
@@ -116,7 +101,6 @@ class EnsembleStats:
     i_before: np.ndarray
     i_after: np.ndarray
     resampled: int
-    seed: int
 
     @property
     def trials(self) -> int:
@@ -136,8 +120,6 @@ class RateEstimate:
     beta_hat: float
     mu_hat: float
     r0_hat: float
-    supercritical: bool
-    unchanged: float
 
 
 # Matern parents, surfaces and network-field movers sampled per chunk: bounds
@@ -399,25 +381,6 @@ def _simulate_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generato
     return s0, i_before, i_after, resampled
 
 
-def simulate_trial(setup: SimulationSetup, rng: np.random.Generator) -> TrialResult:
-    """One trial: the one-trial chunk of ``run_ensemble``.
-
-    Pinned mode fixes the serving-link distances and keeps every field BS as
-    an interferer.  Associated mode serves the typical user from the nearest
-    realized BS (resampling empty fields) and excludes it from interference.
-    The after-movement interference redraws the field fading and adds the
-    moved-user terms on a shared topology; the serving power is drawn once.
-    """
-    ch = setup.channel
-    s0, i_before, i_after, _ = _simulate_chunk(setup, 1, rng)
-    if s0 is None:
-        s0 = draw_serving_power(ch, *setup.link.pathloss(ch.c, ch.alpha), 1, rng)
-    s0, i_b, i_a = float(s0[0]), float(i_before[0]), float(i_after[0])
-    sinr_b = float(sinr_from_powers(s0, i_b, ch.power_w, ch.sigma2_w))
-    sinr_a = float(sinr_from_powers(s0, i_a, ch.power_w, ch.sigma2_w))
-    return TrialResult(s0, i_b, i_a, sinr_b, sinr_a)
-
-
 def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0) -> EnsembleStats:
     """``trials`` trials, sampled in chunks from per-(seed, chunk) streams.
 
@@ -450,7 +413,7 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0) -> Ensemble
         if chunk_s0 is not None:
             s0[start:stop] = chunk_s0
         resampled += n_resampled
-    return EnsembleStats(s0, i_b, i_a, resampled, seed)
+    return EnsembleStats(s0, i_b, i_a, resampled)
 
 
 def outage_from_ensemble(
@@ -473,32 +436,13 @@ def rates_from_ensemble(
     stats: EnsembleStats, power_w: float, sigma2_w: float, threshold: float
 ) -> RateEstimate:
     """Paired transition fractions: infections are non-outage -> outage,
-    recoveries the reverse; their partition with unchanged outcomes is exact."""
+    recoveries the reverse; r0_hat is +inf when no trial recovers."""
     sinr_b = sinr_from_powers(stats.s0, stats.i_before, power_w, sigma2_w)
     sinr_a = sinr_from_powers(stats.s0, stats.i_after, power_w, sigma2_w)
     out_b = sinr_b < threshold
     out_a = sinr_a < threshold
     beta_hat = float(np.mean(~out_b & out_a))
     mu_hat = float(np.mean(out_b & ~out_a))
-    unchanged = float(np.mean(out_b == out_a))
-    supercritical = mu_hat == 0.0
-    r0 = math.inf if supercritical else beta_hat / mu_hat
-    return RateEstimate(beta_hat, mu_hat, r0, supercritical, unchanged)
+    r0 = math.inf if mu_hat == 0.0 else beta_hat / mu_hat
+    return RateEstimate(beta_hat, mu_hat, r0)
 
-
-def empirical_outage(
-    setup: SimulationSetup, threshold: float, trials: int, seed: int = 0
-) -> OutageEstimate:
-    if trials < 1000:
-        raise ValueError("need at least 1e3 trials for a usable estimate")
-    stats = run_ensemble(setup, trials, seed)
-    return outage_from_ensemble(stats, setup.channel.power_w, setup.channel.sigma2_w, threshold)
-
-
-def empirical_rates(
-    setup: SimulationSetup, threshold: float, trials: int, seed: int = 0
-) -> RateEstimate:
-    if trials < 1000:
-        raise ValueError("need at least 1e3 trials for a usable estimate")
-    stats = run_ensemble(setup, trials, seed)
-    return rates_from_ensemble(stats, setup.channel.power_w, setup.channel.sigma2_w, threshold)

@@ -3,7 +3,10 @@ recovery rates, interference propagation intensity, and the SIS dynamics.
 
 The outage series treats the serving power as gamma distributed with an
 integer (Erlang) shape; each term is a derivative at s = 1 of the product of
-a noise factor and the interference transform, both extracted from one jet.
+a noise factor and the interference transform.  Both are exp(-E(s)) for one
+exponent E(s) = a s + b s^p + c, whose Taylor series around s = 1 is written
+down directly (the s^p coefficients are binomial); the derivatives are the
+Taylor coefficients of its exponential, held in a ``Jet``.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import numpy as np
 
 from .interference_analytic import LaplaceParams, transform_exponent_coeffs
 from .power_analytic import GammaFit
-from .special_functions import Jet, jet_variable
 
 __all__ = [
+    "Jet",
     "OutageParams",
     "SisParams",
     "RatesResult",
@@ -32,6 +35,46 @@ __all__ = [
     "sis_equilibrium",
     "sis_logistic_solution",
 ]
+
+
+@dataclass(frozen=True)
+class Jet:
+    """Taylor coefficients of a smooth function around a fixed point.
+
+    ``coef[k]`` is the k-th Taylor coefficient; the k-th derivative is
+    ``coef[k] * k!``.  Length is order + 1.
+    """
+
+    coef: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "coef", np.asarray(self.coef, dtype=float))
+        if self.coef.ndim != 1 or self.coef.size == 0:
+            raise ValueError("jet coefficients must be a nonempty 1-D sequence")
+
+    @property
+    def order(self) -> int:
+        return self.coef.size - 1
+
+    def derivative(self, k: int) -> float:
+        if not 0 <= k <= self.order:
+            raise ValueError(f"derivative order {k} outside jet order {self.order}")
+        return self.coef[k] * math.factorial(k)
+
+    def exp(self) -> "Jet":
+        a = self.coef
+        n = a.size
+        e = np.zeros(n)
+        e[0] = math.exp(a[0])
+        if not math.isfinite(e[0]):
+            raise ArithmeticError("jet exp overflowed at the constant term")
+        j = np.arange(1, n)
+        for k in range(1, n):
+            # e_k = (1/k) * sum_{j=1..k} j * a_j * e_{k-j}
+            e[k] = np.dot(j[:k] * a[1 : k + 1], e[k - 1 :: -1]) / k
+        if not np.all(np.isfinite(e)):
+            raise ArithmeticError("jet exp produced non-finite coefficients")
+        return Jet(e)
 
 
 @dataclass(frozen=True)
@@ -102,21 +145,26 @@ def _shifted_exponent_jet(params: OutageParams, stage: str, form: str) -> tuple[
 
     With E(s) = (noise + lin) s + p_coeff s^p + const the transform is
     exp(-E(s)) = exp(shifted) * exp(-level), where shifted = E(1) - E(s) has
-    a zero constant term, so its exp starts at 1.
+    a zero constant term, so its exp starts at 1.  Around s = 1,
+    s^p = sum_k b_k (s - 1)^k with the binomial coefficients b_0 = 1,
+    b_k = ((p + 1) / k - 1) b_{k-1}.
     """
     noise, p_coeff, p_exp, lin, const = _transform_coefficients(params, stage, form)
     level = noise + p_coeff + lin + const
-    s = jet_variable(1.0, params.series_order - 1)
-    shifted = s * (-(noise + lin)) + (noise + lin)
-    if p_coeff != 0.0:
-        shifted = shifted - (s.pow(p_exp) - 1.0) * p_coeff
-    return shifted, level
+    coef = np.zeros(params.series_order)
+    if coef.size > 1:
+        coef[1] = -(noise + lin)
+    b = 1.0
+    for k in range(1, coef.size):
+        b *= (p_exp + 1.0) / k - 1.0
+        coef[k] -= p_coeff * b
+    return Jet(coef), level
 
 
 def outage_transform_jet(params: OutageParams, stage: str, form: str = "affine") -> Jet:
     """Jet around s = 1 of exp(-s T sigma^2 / (P eta)) * L(s T / eta)."""
     shifted, level = _shifted_exponent_jet(params, stage, form)
-    return shifted.exp() * math.exp(-level)
+    return Jet(shifted.exp().coef * math.exp(-level))
 
 
 def log_coverage(params: OutageParams, stage: str, form: str = "affine") -> float:

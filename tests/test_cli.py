@@ -94,6 +94,21 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "pairs per trial" in lines[0]
 
+    @pytest.mark.parametrize(
+        "text,command,reason",
+        [
+            # ~1e10 network-field movers per trial
+            ("r_i: 1.0e+5\n", "outage-sweep", "moved users per trial"),
+            # 1e5 trials x 1e8 elements of Nakagami hops
+            ("n_elements: 100000000\n", "validate-power", "serving-hop draws"),
+        ],
+    )
+    def test_draw_budgets_exit_config_under_memory_limit(self, tmp_path, text, command, reason):
+        proc = _run_cli(tmp_path, text, command, limit_memory=True)
+        assert proc.returncode == EXIT_CONFIG
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and reason in lines[0]
+
     def test_bad_thread_variable_exits_config(self, tmp_path):
         text = "sweep:\n  axis: ue_density\n  grid: [1.0e-3, 1.0e-2]\n"
         proc = _run_cli(tmp_path, text, "r0-sweep", RIS_SIM_THREADS="abc")
@@ -424,8 +439,9 @@ def _config_texts(draw):
 
 
 class TestExitCodeFuzz:
-    @settings(max_examples=50, deadline=None)
-    @given(text=_config_texts(), command=st.sampled_from(["topology", "r0-sweep"]))
+    @settings(max_examples=100, deadline=None)
+    @given(text=_config_texts(), command=st.sampled_from(
+        ["topology", "r0-sweep", "validate-power", "outage-sweep"]))
     def test_exit_code_is_0_2_or_3(self, text, command):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = _write(Path(tmp), "fuzz.yaml", text)

@@ -113,6 +113,8 @@ class TestValidation:
             "lambda_r: -1.0\n",  # rejected by the derived topology
             "window_radius: 1.0e+5\n",  # ~3e8 expected users
             "lambda_r: 3.0\n",  # ~3e8 BS x surface pairs per trial
+            "r_i: 1.0e+5\n",  # ~1e10 moved users per trial
+            "n_elements: 1000\ntrials: 100000\n",  # 1e8 serving-hop draws
             "lambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
             "  group_by: bs_density\n  group_grid: [1.0e-5, 1.2e-4]\n",  # pairs at 1.2e-4
             "sweep:\n  axis: ue_density\n  grid: [-1.0, 1.0e-3]\n",
@@ -152,11 +154,10 @@ class TestDerived:
         assert dbm_to_watts(30.0) == pytest.approx(1.0)
 
     def test_channel_params_frequency_override(self):
-        cfg = ExperimentConfig()
-        base = cfg.channel_params()
-        assert base.c == cfg.pathloss_const
-        doubled = cfg.channel_params(frequency_ghz=6.0)
-        assert doubled.c == pytest.approx(base.c / 4.0, rel=0.01)
+        # a configured carrier does not override the path gain: frequency_ghz
+        # is recorded only, and channel_params always takes pathloss_const
+        cfg = ExperimentConfig(frequency_ghz=6.0)
+        assert cfg.channel_params().c == cfg.pathloss_const
 
     def test_outage_params_auto_series_order(self):
         op = ExperimentConfig().outage_params()

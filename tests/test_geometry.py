@@ -8,11 +8,9 @@ import pytest
 from scipy import stats
 
 from ris_sim.geometry import (
-    NetworkTopology,
     TopologyConfig,
     Window,
     associate_nearest,
-    associate_serving_ris,
     build_topology,
     close_pairs,
     export_topology_csv,
@@ -401,11 +399,7 @@ class TestAssociation:
     def test_serving_ris(self):
         bs = np.array([[0.0, 0.0]])
         ris = np.array([[10.0, 0.0], [30.0, 0.0]])
-        topo = NetworkTopology(
-            bs, ris, np.array([0, 0]), np.zeros((0, 2)),
-            np.zeros(0, dtype=int), np.array([-1]),
-        )
-        assert associate_serving_ris(0, topo) == 0
+        assert serving_surfaces(bs, ris, np.array([0, 0])).tolist() == [0]
 
     def test_serving_surfaces_nearest_child(self):
         bs = np.array([[0.0, 0.0], [100.0, 0.0], [-100.0, 0.0]])
@@ -432,11 +426,10 @@ class TestAssociation:
         assert np.array_equal(serving_surfaces(bs, ris, parent), expected)
 
     def test_serving_ris_empty_cluster(self):
-        topo = NetworkTopology(
-            np.zeros((1, 2)), np.zeros((0, 2)), np.zeros(0, dtype=int),
-            np.zeros((0, 2)), np.zeros(0, dtype=int), np.array([-1]),
-        )
-        assert associate_serving_ris(0, topo) is None
+        # the only surface belongs to another BS's cluster
+        out = serving_surfaces(np.array([[0.0, 0.0], [100.0, 0.0]]), np.array([[1.0, 0.0]]),
+                               np.array([1]))
+        assert out.tolist() == [-1, 0]
 
 
 class TestBuildTopology:

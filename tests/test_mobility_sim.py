@@ -1,6 +1,7 @@
 """Random-walk mobility and the agent-based epidemic."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,16 @@ class TestRunAbm:
                         steps=15, ensemble_runs=6)
         _, mean_s, mean_x, _ = run_abm(cfg)
         assert np.allclose(mean_s + mean_x, 30.0)
+
+    def test_one_run_has_nan_stderr_without_warnings(self):
+        cfg = AbmConfig(n_agents=30, x0=3, beta=0.1, mu=0.1, lambda_u=1e-2,
+                        steps=5, ensemble_runs=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t, mean_s, mean_x, stderr_x = run_abm(cfg)
+        assert stderr_x.shape == t.shape
+        assert np.all(np.isnan(stderr_x))
+        assert mean_x[0] == 3.0 and np.allclose(mean_s + mean_x, 30.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
