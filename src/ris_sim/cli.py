@@ -29,13 +29,13 @@ from scipy.spatial import cKDTree
 
 from . import montecarlo
 from .experiment_config import (
+    SIS_PANELS,
     ConfigError,
     ExperimentConfig,
     config_digest,
     dbm_to_watts,
     dump_config,
     load_config,
-    with_overrides,
 )
 from .geometry import build_topology, export_topology_csv
 from .interference_analytic import (
@@ -56,16 +56,6 @@ from .power_analytic import s0_gamma_cdf
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
-
-# (panel, user density, initially infected fraction): 5/95 and 50/50 splits
-SIS_PANELS = (
-    ("a", 1e-3, 0.05),
-    ("b", 5e-3, 0.05),
-    ("c", 1e-2, 0.05),
-    ("d", 1e-3, 0.50),
-    ("e", 5e-3, 0.50),
-    ("f", 1e-2, 0.50),
-)
 
 
 def _log(msg: str) -> None:
@@ -369,17 +359,11 @@ def _env_threads() -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.out is not None:
-            overrides["out_dir"] = args.out
+        overrides = {"seed": args.seed, "trials": args.trials, "out_dir": args.out}
+        overrides = {k: v for k, v in overrides.items() if v is not None}
+        cfg = load_config(args.config, overrides=overrides)
         if overrides:
             _log(f"overrides: {overrides}")
-            cfg = with_overrides(cfg, **overrides)
         threads = args.threads
         if threads is None:
             threads = _env_threads()

@@ -2,9 +2,9 @@
 strict validation, round-trip serialization, and helpers that assemble the
 per-module parameter objects.
 
-CLI flags override file values; every override is logged by the CLI so runs
-stay auditable.  All powers in the file are dBm; conversion to watts happens
-here.
+CLI flags override file values before the whole configuration is checked;
+every override is logged by the CLI so runs stay auditable.  All powers in
+the file are dBm; conversion to watts happens here.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .outage_epidemic import OutageParams
 from .power_analytic import gamma_fit_from_moments, s0_moments
 
 __all__ = [
+    "SIS_PANELS",
     "ConfigError",
     "SweepConfig",
     "ExperimentConfig",
@@ -40,17 +41,32 @@ SWEEP_AXES = ("power_dbm", "ue_density", "frequency_ghz", "ris_elements")
 GROUP_AXES = ("bs_density", "ris_elements", None)
 
 # expected points of any one field (Matern parents, surfaces, users, one
-# trial's moved users) in the window: one topology of that size still fits
-# comfortably in memory
+# trial's moved users) in the window, and sis-sim agents: one topology of
+# that size still fits comfortably in memory
 MAX_WINDOW_POINTS = 1e7
 # expected BS x surface pairs of one trial's field interference, at the base
 # density and at each bs_density group value: each pair-sized array of the
 # kernel stays near 80 MB
 MAX_FIELD_PAIRS = 1e7
+# expected agent contact pairs of one sis-sim step call (a chunk of runs, at
+# the densest panel): the pair-sized arrays of a step stay near 160 MB each
+MAX_CONTACT_PAIRS = 1e7
 # Nakagami hop amplitudes of one serving-power batch, trials x n_elements
 # (validate-laplace draws at least 1000 trials): each hop-sized array stays
 # near 400 MB
 MAX_SERVING_HOPS = 5e7
+
+
+# sis-sim panels (name, user density, initially infected fraction): three
+# densities by 5/95 and 50/50 splits
+SIS_PANELS = (
+    ("a", 1e-3, 0.05),
+    ("b", 5e-3, 0.05),
+    ("c", 1e-2, 0.05),
+    ("d", 1e-3, 0.50),
+    ("e", 5e-3, 0.50),
+    ("f", 1e-2, 0.50),
+)
 
 
 class ConfigError(ValueError):
@@ -222,6 +238,17 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"r_i={self.r_i} gives {movers:.3g} expected moved users per trial, "
                     f"above {MAX_WINDOW_POINTS:.0e}"
+                )
+            if not self.abm_agents <= MAX_WINDOW_POINTS:
+                raise ConfigError(
+                    f"abm_agents={self.abm_agents} is above {MAX_WINDOW_POINTS:.0e} agents"
+                )
+            densest = max(lambda_u for _, lambda_u, _ in SIS_PANELS)
+            contacts = self.abm_config(lambda_u=densest, x0=0).expected_step_pairs()
+            if not contacts <= MAX_CONTACT_PAIRS:
+                raise ConfigError(
+                    f"r_i={self.r_i} and abm_agents={self.abm_agents} give {contacts:.3g} "
+                    f"expected agent contact pairs per step, above {MAX_CONTACT_PAIRS:.0e}"
                 )
             hops = float(max(self.trials, 1000)) * self.n_elements
             if not hops <= MAX_SERVING_HOPS:
@@ -405,21 +432,29 @@ def _from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path: str | Path | None = None, text: str | None = None) -> ExperimentConfig:
-    """Parse a YAML experiment file; defaults apply for absent keys."""
-    if text is None:
-        if path is None:
-            return ExperimentConfig()
+def load_config(
+    path: str | Path | None = None, text: str | None = None, overrides: dict | None = None
+) -> ExperimentConfig:
+    """Parse a YAML experiment file; defaults apply for absent keys.
+
+    ``overrides`` (top-level keys) replace the file's values before the
+    configuration is checked, so the check sees the values the run uses.
+    """
+    data = None
+    if text is None and path is not None:
         try:
             text = Path(path).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"YAML parse error: {exc}") from exc
+    if text is not None:
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"YAML parse error: {exc}") from exc
     if data is None:
-        return ExperimentConfig()
+        data = {}
+    if overrides and isinstance(data, dict):
+        data = dict(data, **overrides)
     return _from_dict(data)
 
 

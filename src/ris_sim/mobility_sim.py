@@ -75,6 +75,18 @@ class AbmConfig:
         half = 0.5 * math.sqrt(self.n_agents / self.lambda_u)
         return Window("rectangle", half_extents=(half, half))
 
+    def chunk_runs(self) -> int:
+        """Runs that ``run_abm`` advances together in one step call."""
+        return min(self.ensemble_runs, max(1, _CHUNK_AGENTS // self.n_agents))
+
+    def expected_step_pairs(self) -> float:
+        """Expected contact pairs of one step of ``run_abm``'s largest chunk:
+        each of its runs holds n (n - 1) / 2 agent pairs, each within r_i
+        with probability at most pi r_i**2 / area."""
+        n = self.n_agents
+        close = min(1.0, math.pi * self.r_i**2 / self.resolve_window().area())
+        return self.chunk_runs() * n * (n - 1) / 2 * close
+
 
 @dataclass
 class AgentState:
@@ -171,14 +183,14 @@ def run_abm(config: AbmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     Returns (t, mean_S, mean_X, stderr_X) over ``ensemble_runs`` independent
     runs; deterministic for a fixed config seed.  One run has no spread to
     estimate an error from, so its ``stderr_X`` is all nan.  The runs are
-    advanced in chunks of ``_CHUNK_AGENTS // n_agents`` (at least one), each
-    from its own streams as the module docstring describes.
+    advanced in chunks of ``config.chunk_runs()``, each from its own streams
+    as the module docstring describes.
     """
     if config.steps < 1:
         raise ValueError("steps must be at least 1")
     window = config.resolve_window()
     n = config.n_agents
-    size = max(1, _CHUNK_AGENTS // n)
+    size = config.chunk_runs()
     x_series = np.empty((config.ensemble_runs, config.steps + 1))
     for c, start in enumerate(range(0, config.ensemble_runs, size)):
         runs = min(size, config.ensemble_runs - start)

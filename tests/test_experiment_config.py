@@ -115,6 +115,9 @@ class TestValidation:
             "lambda_r: 3.0\n",  # ~3e8 BS x surface pairs per trial
             "r_i: 1.0e+5\n",  # ~1e10 moved users per trial
             "n_elements: 1000\ntrials: 100000\n",  # 1e8 serving-hop draws
+            # ~8e7 agent contact pairs per step at the densest sis-sim panel
+            "r_i: 500.0\nabm_agents: 20000\nabm_steps: 1\nabm_ensemble_runs: 1\n",
+            "abm_agents: 100000000\nr_i: 1.0e-3\n",  # 1e8 agents, few contacts
             "lambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
             "  group_by: bs_density\n  group_grid: [1.0e-5, 1.2e-4]\n",  # pairs at 1.2e-4
             "sweep:\n  axis: ue_density\n  grid: [-1.0, 1.0e-3]\n",

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -116,6 +117,14 @@ class TestQuadratureOracle:
             closed = (laplace_before if stage == "before" else laplace_after)(s, P, "pgfl")
             assert abs(closed - oracle) / oracle < 1e-6
 
+    def test_failed_extrapolation_raises(self):
+        # the outer integrand's mass sits near v = 0.01 of a [0, 1.25e5]
+        # interval, and the extrapolated integral comes out negative
+        p = LaplaceParams(alpha=2.2, d_min=125187.0, d_max=1.0128476335031e13, c=0.5,
+                          n_elements=44, lambda_r=0.5)
+        with pytest.raises(ArithmeticError, match="quadrature failed"):
+            laplace_quadrature_oracle(1e-5, p)
+
     def test_affine_deviation_is_the_constant_term(self):
         # at small s the mismatch against the oracle approaches the frozen
         # offset; this keeps the documented discrepancy loud
@@ -125,7 +134,8 @@ class TestQuadratureOracle:
 
 
 def _nested_reflected(s, p):
-    """The reflected-cluster integral as the oracle evaluates it, unmemoized."""
+    """The reflected-cluster integral with its inner integral as a second
+    adaptive quadrature (no closed form)."""
     k = s * p.n_elements * p.c**2
     if k == 0.0 or p.lambda_r == 0.0:
         return 0.0
@@ -151,7 +161,7 @@ def _fresh_oracle(s, p, stage):
     if s == 0.0:
         return 1.0
     exponent = 2.0 * math.pi * p.lambda_b * ia._ppp_direct_integral(s * p.c, p.alpha)
-    exponent += 2.0 * math.pi * p.lambda_b * _nested_reflected(s, p)
+    exponent += 2.0 * math.pi * p.lambda_b * ia._reflected_cluster_exponent.__wrapped__(s, p)
     if stage == "after":
         exponent += (
             2.0 * math.pi * p.lambda_u_near * ia._ppp_direct_integral(s * p.c, p.alpha)
@@ -187,25 +197,30 @@ class TestOracleMemo:
                 assert laplace_quadrature_oracle(s, params, stage) == _fresh_oracle(
                     s, params, stage
                 )
+            assert ia._reflected_cluster_exponent(s, params) == pytest.approx(
+                _nested_reflected(s, params), rel=1e-9
+            )
 
     def test_after_pass_reuses_the_nested_integral(self, monkeypatch):
         grid = [float(s) for s in np.geomspace(1e2, 1e9, 50)]
         calls = self._count_quad(monkeypatch)
         for s in grid:
             laplace_quadrature_oracle(s, P, "before")
-        before = calls[0]
+        before, info = calls[0], ia._reflected_cluster_exponent.cache_info()
         for s in grid:
             laplace_quadrature_oracle(s, P, "after")
-        assert calls[0] - before <= 4 * len(grid)
-        # the nested integral alone takes dozens of quad calls per point
-        assert before > 20 * len(grid)
+        after = ia._reflected_cluster_exponent.cache_info()
+        assert (after.hits - info.hits, after.misses - info.misses) == (len(grid), 0)
+        # the after pass integrates the direct field alone, on two intervals
+        assert calls[0] - before == 2 * len(grid)
 
     def test_key_includes_the_params(self):
         s = 1e6
         values = set()
         for params in (P, replace(P, lambda_r=2e-5), replace(P, n_elements=400)):
             value = ia._reflected_cluster_exponent(s, params)
-            assert value == _nested_reflected(s, params)
+            assert value == ia._reflected_cluster_exponent.__wrapped__(s, params)
+            assert value == pytest.approx(_nested_reflected(s, params), rel=1e-9)
             values.add(value)
         assert len(values) == 3
 
@@ -222,7 +237,114 @@ class TestOracleMemo:
                 ia._reflected_cluster_exponent(1e6, P)
             assert calls[0] == expected_calls
         monkeypatch.undo()
-        assert ia._reflected_cluster_exponent(1e6, P) == _nested_reflected(1e6, P)
+        assert ia._reflected_cluster_exponent(1e6, P) == (
+            ia._reflected_cluster_exponent.__wrapped__(1e6, P)
+        )
+
+
+def _mp_inner(v, p, k):
+    """integral_{d_min}^{d_max} u / (1 + (u v)**alpha / k) du at 400 digits,
+    from the antiderivative (u**2 / 2) 2F1(1, 2/alpha; 1 + 2/alpha; -x(u))."""
+    with mpmath.workdps(400):
+        a, v, k = mpmath.mpf(p.alpha), mpmath.mpf(v), mpmath.mpf(k)
+
+        def antiderivative(u):
+            u = mpmath.mpf(u)
+            return u * u / 2 * mpmath.hyp2f1(1, 2 / a, 1 + 2 / a, -((u * v) ** a) / k)
+
+        return antiderivative(p.d_max) - antiderivative(p.d_min)
+
+
+def _mp_reflected(s, p):
+    """The reflected-cluster exponent at 25 digits, the inner integral from
+    the antiderivatives in 1/x(u) past x(d_min) = 1 (no cancellation)."""
+    with mpmath.workdps(25):
+        a = mpmath.mpf(p.alpha)
+        k = mpmath.mpf(s) * p.n_elements * mpmath.mpf(p.c) ** 2
+
+        def inner(v):
+            def x(u):
+                return (mpmath.mpf(u) * v) ** a / k
+
+            if v == 0 or x(p.d_min) < 1:
+                def lower(u):
+                    return mpmath.mpf(u) ** 2 / 2 * mpmath.hyp2f1(1, 2 / a, 1 + 2 / a, -x(u))
+
+                return lower(p.d_max) - lower(p.d_min)
+
+            def upper(u):  # integral from u to infinity
+                return (mpmath.mpf(u) ** 2 / ((a - 2) * x(u))
+                        * mpmath.hyp2f1(1, 1 - 2 / a, 2 - 2 / a, -1 / x(u)))
+
+            return upper(p.d_min) - upper(p.d_max)
+
+        two_pi_lr = 2 * mpmath.pi * mpmath.mpf(p.lambda_r)
+        knee = k ** (1 / a) / p.d_min
+        splits = [knee * mpmath.mpf(10) ** (e / 4) for e in range(-16, 41)]
+        return mpmath.quad(lambda v: -mpmath.expm1(-two_pi_lr * inner(v)) * v,
+                           [0, *splits, mpmath.inf])
+
+
+class TestClusterInner:
+    """The inner surface integral against a 400-digit hypergeometric reference."""
+
+    K = 1e4 * P.n_elements * P.c**2
+
+    @staticmethod
+    def _v(x1, p, k):
+        # the v at which the kernel ratio at u = d_min is x1
+        return k ** (1.0 / p.alpha) * x1 ** (1.0 / p.alpha) / p.d_min
+
+    @pytest.mark.parametrize("alpha", [2.2, 3.0, 3.7, 5.0])
+    @pytest.mark.parametrize("x1", [
+        1e-300,  # kernel 1 to rounding
+        1e-15, 1e-6, 0.5,  # both ends below 1
+        1.0 - 1e-9,  # just below 1: the upper end through its complement
+        1.0 + 1e-9, 2.0, 1e6,  # both ends through their complements
+        1e20,  # x / (1 + x) rounds to 1 at both ends
+    ])
+    def test_matches_mpmath(self, alpha, x1):
+        p = LaplaceParams(alpha=alpha)
+        v = self._v(x1, p, self.K)
+        assert ia._cluster_inner(v, p, self.K) == pytest.approx(
+            float(_mp_inner(v, p, self.K)), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [2.2, 3.0, 3.7, 5.0])
+    def test_span_across_one(self, alpha):
+        # x from far below 1 at d_min to where x / (1 + x) rounds to 1 at d_max
+        p = LaplaceParams(alpha=alpha, d_max=1e9)
+        for x1 in (1e-12, 0.9):
+            v = self._v(x1, p, self.K)
+            assert ia._cluster_inner(v, p, self.K) == pytest.approx(
+                float(_mp_inner(v, p, self.K)), rel=1e-12)
+        assert 1.0 / (1.0 + (p.d_max * v) ** alpha / self.K) < 1e-16
+
+    @pytest.mark.parametrize("alpha", [2.2, 3.0, 3.7, 5.0])
+    def test_limits_in_v(self, alpha):
+        p = LaplaceParams(alpha=alpha)
+        half_span = 0.5 * (p.d_max**2 - p.d_min**2)
+        assert ia._cluster_inner(0.0, p, self.K) == half_span
+        assert ia._cluster_inner(1e-300, p, self.K) == half_span
+        # v**alpha overflows a float: at this k the integral underflows
+        huge = 10.0 ** (320.0 / alpha)
+        with pytest.raises(OverflowError):
+            huge**alpha
+        assert 0.0 <= ia._cluster_inner(huge, p, self.K) <= 1e-300
+        # and at a large k it does not
+        k = 1e40
+        assert ia._cluster_inner(huge, p, k) == pytest.approx(
+            float(_mp_inner(huge, p, k)), rel=1e-12)
+
+
+class TestReflectedExponent:
+    @pytest.mark.parametrize("alpha", [3.0, 3.7])
+    def test_matches_mpmath(self, alpha):
+        # at alpha = 3.7 a nested quadrature whose inner integral has an
+        # absolute error floor is 2.8e-8 off here
+        p = LaplaceParams(alpha=alpha, lambda_r=1e-4, n_elements=200, d_min=1.0, d_max=1e3)
+        s = 1e4
+        assert ia._reflected_cluster_exponent.__wrapped__(s, p) == pytest.approx(
+            float(_mp_reflected(s, p)), rel=1e-10)
 
 
 class TestEmpiricalLaplace:
