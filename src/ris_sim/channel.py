@@ -37,8 +37,6 @@ class ChannelParams:
     m1: float = 2.0
     m2: float = 2.0
     n_elements: int = 200
-    power_w: float = 1e-3
-    sigma2_w: float = 1e-12
 
     def __post_init__(self):
         if not self.c > 0:
@@ -49,8 +47,6 @@ class ChannelParams:
             raise ValueError("Nakagami shapes must be at least 0.5")
         if self.n_elements < 1:
             raise ValueError("n_elements must be a positive integer")
-        if self.power_w <= 0 or self.sigma2_w < 0:
-            raise ValueError("power must be positive and noise nonnegative")
 
 
 def pathloss_constant(frequency: float, gain_tx: float = 1.0, gain_rx: float = 1.0) -> float:

@@ -4,7 +4,8 @@ the numeric validation reports.
 Commands: topology | validate-power | outage-sweep | sis-sim | r0-sweep |
 validate-laplace.  Exit codes: 0 success, 2 configuration error, 3 numeric
 validation failure (including an overflow or a failed quadrature in the
-numeric layers).  RIS_SIM_THREADS is the fallback for --threads.
+numeric layers).  No environment variable is read: --threads (default 1)
+sets the worker threads that run sis-sim's panels and r0-sweep's points.
 
 Monte Carlo ensembles feed validate-power, outage-sweep and
 validate-laplace only; r0-sweep, and the rates behind sis-sim's agents, are
@@ -336,8 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
     parser.add_argument("--trials", type=int, default=None, help="override trial count")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (fallback: RIS_SIM_THREADS)")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("topology", help="sample and export one topology")
     sub.add_parser("validate-power", help="serving-power CDF vs gamma fit")
@@ -348,14 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("RIS_SIM_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"RIS_SIM_THREADS must be an integer, got {raw!r}") from None
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -364,9 +356,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, overrides=overrides)
         if overrides:
             _log(f"overrides: {overrides}")
-        threads = args.threads
-        if threads is None:
-            threads = _env_threads()
     except ConfigError as exc:
         _log(f"configuration error: {exc}")
         return EXIT_CONFIG
@@ -382,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         "validate-laplace": cmd_validate_laplace,
     }
     try:
-        return commands[args.command](cfg, out_dir, threads)
+        return commands[args.command](cfg, out_dir, args.threads)
     except ConfigError as exc:
         _log(f"configuration error: {exc}")
         return EXIT_CONFIG

@@ -51,6 +51,11 @@ MAX_FIELD_PAIRS = 1e7
 # expected agent contact pairs of one sis-sim step call (a chunk of runs, at
 # the densest panel): the pair-sized arrays of a step stay near 160 MB each
 MAX_CONTACT_PAIRS = 1e7
+# values of one sis-sim trajectory, max(abm_ensemble_runs, 60) x (abm_steps
+# + 1): a panel's runs x steps array of infected counts, and the ODE grids of
+# the six panels at ten points per step (their CSV rows are a tenth of
+# that); each stays near 80 MB of floats
+MAX_TRAJECTORY_POINTS = 1e7
 # Nakagami hop amplitudes of one serving-power batch, trials x n_elements
 # (validate-laplace draws at least 1000 trials): each hop-sized array stays
 # near 400 MB
@@ -156,8 +161,7 @@ class ExperimentConfig:
 
     # radio parameters (powers in dBm); the path gain is pathloss_const,
     # except on a frequency sweep, which derives it from each grid carrier
-    # and the antenna gains (frequency_ghz itself is recorded, not read)
-    frequency_ghz: float = 3.0
+    # and the antenna gains
     gain_tx: float = 1.0
     gain_rx: float = 1.0
     pathloss_const: float = 6.3326e-5
@@ -184,7 +188,6 @@ class ExperimentConfig:
 
     # agent-based simulation
     abm_agents: int = 100
-    abm_x0: int = 5
     abm_steps: int = 200
     abm_ensemble_runs: int = 100
 
@@ -250,6 +253,13 @@ class ExperimentConfig:
                     f"r_i={self.r_i} and abm_agents={self.abm_agents} give {contacts:.3g} "
                     f"expected agent contact pairs per step, above {MAX_CONTACT_PAIRS:.0e}"
                 )
+            trajectory = max(self.abm_ensemble_runs, 10 * len(SIS_PANELS)) * (self.abm_steps + 1.0)
+            if not trajectory <= MAX_TRAJECTORY_POINTS:
+                raise ConfigError(
+                    f"abm_steps={self.abm_steps} and abm_ensemble_runs={self.abm_ensemble_runs} "
+                    f"give {trajectory:.3g} agent trajectory points, "
+                    f"above {MAX_TRAJECTORY_POINTS:.0e}"
+                )
             hops = float(max(self.trials, 1000)) * self.n_elements
             if not hops <= MAX_SERVING_HOPS:
                 raise ConfigError(
@@ -301,8 +311,6 @@ class ExperimentConfig:
             m1=self.m1,
             m2=self.m2,
             n_elements=self.n_elements,
-            power_w=self.power_w,
-            sigma2_w=self.sigma2_w,
         )
 
     def laplace_params(self, **overrides) -> LaplaceParams:
@@ -376,17 +384,17 @@ class ExperimentConfig:
             moved_mode=moved_mode,
         )
 
-    def abm_config(self, lambda_u: float | None = None, x0: int | None = None,
+    def abm_config(self, lambda_u: float, x0: int,
                    beta: float = 0.1, mu: float = 0.1) -> AbmConfig:
         return AbmConfig(
             n_agents=self.abm_agents,
-            x0=self.abm_x0 if x0 is None else x0,
+            x0=x0,
             r_i=self.r_i,
             beta=beta,
             mu=mu,
             steps=self.abm_steps,
             seed=self.seed,
-            lambda_u=self.lambda_u if lambda_u is None else lambda_u,
+            lambda_u=lambda_u,
             ensemble_runs=self.abm_ensemble_runs,
         )
 

@@ -261,10 +261,7 @@ def sample_ris_clusters(
     counts = rng.poisson(lambda_r / lambda_b, size=n_bs)
     total = int(counts.sum())
     parent = np.repeat(np.arange(n_bs), counts)
-    r = r_r * np.sqrt(rng.random(total))
-    theta = rng.uniform(0.0, 2.0 * math.pi, total)
-    offsets = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-    return bs[parent] + offsets, parent
+    return bs[parent] + Window("disk", radius=r_r).sample_uniform(total, rng), parent
 
 
 def associate_nearest(ue: np.ndarray, bs: np.ndarray) -> int:

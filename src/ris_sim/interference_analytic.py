@@ -37,7 +37,7 @@ is memoized: it is a pure function of a float and a frozen (hashable)
 dataclass, the cache is bounded (128 entries, more than the 50-point grids
 that evaluate both stages), and a failing quadrature raises, so a failure
 is never cached.  With the inner integral in closed form one oracle point
-costs three ``quad`` calls on average (two for the direct field, and two
+costs 3.5 ``quad`` calls on average (two for the direct field, and three
 for the reflected factor in the first stage only), 1–2 ms on a 2-vCPU
 host.
 """
@@ -257,10 +257,14 @@ def _reflected_cluster_exponent(s: float, p: LaplaceParams) -> float:
     def outer(v: float) -> float:
         return -math.expm1(-two_pi_lr * _cluster_inner(v, p, k)) * v
 
-    # knee where the kernel at u = d_min transitions; beyond it the integrand
-    # decays like v**(1-alpha)
-    knee = max(k ** (1.0 / a) / p.d_min, p.d_min)
-    return _checked_quad(outer, 0.0, knee) + _checked_quad(outer, knee, np.inf)
+    # the kernel at u = d_max and at u = d_min turns over at lo and hi: below
+    # lo the integrand is linear in v, beyond hi it decays like v**(1-alpha),
+    # and its mass can sit anywhere from lo on.  An interval much longer
+    # than the mass around it can come back with a negative integral.
+    root_k = k ** (1.0 / a)
+    lo, hi = root_k / p.d_max, root_k / p.d_min
+    return (_checked_quad(outer, 0.0, lo) + _checked_quad(outer, lo, hi)
+            + _checked_quad(outer, hi, np.inf))
 
 
 def laplace_quadrature_oracle(s: float, p: LaplaceParams, stage: str = "before") -> float:

@@ -1,7 +1,9 @@
 """Agent-based SIS simulation with random-walk mobility.
 
-Agents live in a window, walk a uniform direction and a uniform distance per
-step (reflected at the boundary), and swap between susceptible and infected.
+Agents live in a square window of area n_agents / lambda_u, so that their
+density is the user density lambda_u.  They walk a uniform direction and a
+uniform distance per step (reflected at the boundary), and swap between
+susceptible and infected.
 A susceptible agent with k infected neighbours within r_i is infected with
 probability 1 - (1 - beta)^k, the Reed-Frost chain-binomial step (the law of
 k independent Bernoulli(beta) contacts); an infected agent recovers with
@@ -43,9 +45,8 @@ _CHUNK_AGENTS = 1 << 16
 class AbmConfig:
     """Population, contact radius, per-step probabilities, and run length.
 
-    Exactly one of ``window`` or ``lambda_u`` fixes the arena: given
-    ``lambda_u``, a square window with area n_agents / lambda_u is built so
-    the agent density matches.  ``x0`` agents start infected.
+    ``lambda_u`` fixes the arena, a square window of area n_agents /
+    lambda_u.  ``x0`` agents start infected.
     """
 
     n_agents: int = 100
@@ -55,8 +56,7 @@ class AbmConfig:
     mu: float = 0.1
     steps: int = 200
     seed: int = 0
-    lambda_u: float | None = 1e-3
-    window: Window | None = None
+    lambda_u: float = 1e-3
     ensemble_runs: int = 100
 
     def __post_init__(self):
@@ -66,12 +66,10 @@ class AbmConfig:
             raise ValueError("r_i must be positive")
         if not 0 <= self.x0 <= self.n_agents:
             raise ValueError("x0 must lie in [0, n_agents]")
-        if self.window is None and self.lambda_u is None:
-            raise ValueError("either window or lambda_u must be given")
+        if not self.lambda_u > 0:
+            raise ValueError("lambda_u must be positive")
 
     def resolve_window(self) -> Window:
-        if self.window is not None:
-            return self.window
         half = 0.5 * math.sqrt(self.n_agents / self.lambda_u)
         return Window("rectangle", half_extents=(half, half))
 

@@ -35,6 +35,7 @@ import numpy as np
 from .channel import ChannelParams, sample_nakagami, sample_rayleigh
 from .geometry import (
     TopologyConfig,
+    Window,
     matern_parent_intensity,
     nearest_per_group,
     sample_mhcpp,
@@ -289,10 +290,7 @@ def _moved_interference(
         return np.bincount(trial[near], weights=power, minlength=trials)
 
     counts = rng.poisson(cfg.lambda_u * math.pi * setup.r_i**2, size=trials)
-    total = int(counts.sum())
-    r = setup.r_i * np.sqrt(rng.random(total))
-    theta = rng.uniform(0.0, 2.0 * math.pi, total)
-    positions = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    positions = Window("disk", radius=setup.r_i).sample_uniform(int(counts.sum()), rng)
     trial = np.repeat(np.arange(trials), counts)
     i = _nearest_bs_in_trial(bs, bs_start, positions, trial)
     has_bs = i >= 0

@@ -34,12 +34,12 @@ def _limit_address_space():
 
 
 def _run_cli(tmp_path: Path, config_text: str, command: str, *,
-             limit_memory: bool = False, **env_vars: str) -> subprocess.CompletedProcess:
+             limit_memory: bool = False) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, so a traceback would reach stderr;
     ``limit_memory`` caps its address space at ``ADDRESS_SPACE``."""
     cfg = _write(tmp_path, "bad.yaml", config_text)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p), **env_vars)
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
         [sys.executable, "-m", "ris_sim.cli", "--config", cfg, "--trials", "100",
          "--out", str(tmp_path / "o"), command],
@@ -79,6 +79,9 @@ class TestExitCodes:
             ("series_order: 61\n", "outage-sweep"),
             # PyYAML reads an exponent without a sign as a string
             ("sinr_threshold: 1.0e6\n", "outage-sweep"),
+            # keys no command reads
+            ("abm_x0: 5\n", "sis-sim"),
+            ("frequency_ghz: 28.0\n", "validate-power"),
         ],
     )
     def test_impossible_parameters_exit_config(self, tmp_path, text, command):
@@ -101,6 +104,9 @@ class TestExitCodes:
             ("r_i: 1.0e+5\n", "outage-sweep", "moved users per trial"),
             # 1e5 trials x 1e8 elements of Nakagami hops
             ("n_elements: 100000000\n", "validate-power", "serving-hop draws"),
+            # an 80 GB array of 100 runs x 1e8 steps of infected counts
+            ("abm_steps: 100000000\nabm_ensemble_runs: 100\nabm_agents: 10\n", "sis-sim",
+             "agent trajectory points"),
         ],
     )
     def test_draw_budgets_exit_config_under_memory_limit(self, tmp_path, text, command, reason):
@@ -131,13 +137,6 @@ class TestExitCodes:
                 "validate-power"]
         assert main(argv) == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
-
-    def test_bad_thread_variable_exits_config(self, tmp_path):
-        text = "sweep:\n  axis: ue_density\n  grid: [1.0e-3, 1.0e-2]\n"
-        proc = _run_cli(tmp_path, text, "r0-sweep", RIS_SIM_THREADS="abc")
-        assert proc.returncode == EXIT_CONFIG
-        assert "RIS_SIM_THREADS" in proc.stderr
-        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["r0-sweep", "validate-laplace"])
     def test_numeric_failure_exits_validation(self, tmp_path, command):
@@ -364,7 +363,7 @@ class TestValidatePower:
 # the numeric keys of configs/schema.md, each with a typical value
 _FLOAT_KEYS = {
     "lambda_b": 1e-5, "lambda_r": 1e-5, "lambda_u": 1e-2, "r_b": 50.0, "r_r": 10.0,
-    "window_radius": 1000.0, "frequency_ghz": 3.0, "gain_tx": 1.0, "gain_rx": 1.0,
+    "window_radius": 1000.0, "gain_tx": 1.0, "gain_rx": 1.0,
     "pathloss_const": 6.3326e-5, "alpha": 3.0, "m1": 2.0, "m2": 2.0,
     "power_dbm": -5.0, "noise_dbm": -90.0, "sinr_threshold": 1e-2,
     "d_direct": 100.0, "d_bs_ris": 30.0, "d_ris_ue": 80.0,
@@ -372,7 +371,7 @@ _FLOAT_KEYS = {
 }
 _INT_KEYS = {
     "seed": 12345, "trials": 100000, "n_elements": 200, "series_order": 0,
-    "abm_agents": 100, "abm_x0": 5, "abm_steps": 200, "abm_ensemble_runs": 100,
+    "abm_agents": 100, "abm_steps": 200, "abm_ensemble_runs": 100,
 }
 # spellings PyYAML reads as a string, a non-finite float, a bool, null, a
 # list, a mapping or an integer in another base

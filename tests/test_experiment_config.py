@@ -1,5 +1,7 @@
 """Configuration parsing, validation, and round-trip identity."""
 
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,13 @@ class TestLoading:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             load_config(text="bogus_key: 3\n")
+
+    @pytest.mark.parametrize("key", ["abm_x0", "frequency_ghz"])
+    def test_keys_no_command_read_are_rejected(self, key):
+        # each panel sets its own infected count, and only a frequency sweep
+        # (from its grid) turns a carrier into a path gain
+        with pytest.raises(ConfigError, match=key):
+            load_config(text=f"{key}: 5\n")
 
     def test_unknown_sweep_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -118,6 +127,8 @@ class TestValidation:
             # ~8e7 agent contact pairs per step at the densest sis-sim panel
             "r_i: 500.0\nabm_agents: 20000\nabm_steps: 1\nabm_ensemble_runs: 1\n",
             "abm_agents: 100000000\nr_i: 1.0e-3\n",  # 1e8 agents, few contacts
+            # 1e10 agent trajectory points (an 80 GB array of infected counts)
+            "abm_steps: 100000000\nabm_ensemble_runs: 100\nabm_agents: 10\n",
             "lambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
             "  group_by: bs_density\n  group_grid: [1.0e-5, 1.2e-4]\n",  # pairs at 1.2e-4
             "sweep:\n  axis: ue_density\n  grid: [-1.0, 1.0e-3]\n",
@@ -156,12 +167,6 @@ class TestDerived:
         assert dbm_to_watts(-90.0) == pytest.approx(1e-12)
         assert dbm_to_watts(30.0) == pytest.approx(1.0)
 
-    def test_channel_params_frequency_override(self):
-        # a configured carrier does not override the path gain: frequency_ghz
-        # is recorded only, and channel_params always takes pathloss_const
-        cfg = ExperimentConfig(frequency_ghz=6.0)
-        assert cfg.channel_params().c == cfg.pathloss_const
-
     def test_outage_params_auto_series_order(self):
         op = ExperimentConfig().outage_params()
         assert op.series_order == 6
@@ -174,3 +179,24 @@ class TestDerived:
     def test_with_overrides_ignores_none(self):
         cfg = ExperimentConfig()
         assert with_overrides(cfg, seed=None) == cfg
+
+
+class TestSchemaDoc:
+    """configs/schema.md documents exactly the keys the configuration has."""
+
+    TEXT = (Path(__file__).resolve().parents[1] / "configs" / "schema.md").read_text()
+
+    def test_top_level_keys(self):
+        # a key is documented in the first cell of a table row
+        documented = set()
+        for line in self.TEXT.splitlines():
+            if line.startswith("| `"):
+                documented.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+        expected = {f.name for f in fields(ExperimentConfig)} - {"sweep"}
+        assert documented == expected
+
+    def test_sweep_keys(self):
+        block = self.TEXT.split("```yaml\n", 1)[1].split("```", 1)[0].splitlines()
+        assert block[0] == "sweep:"
+        documented = {line.split(":")[0].strip() for line in block[1:]}
+        assert documented == {f.name for f in fields(SweepConfig)}

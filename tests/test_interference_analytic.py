@@ -117,13 +117,13 @@ class TestQuadratureOracle:
             closed = (laplace_before if stage == "before" else laplace_after)(s, P, "pgfl")
             assert abs(closed - oracle) / oracle < 1e-6
 
-    def test_failed_extrapolation_raises(self):
-        # the outer integrand's mass sits near v = 0.01 of a [0, 1.25e5]
-        # interval, and the extrapolated integral comes out negative
-        p = LaplaceParams(alpha=2.2, d_min=125187.0, d_max=1.0128476335031e13, c=0.5,
-                          n_elements=44, lambda_r=0.5)
+    def test_failed_extrapolation_raises(self, monkeypatch):
+        # a negative integral of a nonnegative integrand with a small error
+        # estimate, as QUADPACK once returned for the wide-span case of
+        # TestReflectedExponent
+        monkeypatch.setattr(ia.integrate, "quad", lambda *args, **kwargs: (-7.69e-5, 1.7e-16))
         with pytest.raises(ArithmeticError, match="quadrature failed"):
-            laplace_quadrature_oracle(1e-5, p)
+            laplace_quadrature_oracle(1e6, P)
 
     def test_affine_deviation_is_the_constant_term(self):
         # at small s the mismatch against the oracle approaches the frozen
@@ -257,7 +257,14 @@ def _mp_inner(v, p, k):
 
 def _mp_reflected(s, p):
     """The reflected-cluster exponent at 25 digits, the inner integral from
-    the antiderivatives in 1/x(u) past x(d_min) = 1 (no cancellation)."""
+    the antiderivatives in 1/x(u) past x(d_min) = 1 (no cancellation).
+
+    The outer integral is taken decade by decade up to v = 1e20 and in
+    closed form beyond, where x(u) >> 1 over [d_min, d_max] and the outer
+    integrand is linear in the inner one, 2 pi lambda_r k v**(1 - alpha)
+    (d_min**(2 - alpha) - d_max**(2 - alpha)) / (alpha - 2): at alpha near 2
+    that tail decays too slowly for a quadrature over [V, inf).
+    """
     with mpmath.workdps(25):
         a = mpmath.mpf(p.alpha)
         k = mpmath.mpf(s) * p.n_elements * mpmath.mpf(p.c) ** 2
@@ -279,10 +286,13 @@ def _mp_reflected(s, p):
             return upper(p.d_min) - upper(p.d_max)
 
         two_pi_lr = 2 * mpmath.pi * mpmath.mpf(p.lambda_r)
-        knee = k ** (1 / a) / p.d_min
-        splits = [knee * mpmath.mpf(10) ** (e / 4) for e in range(-16, 41)]
-        return mpmath.quad(lambda v: -mpmath.expm1(-two_pi_lr * inner(v)) * v,
-                           [0, *splits, mpmath.inf])
+        edges = [0] + [mpmath.mpf(10) ** e for e in range(-17, 21)]
+        body = sum(
+            mpmath.quad(lambda v: -mpmath.expm1(-two_pi_lr * inner(v)) * v, [lo, hi])
+            for lo, hi in zip(edges[:-1], edges[1:])
+        )
+        span = mpmath.mpf(p.d_min) ** (2 - a) - mpmath.mpf(p.d_max) ** (2 - a)
+        return body + two_pi_lr * k * span * edges[-1] ** (2 - a) / (a - 2) ** 2
 
 
 class TestClusterInner:
@@ -345,6 +355,16 @@ class TestReflectedExponent:
         s = 1e4
         assert ia._reflected_cluster_exponent.__wrapped__(s, p) == pytest.approx(
             float(_mp_reflected(s, p)), rel=1e-10)
+
+    def test_wide_span_matches_mpmath(self):
+        # the kernel turns over at v = 1.6e-15 (u = d_max) and 1.3e-7
+        # (u = d_min), the integrand's mass sits near v = 0.02, and its tail
+        # decays like v**-1.2; QUADPACK over all of [0, 1.25e5] returns a
+        # negative integral here
+        p = LaplaceParams(alpha=2.2, d_min=125187.0, d_max=1.0128476335031e13, c=0.5,
+                          n_elements=44, lambda_r=0.5)
+        assert ia._reflected_cluster_exponent.__wrapped__(1e-5, p) == pytest.approx(
+            float(_mp_reflected(1e-5, p)), rel=1e-10)
 
 
 class TestEmpiricalLaplace:

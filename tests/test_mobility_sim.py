@@ -145,8 +145,9 @@ class TestReedFrost:
 
     @pytest.mark.parametrize("k", range(5))
     def test_infection_frequency(self, k):
-        cfg = AbmConfig(n_agents=5, x0=4, beta=self.BETA, mu=0.5, r_i=10.0,
-                        window=Window("rectangle", half_extents=(50.0, 50.0)))
+        # 5 agents at 5e-4 per m^2: a 100 m square
+        cfg = AbmConfig(n_agents=5, x0=4, beta=self.BETA, mu=0.5, r_i=10.0, lambda_u=5e-4)
+        assert cfg.resolve_window() == Window("rectangle", half_extents=(50.0, 50.0))
         positions, infected = _layout(k)
         runs, seeds = 500, 20
         state = _state(np.tile(positions, (runs, 1)), np.tile(infected, runs))
@@ -230,7 +231,7 @@ class TestRunAbm:
         with pytest.raises(ValueError):
             AbmConfig(x0=200, n_agents=100)
         with pytest.raises(ValueError):
-            AbmConfig(lambda_u=None, window=None)
+            AbmConfig(lambda_u=0)
 
     def test_chunk_streams(self, monkeypatch):
         # two runs per chunk; chunk c places its agents from stream

@@ -31,6 +31,11 @@ from ris_sim.montecarlo import (
 )
 
 
+# transmit and noise powers of the SINR checks
+POWER_W = 1e-3
+SIGMA2_W = 1e-12
+
+
 def _setup(**kwargs):
     defaults = dict(
         topology=TopologyConfig(window=Window("disk", radius=500.0)),
@@ -67,10 +72,9 @@ def _reference_field_interference(bs, ris, ch, rng, exclude=None):
     return total
 
 
-def _sinrs(setup, stats):
-    ch = setup.channel
-    return (sinr_from_powers(stats.s0, stats.i_before, ch.power_w, ch.sigma2_w),
-            sinr_from_powers(stats.s0, stats.i_after, ch.power_w, ch.sigma2_w))
+def _sinrs(stats, sigma2_w=SIGMA2_W):
+    return (sinr_from_powers(stats.s0, stats.i_before, POWER_W, sigma2_w),
+            sinr_from_powers(stats.s0, stats.i_after, POWER_W, sigma2_w))
 
 
 class TestSimulateTrial:
@@ -79,13 +83,12 @@ class TestSimulateTrial:
     def test_sinr_identity(self):
         setup = _setup()
         stats = run_ensemble(setup, 20, seed=1)
-        sinr_b, sinr_a = _sinrs(setup, stats)
-        ch = setup.channel
+        sinr_b, sinr_a = _sinrs(stats)
         assert sinr_b == pytest.approx(
-            ch.power_w * stats.s0 / (ch.power_w * stats.i_before + ch.sigma2_w), rel=1e-12
+            POWER_W * stats.s0 / (POWER_W * stats.i_before + SIGMA2_W), rel=1e-12
         )
         assert sinr_a == pytest.approx(
-            ch.power_w * stats.s0 / (ch.power_w * stats.i_after + ch.sigma2_w), rel=1e-12
+            POWER_W * stats.s0 / (POWER_W * stats.i_after + SIGMA2_W), rel=1e-12
         )
         assert min(stats.s0.min(), stats.i_before.min(), stats.i_after.min()) >= 0.0
 
@@ -98,22 +101,20 @@ class TestSimulateTrial:
         )
         setup = _setup(topology=topo)
         stats = run_ensemble(setup, 5, seed=0)
-        sinr_b, sinr_a = _sinrs(setup, stats)
+        sinr_b, sinr_a = _sinrs(stats)
         quiet = (stats.i_before == 0.0) & (stats.i_after == 0.0)
         assert quiet.any()
         assert np.array_equal(sinr_a[quiet], sinr_b[quiet])
 
     def test_noise_dominated_limit(self):
-        ch = ChannelParams(sigma2_w=1.0)
-        setup = _setup(channel=ch)
-        stats = run_ensemble(setup, 20, seed=2)
-        sinr_b, _ = _sinrs(setup, stats)
-        assert sinr_b == pytest.approx(ch.power_w * stats.s0, rel=1e-6)
+        stats = run_ensemble(_setup(), 20, seed=2)
+        sinr_b, _ = _sinrs(stats, sigma2_w=1.0)
+        assert sinr_b == pytest.approx(POWER_W * stats.s0, rel=1e-6)
 
     def test_associated_mode_runs(self):
         setup = _setup(serving_mode="associated")
         stats = run_ensemble(setup, 20, seed=3)
-        sinr_b, sinr_a = _sinrs(setup, stats)
+        sinr_b, sinr_a = _sinrs(stats)
         assert np.all(stats.s0 > 0.0)
         assert np.all(np.isfinite(sinr_b)) and np.all(np.isfinite(sinr_a))
 
@@ -183,17 +184,15 @@ class TestEstimators:
     def test_outage_extremes(self):
         setup = _setup()
         stats = run_ensemble(setup, 2000, seed=4)
-        ch = setup.channel
-        zero = outage_from_ensemble(stats, ch.power_w, ch.sigma2_w, 0.0)
+        zero = outage_from_ensemble(stats, POWER_W, SIGMA2_W, 0.0)
         assert (zero.p_before, zero.p_after) == (0.0, 0.0)
-        huge = outage_from_ensemble(stats, ch.power_w, ch.sigma2_w, 1e12)
+        huge = outage_from_ensemble(stats, POWER_W, SIGMA2_W, 1e12)
         assert (huge.p_before, huge.p_after) == (1.0, 1.0)
 
     def test_rates_flagged_at_zero_threshold(self):
         setup = _setup()
         stats = run_ensemble(setup, 2000, seed=5)
-        ch = setup.channel
-        r = rates_from_ensemble(stats, ch.power_w, ch.sigma2_w, 0.0)
+        r = rates_from_ensemble(stats, POWER_W, SIGMA2_W, 0.0)
         assert r.beta_hat == 0.0 and r.mu_hat == 0.0
         assert math.isinf(r.r0_hat)
 
