@@ -9,12 +9,14 @@ Full-size runs (1e5 trials) take a few minutes each for the Monte Carlo
 commands; pass --quick for a 2e4-trial smoke pass.
 
 With --check nothing under results/ is written: every command runs into a
-temporary directory, and each CSV's data lines (those not starting with #,
-so the config header with its out_dir is skipped) are compared with the
-tracked file.  For each differing file the differing columns are printed
-with their largest relative difference (or the number of differing cells
-for text columns), and the exit code is 1.  The tracked results come from a
---quick pass, so use --quick --check.
+temporary directory, and each CSV is compared with the tracked file, both
+its data lines (those not starting with #) and its config header lines
+(those starting with #) except ``# out_dir:``, which names the directory,
+and ``# config_digest:``, which hashes out_dir with every other key.
+For each differing file the differing columns are printed with their
+largest relative difference (or the number of differing cells for text
+columns), and the differing header keys by name; the exit code is 1.  The
+tracked results come from a --quick pass, so use --quick --check.
 """
 
 import argparse
@@ -61,6 +63,23 @@ def _data_lines(path: Path) -> list[str]:
     return [line for line in path.read_text().splitlines() if not line.startswith("#")]
 
 
+def _header_keys(path: Path) -> dict[str, list[str]]:
+    """The config header's lines by top-level key (a nested block such as
+    the sweep goes with its key), without out_dir and the digest of it."""
+    keys: dict[str, list[str]] = {}
+    key = ""
+    for line in path.read_text().splitlines():
+        if not line.startswith("#"):
+            continue
+        body = line[2:]
+        if not body.startswith(" "):
+            key = body.split(":", 1)[0]
+        keys.setdefault(key, []).append(body)
+    keys.pop("out_dir", None)
+    keys.pop("config_digest", None)
+    return keys
+
+
 def _rel_diff(a: str, b: str) -> float | None:
     """Relative difference of two numeric cells; None if either is text."""
     try:
@@ -99,8 +118,8 @@ def _column_report(fresh: list[str], tracked: list[str]) -> list[str]:
 
 
 def _compare(fresh_root: Path) -> dict[str, list[str]]:
-    """CSVs whose data lines differ from the tracked ones, each with its
-    per-column report."""
+    """CSVs whose data or header lines differ from the tracked ones, each
+    with its per-column report and its differing header keys."""
     fresh = {p.relative_to(fresh_root) for p in fresh_root.rglob("*.csv")}
     tracked = {p.relative_to(RESULTS) for p in RESULTS.rglob("*.csv")}
     differ = {}
@@ -109,8 +128,13 @@ def _compare(fresh_root: Path) -> dict[str, list[str]]:
             differ[str(rel)] = [f"only in {'fresh run' if rel in fresh else 'results/'}"]
             continue
         a, b = _data_lines(fresh_root / rel), _data_lines(RESULTS / rel)
-        if a != b:
-            differ[str(rel)] = _column_report(a, b)
+        report = _column_report(a, b) if a != b else []
+        ha, hb = _header_keys(fresh_root / rel), _header_keys(RESULTS / rel)
+        keys = sorted(k for k in ha.keys() | hb.keys() if ha.get(k) != hb.get(k))
+        if keys:
+            report.append(f"header keys: {', '.join(keys)}")
+        if a != b or keys:
+            differ[str(rel)] = report
     return differ
 
 
@@ -133,7 +157,7 @@ def main() -> int:
             print(f"  {line}")
     if differ:
         return 1
-    print(f"all CSV data lines match results/ ({len(RUNS)} commands)")
+    print(f"all CSV data and header lines match results/ ({len(RUNS)} commands)")
     return 0
 
 

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import TextIO
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "Window",
@@ -169,6 +168,11 @@ def close_pairs(
     at once, at O(n log n) plus the number of close pairs.  Candidates are
     confirmed on the unshifted squared distances.
     """
+    # imported here so that commands which sample nothing never load
+    # scipy.spatial; the import statement takes the import lock, so sis-sim's
+    # panel threads may reach it together
+    from scipy.spatial import cKDTree
+
     half_width = window.radius if window.shape == "disk" else window.half_extents[0]
     shifted = points.copy()
     shifted[:, 0] += (2.0 * half_width + 2.0 * r) * group
@@ -312,6 +316,8 @@ def build_topology(config: TopologyConfig, rng: np.random.Generator) -> NetworkT
     n_ue, n_bs = ue.shape[0], bs.shape[0]
     serving_bs = np.full(n_ue, -1, dtype=int)
     if n_bs > 0 and n_ue > 0:
+        from scipy.spatial import cKDTree
+
         serving_bs = cKDTree(bs).query(ue)[1]
 
     serving_ris = serving_surfaces(bs, ris, ris_parent)

@@ -45,11 +45,35 @@ host.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
+
+
+def _lazy_module(name: str):
+    """Module ``name``, executed on its first attribute access (the
+    ``importlib.util.LazyLoader`` recipe); an imported one is reused."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+# scipy.integrate pulls in scipy.optimize, linalg and sparse, about 0.35 s of
+# start-up that only the oracle needs.  It stays a module attribute, looked up
+# as ``integrate.quad`` at each call, so the call can be wrapped or patched.
+# The first attribute access loads it without a lock (Python 3.11), which is
+# safe because the oracle is only ever called from one thread.
+integrate = _lazy_module("scipy.integrate")
 
 __all__ = [
     "LaplaceParams",

@@ -280,6 +280,31 @@ class TestR0Sweep:
         assert float(rows[1]["r0"]) > float(rows[0]["r0"])
 
 
+class TestStartUp:
+    # run in a fresh interpreter: the test session has imported everything
+    SCRIPT = """
+import gc, sys
+import ris_sim.cli
+import ris_sim.interference_analytic as ia
+code = ris_sim.cli.main(sys.argv[1:])
+loaded = [m for m in ("scipy.optimize", "scipy.sparse", "scipy.linalg",
+                      "scipy.spatial._ckdtree") if m in sys.modules]
+print(code, loaded, hasattr(ia, "integrate"), gc.get_freeze_count() > 0)
+"""
+
+    def test_r0_sweep_loads_no_quadrature_or_tree(self, tmp_path):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "fig6_r0_vs_ue_density.yaml"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, "--config", str(cfg), "--trials", "1000",
+             "--out", str(tmp_path / "o"), "r0-sweep"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 [] True True"
+
+
 class TestSisSim:
     SMALL = "abm_agents: 30\nabm_steps: 8\nabm_ensemble_runs: 3\n"
 
