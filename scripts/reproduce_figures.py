@@ -11,8 +11,8 @@ commands; pass --quick for a 2e4-trial smoke pass.
 With --check nothing under results/ is written: every command runs into a
 temporary directory, and each CSV is compared with the tracked file, both
 its data lines (those not starting with #) and its config header lines
-(those starting with #) except ``# out_dir:``, which names the directory,
-and ``# config_digest:``, which hashes out_dir with every other key.
+(those starting with #) except ``# out_dir:``, which names the directory;
+``# config_digest:`` hashes every other key, so it is compared too.
 For each differing file the differing columns are printed with their
 largest relative difference (or the number of differing cells for text
 columns), and the differing header keys by name; the exit code is 1.  The
@@ -65,7 +65,7 @@ def _data_lines(path: Path) -> list[str]:
 
 def _header_keys(path: Path) -> dict[str, list[str]]:
     """The config header's lines by top-level key (a nested block such as
-    the sweep goes with its key), without out_dir and the digest of it."""
+    the sweep goes with its key), without out_dir."""
     keys: dict[str, list[str]] = {}
     key = ""
     for line in path.read_text().splitlines():
@@ -76,7 +76,6 @@ def _header_keys(path: Path) -> dict[str, list[str]]:
             key = body.split(":", 1)[0]
         keys.setdefault(key, []).append(body)
     keys.pop("out_dir", None)
-    keys.pop("config_digest", None)
     return keys
 
 

@@ -4,8 +4,11 @@ the numeric validation reports.
 Commands: topology | validate-power | outage-sweep | sis-sim | r0-sweep |
 validate-laplace.  Exit codes: 0 success, 2 configuration error, 3 numeric
 validation failure (including an overflow or a failed quadrature in the
-numeric layers).  No environment variable is read: --threads (default 1)
-sets the worker threads that run sis-sim's panels and r0-sweep's points.
+numeric layers).  No environment variable is read: --threads (default 1,
+at least 1) caps the worker processes that draw the per-trial field
+interference of the Monte Carlo ensembles (outage-sweep, validate-laplace;
+see ``montecarlo.run_ensemble``) and sets the threads that run sis-sim's
+panels.  Output is byte-identical whatever its value.
 
 Monte Carlo ensembles feed validate-power, outage-sweep and
 validate-laplace only; r0-sweep, and the rates behind sis-sim's agents, are
@@ -183,7 +186,7 @@ def cmd_outage_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         _log("error: outage-sweep requires sweep axis power_dbm")
         return EXIT_CONFIG
     setup = cfg.simulation_setup()
-    stats = montecarlo.run_ensemble(setup, cfg.trials, cfg.seed)
+    stats = montecarlo.run_ensemble(setup, cfg.trials, cfg.seed, threads)
     rows = []
     for p_dbm in cfg.sweep.grid:
         res = analytic_rates(cfg.outage_params(power_dbm=p_dbm), cfg.reflected_form)
@@ -253,10 +256,9 @@ def cmd_r0_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         return EXIT_CONFIG
     groups = list(cfg.sweep.group_grid) if cfg.sweep.group_by else [None]
     points = [(a, g) for g in groups for a in cfg.sweep.grid]
-    results = _thread_map(
-        lambda p: analytic_rates(cfg.sweep_outage_params(*p), cfg.reflected_form),
-        points, threads,
-    )
+    # a few milliseconds of analytic work in all: no workers
+    results = [analytic_rates(cfg.sweep_outage_params(*p), cfg.reflected_form)
+               for p in points]
     rows = [
         (cfg.sweep.axis, axis_value, "" if group_value is None else group_value,
          res.p_o, res.p_o_prime, res.beta, res.mu, res.r0)
@@ -294,9 +296,9 @@ def cmd_validate_laplace(cfg: ExperimentConfig, out_dir: Path, threads: int) -> 
 
     setup = cfg.simulation_setup()
     mc_trials = min(max(cfg.trials, 1000), 100_000)
-    stats = montecarlo.run_ensemble(setup, mc_trials, cfg.seed)
+    stats = montecarlo.run_ensemble(setup, mc_trials, cfg.seed, threads)
     alt_stats = montecarlo.run_ensemble(
-        cfg.simulation_setup(moved_mode="cell_reflected"), mc_trials, cfg.seed + 1
+        cfg.simulation_setup(moved_mode="cell_reflected"), mc_trials, cfg.seed + 1, threads
     )
     samples = {"before": (stats.i_before, alt_stats.i_before),
                "after": (stats.i_after, alt_stats.i_after)}
@@ -345,7 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
     parser.add_argument("--trials", type=int, default=None, help="override trial count")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="worker processes for Monte Carlo ensembles, threads for sis-sim panels")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("topology", help="sample and export one topology")
     sub.add_parser("validate-power", help="serving-power CDF vs gamma fit")
@@ -358,6 +362,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.threads < 1:
+        _log(f"configuration error: --threads must be at least 1, got {args.threads}")
+        return EXIT_CONFIG
     if gc.get_freeze_count() == 0:
         # the import-time heap lives until exit: freezing it spares the
         # collector's passes over it, the one at interpreter exit included

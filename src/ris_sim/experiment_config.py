@@ -408,9 +408,7 @@ def _to_plain(obj):
 
 
 def dump_config(config: ExperimentConfig) -> str:
-    data = asdict(config)
-    data["sweep"] = asdict(config.sweep)
-    return yaml.safe_dump(_to_plain(data), sort_keys=True)
+    return yaml.safe_dump(_to_plain(asdict(config)), sort_keys=True)
 
 
 def _from_dict(data: dict) -> ExperimentConfig:
@@ -467,7 +465,11 @@ def load_config(
 
 
 def config_digest(config: ExperimentConfig) -> str:
-    return hashlib.sha256(dump_config(config).encode()).hexdigest()[:16]
+    """Hash of every key but ``out_dir``: one configuration has one digest,
+    whatever directory it writes to."""
+    data = _to_plain(asdict(config))
+    del data["out_dir"]
+    return hashlib.sha256(yaml.safe_dump(data, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def with_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:

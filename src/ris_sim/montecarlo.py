@@ -18,16 +18,26 @@ target) is implemented too and reported alongside in validation output.
 Ensembles are sampled in chunks of trials.  A chunk draws the fields, the
 serving links and the moved users of all its trials in vectorized passes
 from one generator, stream (seed, chunk + 1); only the per-topology
-interference kernel runs trial by trial.  The chunk size comes from the
-setup alone, so a trial of a full chunk has the same interference whatever
-the trial count; a partial last chunk draws fewer trials from its stream
-and differs.  Pinned serving powers are one batch over all trials from
-stream (seed, 0).
+interference kernel and its fading draws run trial by trial, from the same
+generator where the sampling left it.  The chunk size comes from the setup
+alone, so a trial of a full chunk has the same interference whatever the
+trial count; a partial last chunk draws fewer trials from its stream and
+differs.  Pinned serving powers are one batch over all trials from stream
+(seed, 0).
+
+All sampling runs in the calling process.  With ``run_ensemble(...,
+workers=n)`` and enough chunks (``pool_workers``), each chunk's per-trial
+loop runs in a fork-started worker process while the caller samples the
+next chunk; the generator travels with the loop, so the samples are
+byte-identical whatever the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +58,7 @@ __all__ = [
     "SimulationSetup",
     "EnsembleStats",
     "draw_serving_power",
+    "pool_workers",
     "run_ensemble",
     "sinr_from_powers",
     "outage_from_ensemble",
@@ -339,14 +350,14 @@ def sinr_from_powers(
     return power_w * np.asarray(s0) / (power_w * np.asarray(interference) + sigma2_w)
 
 
-def _simulate_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generator):
-    """``trials`` trials drawn from one generator.
+def _sample_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generator):
+    """Everything a chunk of ``trials`` trials samples in vectorized passes.
 
-    Returns (s0, i_before, i_after, resampled).  The fields, the associated
-    serving links and powers, and the moved users are sampled for the whole
-    chunk in vectorized passes; only the per-topology interference kernel
-    and its two fading draws run per trial.  Pinned mode leaves the serving
-    powers to the caller (s0 is None): they do not depend on the field.
+    Returns (s0, moved, resampled, loop): the associated serving powers (None
+    in pinned mode: they do not depend on the field, and the caller draws
+    them), the moved-user interference per trial, the redrawn empty fields,
+    and the arguments of ``_field_draws``, which draws the rest of the
+    chunk from the same generator, ``rng`` last among them.
     """
     ch = setup.channel
     associated = setup.serving_mode == "associated"
@@ -365,21 +376,50 @@ def _simulate_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generato
         pl_r = np.zeros(trials)
         pl_r[has] = ch.c * _bounce_length(bs[serving[has]], ris[j[has]]) ** (-ch.alpha)
         s0 = draw_serving_power(ch, pl_d, pl_r, trials, rng)
-    i_after = _moved_interference(setup, bs, bs_start, ris, serving_ris, rng)
-
+    moved = _moved_interference(setup, bs, bs_start, ris, serving_ris, rng)
     ris_start = np.searchsorted(ris_parent, bs_start)
-    i_before = np.empty(trials)
+    return s0, moved, resampled, (ch, bs, bs_start, ris, ris_start, serving, rng)
+
+
+def _field_draws(
+    ch: ChannelParams,
+    bs: np.ndarray,
+    bs_start: np.ndarray,
+    ris: np.ndarray,
+    ris_start: np.ndarray,
+    serving: np.ndarray | None,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-trial loop of a chunk: each trial's field kernel and its two
+    fading draws, before and after movement.
+
+    Trial t owns ``bs[bs_start[t]:bs_start[t + 1]]`` and
+    ``ris[ris_start[t]:ris_start[t + 1]]``; ``serving`` (associated mode)
+    indexes its serving BS in ``bs``, which the kernel leaves out.  Returns
+    (i_before, field part of i_after).
+    """
+    trials = bs_start.size - 1
+    before = np.empty(trials)
+    after = np.empty(trials)
     for t in range(trials):
         kernel = _field_kernel(
             bs[bs_start[t]:bs_start[t + 1]], ris[ris_start[t]:ris_start[t + 1]], ch,
             exclude=None if serving is None else serving[t] - bs_start[t],
         )
-        i_before[t] = _draw_field_interference(kernel, rng)
-        i_after[t] += _draw_field_interference(kernel, rng)
-    return s0, i_before, i_after, resampled
+        before[t] = _draw_field_interference(kernel, rng)
+        after[t] = _draw_field_interference(kernel, rng)
+    return before, after
 
 
-def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0) -> EnsembleStats:
+def pool_workers(threads: int, chunks: int, cpus: int) -> int:
+    """Worker processes for an ensemble of ``chunks`` chunks: at most
+    ``threads``, at most one per two chunks, at most one per usable CPU.
+    Below 2 the ensemble runs in the calling process."""
+    return min(threads, chunks // 2, cpus)
+
+
+def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
+                 workers: int = 1) -> EnsembleStats:
     """``trials`` trials, sampled in chunks from per-(seed, chunk) streams.
 
     The trials are cut into chunks of a size derived from the setup alone,
@@ -389,28 +429,73 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0) -> Ensemble
     the trial count; a partial last chunk draws differently.  The
     pinned-mode serving powers are drawn in one vectorized batch over all
     trials from stream (seed, 0) (their law does not depend on the topology).
+
+    With ``workers`` above 1 (capped by ``pool_workers``) each chunk's
+    per-trial loop runs in a fork-started worker process, handed the chunk's
+    generator where the sampling left it, while this process samples the
+    next chunk; the output is byte-identical to ``workers=1``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
     ch = setup.channel
-    resampled = 0
-
     s0 = np.empty(trials)
     i_b = np.empty(trials)
     i_a = np.empty(trials)
-
     if setup.serving_mode == "pinned":
         pl_d, pl_r = setup.link.pathloss(ch.c, ch.alpha)
         s0[:] = draw_serving_power(ch, pl_d, pl_r, trials, _stream(seed, 0))
+
     size = _chunk_trials(setup)
-    for c, start in enumerate(range(0, trials, size)):
-        stop = min(start + size, trials)
-        chunk_s0, before, after, n_resampled = _simulate_chunk(
-            setup, stop - start, _stream(seed, c + 1))
-        i_b[start:stop], i_a[start:stop] = before, after
-        if chunk_s0 is not None:
-            s0[start:stop] = chunk_s0
-        resampled += n_resampled
+    chunks = [slice(start, min(start + size, trials)) for start in range(0, trials, size)]
+    resampled = 0
+
+    def sampled():
+        """(trials, moved-user interference, ``_field_draws`` arguments) of
+        each chunk in turn."""
+        nonlocal resampled
+        for c, chunk in enumerate(chunks):
+            chunk_s0, moved, n_resampled, loop = _sample_chunk(
+                setup, chunk.stop - chunk.start, _stream(seed, c + 1))
+            if chunk_s0 is not None:
+                s0[chunk] = chunk_s0
+            resampled += n_resampled
+            yield chunk, moved, loop
+
+    def store(chunk: slice, moved: np.ndarray, drawn: tuple[np.ndarray, np.ndarray]):
+        i_b[chunk], field_after = drawn
+        i_a[chunk] = moved + field_after
+
+    workers = pool_workers(workers, len(chunks), len(os.sched_getaffinity(0)))
+    # a forked worker is a copy of this process, and a lock another thread
+    # held at the fork would stay held in it: fork only a single thread
+    if workers < 2 or threading.active_count() > 1:
+        for chunk, moved, loop in sampled():
+            store(chunk, moved, _field_draws(*loop))
+        return EnsembleStats(s0, i_b, i_a, resampled)
+
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    # forked, not spawned: a spawned worker imports numpy and scipy afresh,
+    # about 0.6 s, which is more than a small ensemble's whole loop
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        pending = deque()
+        for chunk, moved, loop in sampled():
+            pending.append((chunk, moved, pool.submit(_field_draws, *loop)))
+            # a chunk per worker in flight, plus the one sampled while they
+            # draw, bounds the chunks held in memory
+            if len(pending) > workers:
+                chunk, moved, future = pending.popleft()
+                store(chunk, moved, future.result())
+        for chunk, moved, future in pending:
+            store(chunk, moved, future.result())
+    finally:
+        # on a failure here or in a worker no queued chunk starts, and every
+        # worker has exited before the exception propagates
+        pool.shutdown(wait=True, cancel_futures=True)
     return EnsembleStats(s0, i_b, i_a, resampled)
 
 

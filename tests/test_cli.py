@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import ris_sim
 from ris_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
+from ris_sim.experiment_config import load_config
 
 SRC = str(Path(ris_sim.__file__).resolve().parents[1])
 
@@ -265,6 +266,103 @@ class TestOutageSweep:
         first = data(tmp_path / "a", "--threads", "1")
         assert data(tmp_path / "b", "--threads", "1") == first
         assert data(tmp_path / "c", "--threads", "2") == first
+
+
+
+def _two_cpus(monkeypatch):
+    """Two usable CPUs whatever the host has, so that ``--threads 2`` starts
+    workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+class TestMonteCarloWorkers:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_config(self, tmp_path, capsys, threads):
+        out = tmp_path / "o"
+        assert main(["--threads", threads, "--out", str(out), "outage-sweep"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"configuration error: --threads must be at least 1, got {threads}"]
+        assert not out.exists()
+
+    def test_outage_sweep_byte_identical_with_workers(self, tmp_path, monkeypatch):
+        from ris_sim import montecarlo
+
+        _two_cpus(monkeypatch)
+        cfg = load_config(None)
+        trials = 1600
+        chunks = -(-trials // montecarlo._chunk_trials(cfg.simulation_setup()))
+        assert chunks >= 4
+
+        def data(out, threads):
+            argv = ["--trials", str(trials), "--seed", "4", "--out", str(out),
+                    "--threads", threads, "outage-sweep"]
+            assert main(argv) == EXIT_OK
+            return _data_lines(out / "outage_sweep.csv")
+
+        assert data(tmp_path / "b", "2") == data(tmp_path / "a", "1")
+
+    def test_validate_laplace_byte_identical_with_workers(self, tmp_path, monkeypatch):
+        from ris_sim import montecarlo
+
+        _two_cpus(monkeypatch)
+        cfg = load_config(None)
+        trials = 4000
+        for moved_mode in ("network_field", "cell_reflected"):
+            setup = cfg.simulation_setup(moved_mode=moved_mode)
+            assert -(-trials // montecarlo._chunk_trials(setup)) >= 4
+
+        def data(out, threads):
+            argv = ["--trials", str(trials), "--seed", "4", "--out", str(out),
+                    "--threads", threads, "validate-laplace"]
+            assert main(argv) == EXIT_OK
+            return _data_lines(out / "laplace_validation.csv")
+
+        assert data(tmp_path / "b", "2") == data(tmp_path / "a", "1")
+
+    # a fresh interpreter, so that a traceback from the command or from a
+    # worker would reach stderr
+    FAILING_WORKER = """
+import multiprocessing, os, sys
+import ris_sim.cli
+from ris_sim import montecarlo
+
+def failing_draw(kernel, rng):
+    raise RuntimeError("draw failed in a worker")
+
+os.sched_getaffinity = lambda pid: {0, 1}
+montecarlo._draw_field_interference = failing_draw
+code = ris_sim.cli.main(sys.argv[1:])
+print(code, len(multiprocessing.active_children()))
+"""
+
+    def test_failing_worker_exits_validation_without_traceback(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.FAILING_WORKER, "--trials", "1600",
+             "--threads", "2", "--out", str(tmp_path / "o"), "outage-sweep"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{EXIT_VALIDATION} 0"
+        assert "numeric failure: RuntimeError: draw failed in a worker" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+
+class TestConfigDigest:
+    def test_one_config_into_two_directories_has_one_digest(self, tmp_path):
+        cfg = _write(tmp_path, "sweep.yaml",
+                     "sweep:\n  axis: ue_density\n  grid: [1.0e-3, 1.0e-2]\n")
+
+        def header(out):
+            assert main(["--config", cfg, "--out", str(out), "r0-sweep"]) == EXIT_OK
+            lines = (out / "r0_sweep.csv").read_text().splitlines()
+            return {line.split(":", 1)[0]: line for line in lines if line.startswith("# ")}
+
+        a, b = header(tmp_path / "a"), header(tmp_path / "b")
+        assert a["# out_dir"] != b["# out_dir"]
+        assert a["# config_digest"] == b["# config_digest"]
 
 
 class TestR0Sweep:

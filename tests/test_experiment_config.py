@@ -176,6 +176,10 @@ class TestDerived:
         assert config_digest(cfg) == config_digest(ExperimentConfig())
         assert config_digest(with_overrides(cfg, seed=99)) != config_digest(cfg)
 
+    def test_digest_ignores_out_dir(self):
+        cfg = ExperimentConfig()
+        assert config_digest(with_overrides(cfg, out_dir="elsewhere")) == config_digest(cfg)
+
     def test_with_overrides_ignores_none(self):
         cfg = ExperimentConfig()
         assert with_overrides(cfg, seed=None) == cfg

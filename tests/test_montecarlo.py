@@ -1,6 +1,10 @@
 """Monte Carlo harness: trial structure, paired estimators, reproducibility."""
 
+import concurrent.futures.process
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -373,3 +377,102 @@ class TestChunkEngine:
             own = bs[bs_start[t]:bs_start[t + 1]]
             want = -1 if own.shape[0] == 0 else bs_start[t] + associate_nearest(positions[k], own)
             assert got[k] == want
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor and records the worker counts it
+    was built with."""
+
+    built: list[int] = []
+
+    def __new__(cls, max_workers, **kwargs):
+        cls.built.append(max_workers)
+        return ProcessPoolExecutor(max_workers, **kwargs)
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Four usable CPUs whatever the host has, and a record of the pools
+    ``run_ensemble`` starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "built", [])
+    return _RecordingPool.built
+
+
+def _assert_no_children():
+    assert multiprocessing.active_children() == []
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("threads,chunks,cpus,want", [
+        (1, 100, 8, 1),   # one thread: no pool
+        (4, 100, 8, 4),
+        (4, 5, 8, 2),     # two chunks per worker at least
+        (2, 3, 8, 1),     # oracle-sized ensembles stay serial
+        (8, 100, 2, 2),   # no more workers than usable CPUs
+        (2, 1, 8, 0),
+    ])
+    def test_pool_workers_cap(self, threads, chunks, cpus, want):
+        assert montecarlo.pool_workers(threads, chunks, cpus) == want
+
+    @pytest.mark.parametrize("serving_mode", ["pinned", "associated"])
+    @pytest.mark.parametrize("moved_mode", ["network_field", "cell_reflected"])
+    def test_byte_identical_across_workers(self, small_chunks, four_cpus, serving_mode,
+                                           moved_mode):
+        setup = _setup(serving_mode=serving_mode, moved_mode=moved_mode)
+        trials = 170
+        assert trials // montecarlo._chunk_trials(setup) >= 6
+        ref = run_ensemble(setup, trials, seed=9, workers=1)
+        for workers in (1, 2, 3):
+            got = run_ensemble(setup, trials, seed=9, workers=workers)
+            for name in ("s0", "i_before", "i_after"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+            assert got.resampled == ref.resampled
+        assert four_cpus == [2, 3]
+        _assert_no_children()
+
+    def test_byte_identical_across_workers_with_resampling(self, small_chunks, four_cpus):
+        topo = TopologyConfig(lambda_b=5e-5, window=Window("disk", radius=80.0))
+        setup = _setup(topology=topo, serving_mode="associated")
+        trials = 450
+        assert trials // montecarlo._chunk_trials(setup) >= 6
+        ref = run_ensemble(setup, trials, seed=3)
+        assert ref.resampled > 0
+        for workers in (2, 3):
+            got = run_ensemble(setup, trials, seed=3, workers=workers)
+            for name in ("s0", "i_before", "i_after"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+            assert got.resampled == ref.resampled
+        assert four_cpus == [2, 3]
+
+    def test_sampling_failure_leaves_no_workers(self, small_chunks, four_cpus, monkeypatch):
+        sample_chunk = montecarlo._sample_chunk
+        calls = []
+
+        def failing_fourth_chunk(*args):
+            calls.append(None)
+            if len(calls) == 4:
+                raise RuntimeError("failed to sample a nonempty BS field after 1000 attempts")
+            return sample_chunk(*args)
+
+        monkeypatch.setattr(montecarlo, "_sample_chunk", failing_fourth_chunk)
+        with pytest.raises(RuntimeError, match="1000 attempts"):
+            run_ensemble(_setup(), 170, seed=1, workers=2)
+        assert four_cpus == [2]
+        _assert_no_children()
+
+    def test_worker_failure_leaves_no_workers(self, small_chunks, four_cpus, monkeypatch):
+        def failing_draw(kernel, rng):
+            raise RuntimeError("draw failed in a worker")
+
+        # the workers are forked after the patch, so they draw with it
+        monkeypatch.setattr(montecarlo, "_draw_field_interference", failing_draw)
+        with pytest.raises(RuntimeError, match="draw failed in a worker"):
+            run_ensemble(_setup(), 170, seed=1, workers=2)
+        assert four_cpus == [2]
+        _assert_no_children()
+
+    def test_workers_below_one_refused(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_ensemble(_setup(), 10, seed=1, workers=0)
