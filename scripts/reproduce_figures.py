@@ -5,8 +5,9 @@ Order: signal CDF validation, outage sweep, transform validation, the six
 epidemic panels, then the four propagation-intensity sweeps.  Figures 3 and
 4 use the default configuration; the rest load their dedicated files.
 
-Full-size runs (1e5 trials) take a few minutes each for the Monte Carlo
-commands; pass --quick for a 2e4-trial smoke pass.
+Every command runs with --threads set to the CPUs this process may run on,
+which changes no output byte.  The Monte Carlo commands take 5-30 s each at
+the configs' 1e5 trials; pass --quick for a 2e4-trial smoke pass.
 
 With --check nothing under results/ is written: every command runs into a
 temporary directory, and each CSV is compared with the tracked file, both
@@ -16,12 +17,14 @@ its data lines (those not starting with #) and its config header lines
 For each differing file the differing columns are printed with their
 largest relative difference (or the number of differing cells for text
 columns), and the differing header keys by name; the exit code is 1.  The
-tracked results come from a --quick pass, so use --quick --check.
+tracked results come from a full pass at the configs' trials, so compare
+with --check alone.
 """
 
 import argparse
 import csv
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -47,8 +50,10 @@ RUNS = [
 
 
 def _run_all(out_root: str, quick: bool) -> int:
+    threads = str(len(os.sched_getaffinity(0)))
     for out, config, command in RUNS:
-        argv = ["--config", str(CONFIGS / config), "--out", f"{out_root}/{out}", command]
+        argv = ["--config", str(CONFIGS / config), "--out", f"{out_root}/{out}",
+                "--threads", threads, command]
         if quick:
             argv = ["--trials", "20000"] + argv
         print(f"== ris-sim {' '.join(argv)}", flush=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TextIO
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "matern_retained_intensity",
     "matern_parent_intensity",
     "sample_ris_clusters",
-    "associate_nearest",
     "nearest_per_group",
     "serving_surfaces",
     "build_topology",
@@ -268,14 +266,6 @@ def sample_ris_clusters(
     return bs[parent] + Window("disk", radius=r_r).sample_uniform(total, rng), parent
 
 
-def associate_nearest(ue: np.ndarray, bs: np.ndarray) -> int:
-    """Index of the closest BS; ties resolve to the lowest index."""
-    if bs.shape[0] == 0:
-        raise ValueError("cannot associate against an empty BS field")
-    d2 = np.sum((bs - np.asarray(ue, dtype=float)) ** 2, axis=1)
-    return int(np.argmin(d2))
-
-
 def nearest_per_group(d2: np.ndarray, group: np.ndarray, n_groups: int) -> np.ndarray:
     """For each group 0..n_groups-1, the index of its entry with the smallest
     ``d2``, or -1 for a group with no entries.  Ties resolve to the lowest index.
@@ -324,13 +314,9 @@ def build_topology(config: TopologyConfig, rng: np.random.Generator) -> NetworkT
     return NetworkTopology(bs, ris, ris_parent, ue, serving_bs, serving_ris)
 
 
-def export_topology_csv(topology: NetworkTopology, dest: str | Path | TextIO) -> None:
-    """Write (kind, index, x, y, parent_index, serving_index) rows to a path
-    or to an open text stream."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as fh:
-            export_topology_csv(topology, fh)
-        return
+def export_topology_csv(topology: NetworkTopology, dest: TextIO) -> None:
+    """Write (kind, index, x, y, parent_index, serving_index) rows to an open
+    text stream."""
     writer = csv.writer(dest)
     writer.writerow(["kind", "index", "x", "y", "parent_index", "serving_index"])
     for i, (x, y) in enumerate(topology.bs):

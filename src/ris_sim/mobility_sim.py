@@ -104,21 +104,14 @@ class AgentState:
 
 
 def _reflect_into(window: Window, pts: np.ndarray) -> np.ndarray:
-    """Mirror points back across the boundary until they land inside."""
+    """Mirror points back across a rectangle's sides until they land inside."""
+    if window.shape != "rectangle":
+        raise ValueError(f"the walk reflects only in a rectangle, not a {window.shape}")
     out = pts.copy()
-    if window.shape == "rectangle":
-        for axis, h in enumerate(window.half_extents):
-            # triangular fold with period 4h maps any reflected walk into [-h, h]
-            y = np.mod(out[:, axis] + h, 4.0 * h)
-            out[:, axis] = np.where(y <= 2.0 * h, y - h, 3.0 * h - y)
-        return out
-    r = np.hypot(out[:, 0], out[:, 1])
-    mask = r > window.radius
-    while np.any(mask):
-        scale = (2.0 * window.radius - r[mask]) / r[mask]
-        out[mask] *= scale[:, None]
-        r = np.hypot(out[:, 0], out[:, 1])
-        mask = r > window.radius
+    for axis, h in enumerate(window.half_extents):
+        # triangular fold with period 4h maps any reflected walk into [-h, h]
+        y = np.mod(out[:, axis] + h, 4.0 * h)
+        out[:, axis] = np.where(y <= 2.0 * h, y - h, 3.0 * h - y)
     return out
 
 
@@ -126,7 +119,7 @@ def random_walk_step(
     positions: np.ndarray, window: Window, rng: np.random.Generator
 ) -> np.ndarray:
     """Displace by a uniform direction in [0, 2pi) and distance in [0, 10] m,
-    reflecting at the window boundary."""
+    reflecting at the boundary of a rectangular window."""
     pts = np.atleast_2d(np.asarray(positions, dtype=float))
     n = pts.shape[0]
     theta = rng.uniform(0.0, 2.0 * math.pi, n)

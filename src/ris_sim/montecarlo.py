@@ -266,14 +266,15 @@ def _nearest_bs_in_trial(
     bs: np.ndarray, bs_start: np.ndarray, positions: np.ndarray, trial: np.ndarray
 ) -> np.ndarray:
     """Index into ``bs`` of each position's nearest BS among its own trial's
-    BSs (ties to the lowest index, as ``associate_nearest``), or -1 when its
-    trial has no BS."""
+    BSs (ties to the lowest index), or -1 when its trial has no BS."""
     # every (position, BS of its trial) pair, the BSs in index order
     n_bs = np.diff(bs_start)[trial]
     owner = np.repeat(np.arange(trial.size), n_bs)
     pair_bs = np.arange(owner.size) + np.repeat(bs_start[trial] - (np.cumsum(n_bs) - n_bs), n_bs)
     d2 = np.sum((bs[pair_bs] - positions[owner]) ** 2, axis=1)
     nearest = nearest_per_group(d2, owner, trial.size)
+    if pair_bs.size == 0:
+        return nearest
     return np.where(nearest >= 0, pair_bs[nearest], -1)
 
 

@@ -1,5 +1,6 @@
-"""Outage probabilities via the gamma-tail derivative series, infection and
-recovery rates, interference propagation intensity, and the SIS dynamics.
+"""Outage probabilities via the gamma-tail derivative series, the infection
+and recovery rates and propagation intensity built from them, and the SIS
+dynamics.
 
 The outage series treats the serving power as gamma distributed with an
 integer (Erlang) shape; each term is a derivative at s = 1 of the product of
@@ -7,6 +8,9 @@ a noise factor and the interference transform.  Both are exp(-E(s)) for one
 exponent E(s) = a s + b s^p + c, whose Taylor series around s = 1 is written
 down directly (the s^p coefficients are binomial); the derivatives are the
 Taylor coefficients of its exponential, held in a ``Jet``.
+
+``analytic_rates`` is the one chain from the outage pair to beta, mu and
+R0 = beta / mu; it works in coverage space (``log_coverage``) throughout.
 """
 
 from __future__ import annotations
@@ -26,10 +30,6 @@ __all__ = [
     "RatesResult",
     "outage_transform_jet",
     "log_coverage",
-    "outage_probability",
-    "infection_rate",
-    "recovery_rate",
-    "propagation_intensity",
     "analytic_rates",
     "sis_ode_solve",
     "sis_equilibrium",
@@ -177,6 +177,8 @@ def log_coverage(params: OutageParams, stage: str, form: str = "affine") -> floa
     probability space would lose everything to rounding.
     """
     if params.threshold == 0.0:
+        # no outage below zero SINR; the affine form's constant offset
+        # would otherwise leak into this trivial case
         return 0.0
     shifted, level = _shifted_exponent_jet(params, stage, form)
     jet = shifted.exp()
@@ -185,45 +187,6 @@ def log_coverage(params: OutageParams, stage: str, form: str = "affine") -> floa
     if not (math.isfinite(series_sum) and series_sum > 0.0):
         raise ArithmeticError("outage series produced a non-positive or non-finite sum")
     return min(0.0, math.log(series_sum) - level)
-
-
-def outage_probability(params: OutageParams, stage: str, form: str = "affine") -> float:
-    """P_o = 1 - sum_{x<k} ((-1)^x / x!) d^x/ds^x [noise(s) L(s T/eta)] at s=1.
-
-    A zero threshold means outage below zero SINR, which is impossible, so
-    the probability is 0 by definition (short-circuited; the affine form's
-    constant offset would otherwise leak into this trivial case).
-    """
-    return -math.expm1(log_coverage(params, stage, form))
-
-
-def infection_rate(p_o: float, p_o_prime: float) -> float:
-    """beta = (1 - P_o) * P_o'."""
-    _check_probability(p_o, "p_o")
-    _check_probability(p_o_prime, "p_o_prime")
-    return (1.0 - p_o) * p_o_prime
-
-
-def recovery_rate(p_o: float, p_o_prime: float) -> float:
-    """mu = P_o * (1 - P_o')."""
-    _check_probability(p_o, "p_o")
-    _check_probability(p_o_prime, "p_o_prime")
-    return p_o * (1.0 - p_o_prime)
-
-
-def propagation_intensity(p_o: float, p_o_prime: float) -> float:
-    """R0 = beta / mu; +inf signals the supercritical-degenerate case mu = 0.
-
-    Equal outage before and after movement yields exactly 1 (movement
-    changes nothing), which also resolves the 0/0 endpoints.
-    """
-    beta = infection_rate(p_o, p_o_prime)
-    mu = recovery_rate(p_o, p_o_prime)
-    if p_o == p_o_prime:
-        return 1.0
-    if mu == 0.0:
-        return math.inf
-    return beta / mu
 
 
 @dataclass(frozen=True)
@@ -238,11 +201,13 @@ class RatesResult:
 
 
 def analytic_rates(params: OutageParams, form: str = "affine") -> RatesResult:
-    """Full chain evaluated in coverage space.
+    """Outage pair, beta = (1 - P_o) P_o', mu = P_o (1 - P_o') and
+    R0 = beta / mu, evaluated in coverage space.
 
     R0 = [cov_b (1 - cov_a)] / [(1 - cov_b) cov_a] stays well conditioned
-    even where both outage probabilities round to 1; it agrees with
-    propagation_intensity wherever the latter is representable.
+    even where both outage probabilities round to 1.  Equal coverage before
+    and after movement gives exactly 1 (movement changes nothing), and
+    mu = 0 gives +inf, the supercritical-degenerate case.
     """
     lcb = log_coverage(params, "before", form)
     lca = log_coverage(params, "after", form)
@@ -257,11 +222,6 @@ def analytic_rates(params: OutageParams, form: str = "affine") -> RatesResult:
     else:
         r0 = math.exp(lcb - lca) * p_o_prime / p_o
     return RatesResult(p_o, p_o_prime, beta, mu, r0)
-
-
-def _check_probability(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 def sis_ode_solve(

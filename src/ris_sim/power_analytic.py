@@ -1,5 +1,5 @@
 """Closed-form moments of the reflected gain and the total serving power,
-gamma moment matching, and the resulting distribution functions.
+gamma moment matching, and the resulting distribution function.
 
 The reflected gain is a sum of N independent Nakagami amplitude products;
 its first two moments are exact.  The serving power is the square of the
@@ -24,7 +24,6 @@ __all__ = [
     "gamma_fit_from_moments",
     "s0_moments",
     "s0_gamma_cdf",
-    "s0_gamma_pdf",
 ]
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0  # half-normal mean, E{|g|}
@@ -58,14 +57,6 @@ class GammaFit:
     def __post_init__(self):
         if not (self.shape > 0 and self.scale > 0):
             raise ValueError("gamma shape and scale must be positive")
-
-    @property
-    def mean(self) -> float:
-        return self.shape * self.scale
-
-    @property
-    def variance(self) -> float:
-        return self.shape * self.scale**2
 
     def raw_moment(self, k: int) -> float:
         """E{X^k} = scale^k * Gamma(shape + k) / Gamma(shape)."""
@@ -142,22 +133,3 @@ def s0_gamma_cdf(x: float | np.ndarray, fit: GammaFit) -> float | np.ndarray:
         raise ValueError(f"x must be nonnegative, got {x.min()}")
     cdf = gammainc(fit.shape, x / fit.scale)
     return float(cdf) if cdf.ndim == 0 else cdf
-
-
-def s0_gamma_pdf(x: float, fit: GammaFit) -> float:
-    """Gamma density in the shape/scale parameterization."""
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        if fit.shape > 1:
-            return 0.0
-        if fit.shape == 1:
-            return 1.0 / fit.scale
-        return math.inf
-    log_pdf = (
-        (fit.shape - 1.0) * math.log(x)
-        - x / fit.scale
-        - gammaln(fit.shape)
-        - fit.shape * math.log(fit.scale)
-    )
-    return math.exp(log_pdf)

@@ -91,6 +91,13 @@ class TestExitCodes:
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("text", ["lambda_b: 0.0\n", "window_radius: 1.0e-3\n"])
+    def test_validate_laplace_without_base_stations(self, tmp_path, text):
+        # whole chunks without a BS, their moved users served by none
+        proc = _run_cli(tmp_path, text, "validate-laplace")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_field_pair_budget_exits_config_under_memory_limit(self, tmp_path):
         # ~3e8 BS x surface pairs per trial: refused at load, not allocated
         proc = _run_cli(tmp_path, "lambda_r: 3.0\n", "outage-sweep", limit_memory=True)

@@ -10,12 +10,12 @@ from scipy import stats
 from ris_sim.geometry import (
     TopologyConfig,
     Window,
-    associate_nearest,
     build_topology,
     close_pairs,
     export_topology_csv,
     matern_parent_intensity,
     matern_retained_intensity,
+    nearest_per_group,
     sample_hppp,
     sample_mhcpp,
     sample_ris_clusters,
@@ -380,21 +380,23 @@ class TestRisClusters:
             sample_ris_clusters(np.zeros((1, 2)), 1e-5, 0.0, 10.0, _rng())
 
 
+def _nearest_bs(ue, bs):
+    """Nearest BS to ``ue`` by ``nearest_per_group`` over one group."""
+    d2 = np.sum((bs - ue) ** 2, axis=1)
+    return int(nearest_per_group(d2, np.zeros(bs.shape[0], dtype=int), 1)[0])
+
+
 class TestAssociation:
     def test_single_bs(self):
-        assert associate_nearest(np.zeros(2), np.array([[5.0, 5.0]])) == 0
+        assert _nearest_bs(np.zeros(2), np.array([[5.0, 5.0]])) == 0
 
     def test_nearest_wins(self):
         bs = np.array([[10.0, 0.0], [0.0, 5.0]])
-        assert associate_nearest(np.zeros(2), bs) == 1
+        assert _nearest_bs(np.zeros(2), bs) == 1
 
     def test_tie_breaks_low_index(self):
         bs = np.array([[5.0, 0.0], [0.0, 5.0]])
-        assert associate_nearest(np.zeros(2), bs) == 0
-
-    def test_empty_error(self):
-        with pytest.raises(ValueError):
-            associate_nearest(np.zeros(2), np.zeros((0, 2)))
+        assert _nearest_bs(np.zeros(2), bs) == 0
 
     def test_serving_ris(self):
         bs = np.array([[0.0, 0.0]])
@@ -457,7 +459,8 @@ class TestBuildTopology:
     def test_export_csv(self, tmp_path):
         topo = build_topology(self._config(), _rng(42))
         path = tmp_path / "topo.csv"
-        export_topology_csv(topo, path)
+        with open(path, "w", newline="") as fh:
+            export_topology_csv(topo, fh)
         lines = path.read_text().splitlines()
         assert lines[0] == "kind,index,x,y,parent_index,serving_index"
         kinds = {line.split(",")[0] for line in lines[1:]}
@@ -468,7 +471,8 @@ class TestBuildTopology:
     def test_export_csv_coordinates_are_plain_floats(self, tmp_path):
         topo = build_topology(self._config(), _rng(42))
         path = tmp_path / "topo.csv"
-        export_topology_csv(topo, path)
+        with open(path, "w", newline="") as fh:
+            export_topology_csv(topo, fh)
         rows = list(csv.DictReader(path.read_text().splitlines()))
         points = np.concatenate((topo.bs, topo.ris, topo.ue))
         assert [(float(r["x"]), float(r["y"])) for r in rows] == [tuple(p) for p in points]

@@ -44,12 +44,10 @@ class TestRandomWalk:
             pts = random_walk_step(pts, window, _rng(step + 10))
             assert window.contains(pts).all()
 
-    def test_reflection_keeps_points_inside_disk(self):
-        window = Window("disk", radius=12.0)
-        pts = window.sample_uniform(500, _rng(4))
-        for step in range(20):
-            pts = random_walk_step(pts, window, _rng(step + 50))
-            assert window.contains(pts).all()
+    def test_disk_window_rejected(self):
+        # the agent arena is always a rectangle (AbmConfig.resolve_window)
+        with pytest.raises(ValueError, match="rectangle"):
+            random_walk_step(np.zeros((3, 2)), Window("disk", radius=12.0), _rng(4))
 
 
 def _state(positions, infected):

@@ -15,7 +15,6 @@ from ris_sim.channel import ChannelParams
 from ris_sim.geometry import (
     TopologyConfig,
     Window,
-    associate_nearest,
     matern_parent_intensity,
     sample_mhcpp,
     sample_ris_clusters,
@@ -52,6 +51,12 @@ def _setup(**kwargs):
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _associate_nearest(ue, bs):
+    """Index of the BS closest to ``ue`` by brute force; np.argmin breaks a
+    tie to the lowest index."""
+    return int(np.argmin(np.sum((bs - ue) ** 2, axis=1)))
 
 
 def _reference_field_interference(bs, ris, ch, rng, exclude=None):
@@ -226,7 +231,7 @@ def _reference_trial(setup, rng):
     if setup.serving_mode == "pinned":
         pl_d, pl_r = setup.link.pathloss(ch.c, ch.alpha)
     else:
-        exclude = associate_nearest(np.zeros(2), bs)
+        exclude = _associate_nearest(np.zeros(2), bs)
         pl_d = ch.c * float(np.hypot(*bs[exclude])) ** (-ch.alpha)
         j = serving[exclude]
         pl_r = 0.0
@@ -250,7 +255,7 @@ def _reference_trial(setup, rng):
         for pos in np.column_stack((r * np.cos(theta), r * np.sin(theta))):
             if bs.shape[0] == 0:
                 break
-            i = associate_nearest(pos, bs)
+            i = _associate_nearest(pos, bs)
             j = serving[i]
             if j < 0:
                 continue
@@ -375,8 +380,16 @@ class TestChunkEngine:
         assert np.all(got[trial == 4] == bs_start[4])
         for k, t in enumerate(trial):
             own = bs[bs_start[t]:bs_start[t + 1]]
-            want = -1 if own.shape[0] == 0 else bs_start[t] + associate_nearest(positions[k], own)
+            want = -1 if own.shape[0] == 0 else bs_start[t] + _associate_nearest(positions[k], own)
             assert got[k] == want
+
+    def test_nearest_bs_in_a_chunk_without_bs(self):
+        # moved users in every trial, but no BS in the whole chunk
+        bs_start = np.zeros(4, dtype=int)
+        trial = np.array([0, 0, 1, 2, 2, 2])
+        got = montecarlo._nearest_bs_in_trial(
+            np.empty((0, 2)), bs_start, np.ones((trial.size, 2)), trial)
+        assert got.tolist() == [-1] * trial.size
 
 
 class _RecordingPool:

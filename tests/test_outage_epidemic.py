@@ -13,12 +13,8 @@ from ris_sim.outage_epidemic import (
     OutageParams,
     SisParams,
     analytic_rates,
-    infection_rate,
     log_coverage,
-    outage_probability,
     outage_transform_jet,
-    propagation_intensity,
-    recovery_rate,
     sis_equilibrium,
     sis_logistic_solution,
     sis_ode_solve,
@@ -32,14 +28,51 @@ def _params(power_dbm=-5.0, **laplace_overrides):
     return CFG.outage_params(power_dbm=power_dbm, **laplace_overrides)
 
 
+def _outage(params, stage, form):
+    return -math.expm1(log_coverage(params, stage, form))
+
+
+# The paper's rates in probability space, a reference for the coverage-space
+# chain of analytic_rates (as _nested_reflected is for the quadrature oracle).
+
+def _check_probability(value, name):
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+def infection_rate(p_o, p_o_prime):
+    """beta = (1 - P_o) * P_o'."""
+    _check_probability(p_o, "p_o")
+    _check_probability(p_o_prime, "p_o_prime")
+    return (1.0 - p_o) * p_o_prime
+
+
+def recovery_rate(p_o, p_o_prime):
+    """mu = P_o * (1 - P_o')."""
+    _check_probability(p_o, "p_o")
+    _check_probability(p_o_prime, "p_o_prime")
+    return p_o * (1.0 - p_o_prime)
+
+
+def propagation_intensity(p_o, p_o_prime):
+    """R0 = beta / mu; +inf where mu = 0, exactly 1 where P_o = P_o'."""
+    beta = infection_rate(p_o, p_o_prime)
+    mu = recovery_rate(p_o, p_o_prime)
+    if p_o == p_o_prime:
+        return 1.0
+    if mu == 0.0:
+        return math.inf
+    return beta / mu
+
+
 class TestOutageSeries:
     def test_zero_threshold_is_zero(self):
         p = OutageParams(
             fit=GammaFit(6.0, 1e-10), threshold=0.0, power_w=1e-3,
             sigma2_w=1e-12, laplace=LaplaceParams(),
         )
-        assert outage_probability(p, "before", "affine") == 0.0
-        assert outage_probability(p, "after", "pgfl") == 0.0
+        assert _outage(p, "before", "affine") == 0.0
+        assert _outage(p, "after", "pgfl") == 0.0
 
     def test_no_interference_no_noise(self):
         p = OutageParams(
@@ -47,7 +80,7 @@ class TestOutageSeries:
             sigma2_w=0.0, laplace=LaplaceParams(lambda_b=0.0),
         )
         for form in ("affine", "pgfl"):
-            assert outage_probability(p, "before", form) == pytest.approx(0.0, abs=1e-14)
+            assert _outage(p, "before", form) == pytest.approx(0.0, abs=1e-14)
 
     def test_series_order_bounds(self):
         with pytest.raises(ValueError):
@@ -66,8 +99,8 @@ class TestOutageSeries:
     @pytest.mark.parametrize("form", ["affine", "pgfl"])
     def test_monotone_in_power_and_stage_ordering(self, form):
         grid = [-20.0, -10.0, -5.0, 0.0, 10.0, 20.0, 30.0]
-        before = [outage_probability(_params(p), "before", form) for p in grid]
-        after = [outage_probability(_params(p), "after", form) for p in grid]
+        before = [_outage(_params(p), "before", form) for p in grid]
+        after = [_outage(_params(p), "after", form) for p in grid]
         assert all(b <= a + 1e-12 for a, b in zip(before, before[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(after, after[1:]))
         for po, pop in zip(before, after):
@@ -115,12 +148,13 @@ class TestOutageSeries:
             assert jet.derivative(3) == pytest.approx(float(fd3), rel=1e-5)
 
     def test_log_coverage_consistent_with_probability(self):
+        # the series summed in probability space from the unshifted jet:
+        # 1 - P_o = sum_{x<k} (-1)^x F^(x)(1) / x!
         p = _params(-10.0)
         for stage in ("before", "after"):
-            lc = log_coverage(p, stage, "affine")
-            assert outage_probability(p, stage, "affine") == pytest.approx(
-                -math.expm1(lc), rel=1e-12
-            )
+            coef = outage_transform_jet(p, stage, "affine").coef
+            coverage = float(np.dot((-1.0) ** np.arange(coef.size), coef))
+            assert _outage(p, stage, "affine") == pytest.approx(1.0 - coverage, rel=1e-12)
 
 
 class TestRates:
@@ -168,8 +202,8 @@ class TestRates:
     def test_analytic_rates_consistency(self):
         p = _params(-10.0)
         res = analytic_rates(p, "affine")
-        po = outage_probability(p, "before", "affine")
-        pop = outage_probability(p, "after", "affine")
+        po = _outage(p, "before", "affine")
+        pop = _outage(p, "after", "affine")
         assert res.p_o == pytest.approx(po, rel=1e-12)
         assert res.p_o_prime == pytest.approx(pop, rel=1e-12)
         assert res.beta == pytest.approx(infection_rate(po, pop), rel=1e-10)

@@ -1,10 +1,9 @@
-"""Closed-form moments, gamma matching, and distribution functions."""
+"""Closed-form moments, gamma matching, and the distribution function."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from ris_sim.power_analytic import (
     GammaFit,
@@ -12,7 +11,6 @@ from ris_sim.power_analytic import (
     gamma_fit_from_moments,
     nakagami_amplitude_mean,
     s0_gamma_cdf,
-    s0_gamma_pdf,
     s0_moments,
     sr_moments,
 )
@@ -86,7 +84,8 @@ class TestGammaFit:
 
     def test_roundtrip(self):
         fit = GammaFit(shape=6.18, scale=6.07e-11)
-        back = gamma_fit_from_moments(MomentPair(fit.mean, fit.variance + fit.mean**2))
+        mean = fit.shape * fit.scale
+        back = gamma_fit_from_moments(MomentPair(mean, mean * fit.scale + mean**2))
         assert back.shape == pytest.approx(fit.shape, rel=1e-12)
         assert back.scale == pytest.approx(fit.scale, rel=1e-12)
 
@@ -137,16 +136,6 @@ class TestDistributionFunctions:
         vals = [s0_gamma_cdf(float(x), self.FIT) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
-
-    def test_pdf_normalizes(self):
-        # quadrature in scale units to keep the integrand well ranged
-        fit = self.FIT
-
-        def pdf_scaled(y):
-            return s0_gamma_pdf(y * fit.scale, fit) * fit.scale
-
-        total, err = integrate.quad(pdf_scaled, 0.0, 60.0, limit=200)
-        assert abs(total - 1.0) < 1e-6
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
