@@ -66,4 +66,9 @@ def sample_nakagami(m: float, rng: np.random.Generator, size=None):
     """Nakagami-m amplitude with unit second moment."""
     if m < 0.5:
         raise ValueError(f"Nakagami shape must be at least 0.5, got {m}")
-    return np.sqrt(rng.gamma(shape=m, scale=1.0 / m, size=size))
+    # numpy's gamma(m, scale) is scale * standard_gamma(m): the same draws
+    if size is None:
+        return np.sqrt(rng.standard_gamma(m) * (1.0 / m))
+    amp = rng.standard_gamma(m, size)
+    amp *= 1.0 / m
+    return np.sqrt(amp, out=amp)

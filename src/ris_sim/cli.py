@@ -18,8 +18,9 @@ Every output file starts with the resolved configuration as comment lines,
 and identical seeds produce byte-identical files.
 
 Start-up loads only what every command needs: ``scipy.spatial`` is imported
-by the first call that samples points and ``scipy.integrate`` by the first
-quadrature-oracle call (validate-laplace), so r0-sweep loads neither.
+by topology alone (its nearest-neighbour queries) and ``scipy.integrate`` by
+the first quadrature-oracle call (validate-laplace), so r0-sweep loads
+neither, and outage-sweep and sis-sim load no ``scipy.spatial``.
 ``main`` freezes the import-time heap (``gc.freeze``) once per process, so
 neither the collector's passes during the run nor the one at exit walk it.
 """

@@ -155,31 +155,89 @@ def matern_parent_intensity(retained_intensity: float, r_b: float) -> float:
 
 
 def close_pairs(
-    points: np.ndarray, group: np.ndarray, window: Window, r: float
+    points: np.ndarray, group: np.ndarray, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (a, b), a < b, of points of the same group at distance at
-    most ``r`` (inclusive).
+    most ``r`` (inclusive), in no particular order.
 
-    ``points`` (n, 2) lie in ``window``; ``group`` (n,) holds nonnegative
-    ints.  Each group is shifted along x, leaving 2 ``r`` between neighbouring
-    groups, and one k-d tree query finds the candidate pairs of every group
-    at once, at O(n log n) plus the number of close pairs.  Candidates are
-    confirmed on the unshifted squared distances.
+    ``points`` is (n, 2); ``group`` (n,) holds nonnegative ints.  A cell
+    list: the points are binned on a square grid of side just over ``r``,
+    one grid per group, so a close pair lies in one cell or in two adjacent
+    ones.  Each point is compared with the later points of its own cell and
+    every point of its four forward neighbours (+x; -x+y, +y and +x+y), which
+    meets every pair once, and the candidates are confirmed on squared
+    distances.  Time and memory are O(n) plus the number of candidates.
     """
-    # imported here so that commands which sample nothing never load
-    # scipy.spatial; the import statement takes the import lock, so sis-sim's
-    # panel threads may reach it together
-    from scipy.spatial import cKDTree
+    if not r > 0:
+        raise ValueError(f"r must be positive, got {r}")
+    n = points.shape[0]
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    group = np.asarray(group, dtype=np.intp)
+    n_groups = int(group.max()) + 1
+    if n_groups > n:
+        _, group = np.unique(group, return_inverse=True)
+        n_groups = int(group.max()) + 1
+    x, y = points[:, 0].copy(), points[:, 1].copy()
+    x_lo, y_lo = x.min(), y.min()
+    # the padding keeps a pair at distance r in adjacent cells whatever the
+    # rounding of the cell coordinates
+    side = r * (1.0 + 1e-6)
+    # past its last cell each group's grid has one empty column and one
+    # empty row, so no neighbour offset reaches into the next row or group;
+    # the side is widened until the grids hold about 4 cells per point
+    span_x, span_y = float(x.max() - x_lo), float(y.max() - y_lo)
+    per_group = 4.0 * (n + n_groups) / n_groups
+    if (span_x / side + 2.0) * (span_y / side + 2.0) > per_group:
+        # the inverse side u that solves (span_x u + 2)(span_y u + 2) = per_group,
+        # in the form that stays exact when span_x span_y is tiny or 0
+        quad, lin, const = span_x * span_y, 2.0 * (span_x + span_y), 4.0 - per_group
+        u = -2.0 * const / (lin + math.sqrt(lin * lin - 4.0 * quad * const))
+        side = max(side, 1.0 / u)
+    cell_x = ((x - x_lo) / side).astype(np.intp)
+    key = ((y - y_lo) / side).astype(np.intp)
+    nx, ny = int(cell_x.max()) + 2, int(key.max()) + 2
+    key += group * ny
+    key *= nx
+    key += cell_x
+    del cell_x
+    order = np.argsort(key)
+    key, x, y = key[order], x[order], y[order]
+    # starts[c] counts the points in the cells before c
+    starts = np.bincount(key + 1, minlength=n_groups * ny * nx + 1)
+    np.cumsum(starts, out=starts)
+    # in sorted order the own cell's later points and its +x neighbour form
+    # one run, and the three cells of the row above form another
+    a0, b0 = _confirm_runs(np.arange(1, n + 1), starts[key + 2], x, y, order, r)
+    a1, b1 = _confirm_runs(starts[key + nx - 1], starts[key + nx + 2], x, y, order, r)
+    return np.concatenate((a0, a1)), np.concatenate((b0, b1))
 
-    half_width = window.radius if window.shape == "disk" else window.half_extents[0]
-    shifted = points.copy()
-    shifted[:, 0] += (2.0 * half_width + 2.0 * r) * group
-    # the padded radius covers the rounding of the shift; the confirmation
-    # below uses the unshifted coordinates
-    a, b = cKDTree(shifted).query_pairs(r * (1.0 + 1e-6), output_type="ndarray").T
-    diff = points[a] - points[b]
-    close = np.einsum("ij,ij->i", diff, diff) <= r**2
-    return a[close], b[close]
+
+def _confirm_runs(first, stop, x, y, order, r):
+    """The pairs (a, b), a < b, within ``r`` among each sorted point i and
+    the sorted points first[i] .. stop[i] - 1, as indices of the unsorted
+    points (``order`` maps sorted to unsorted)."""
+    # each index array is dropped once used: these arrays set the peak
+    # memory of a Monte Carlo chunk's Matern thinning
+    count = stop - first
+    del stop
+    i = np.repeat(np.arange(count.size), count)
+    # candidate k of point i is first[i] + k - (the candidates before i)
+    first += count
+    first -= np.cumsum(count)
+    del count
+    j = np.arange(i.size)
+    j += first[i]
+    del first
+    dx, dy = x[i], y[i]
+    dx -= x[j]
+    dy -= y[j]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    close = dx <= r**2
+    a, b = order[i[close]], order[j[close]]
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def sample_mhcpp(
@@ -223,7 +281,7 @@ def sample_mhcpp(
         return parents
     marks = rng.random(n)
     trial = np.repeat(np.arange(trials), split)
-    a, b = close_pairs(parents, trial, dilated, r_b)
+    a, b = close_pairs(parents, trial, r_b)
     loses = np.zeros(n, dtype=bool)
     loses[a[marks[a] > marks[b]]] = True
     loses[b[marks[b] > marks[a]]] = True

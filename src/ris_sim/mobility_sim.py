@@ -155,7 +155,7 @@ def abm_step(
     infected = state.infected
     infect_u = rng.random(n)
     recover_u = rng.random(n)
-    a, b = close_pairs(state.positions, np.arange(n) // config.n_agents, window, config.r_i)
+    a, b = close_pairs(state.positions, np.arange(n) // config.n_agents, config.r_i)
     k = np.bincount(a[infected[b]], minlength=n) + np.bincount(b[infected[a]], minlength=n)
     fires = infect_u < 1.0 - (1.0 - config.beta) ** k
     recovers = infected & (recover_u < config.mu)

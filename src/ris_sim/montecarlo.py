@@ -137,6 +137,8 @@ class RateEstimate:
 # Matern parents, surfaces and network-field movers sampled per chunk: bounds
 # a chunk's memory whatever the densities
 _CHUNK_POINTS = 1 << 16
+# second-hop amplitudes the serving-power draw holds at once
+_HOP_BLOCK = 1 << 16
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -331,14 +333,21 @@ def draw_serving_power(
     or length-``n`` arrays (one link per draw).  The draw order is n Rayleigh
     amplitudes, then the (n, N) first hops, then the second hops; when no
     draw has a reflected link (``pl_reflected == 0``) the hops are not drawn.
+    The second hops are drawn and multiplied in blocks of rows, in the same
+    order, so one (n, N) matrix is held rather than three.
     """
     if np.any(np.less(pl_direct, 0)) or np.any(np.less(pl_reflected, 0)):
         raise ValueError("path-loss gains must be nonnegative")
     amp = np.sqrt(pl_direct) * sample_rayleigh(rng, n)
     if np.any(np.greater(pl_reflected, 0.0)):
-        shape = (n, ch.n_elements)
-        hops = sample_nakagami(ch.m1, rng, shape) * sample_nakagami(ch.m2, rng, shape)
-        amp += np.sqrt(pl_reflected) * np.sum(hops, axis=1)
+        hops = sample_nakagami(ch.m1, rng, (n, ch.n_elements))
+        sums = np.empty(n)
+        rows = max(1, _HOP_BLOCK // ch.n_elements)
+        for start in range(0, n, rows):
+            block = hops[start:start + rows]
+            block *= sample_nakagami(ch.m2, rng, block.shape)
+            np.sum(block, axis=1, out=sums[start:start + rows])
+        amp += np.sqrt(pl_reflected) * sums
     return amp * amp
 
 

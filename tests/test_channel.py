@@ -18,6 +18,7 @@ from ris_sim.channel import (
     sample_nakagami,
     sample_rayleigh,
 )
+from ris_sim import montecarlo
 from ris_sim.montecarlo import (
     LinkGeometry,
     _draw_field_interference,
@@ -178,6 +179,26 @@ class TestServingPower:
         draws = draw_serving_power(ch, pl_d, pl_r, 20_000, _rng(6))
         expected = s0_moments(pl_d, pl_r, ch.n_elements, ch.m1, ch.m2).mean
         assert np.mean(draws) == pytest.approx(expected, rel=0.02)
+
+    def test_hop_blocks_give_the_unblocked_bytes(self):
+        # the second hops are drawn in row blocks; n is not a multiple of one
+        ch = ChannelParams(m1=1.7, m2=3.0, n_elements=50)
+        rows = montecarlo._HOP_BLOCK // ch.n_elements
+        n = 2 * rows + rows // 3
+        pl_r = np.linspace(0.0, 1e-14, n)
+        rng = _rng(8)
+        s0 = draw_serving_power(ch, 1e-10, pl_r, n, rng)
+        g, h1, h2, ref = _replay_fading(ch, n, 8)
+        amp = np.sqrt(1e-10) * g + np.sqrt(pl_r) * np.sum(h1 * h2, axis=1)
+        assert s0.tobytes() == (amp * amp).tobytes()
+        assert rng.random() == ref.random()
+        # pl_reflected == 0 everywhere: no hop is drawn
+        rng = _rng(8)
+        s0 = draw_serving_power(ch, 1e-10, np.zeros(n), n, rng)
+        ref = _rng(8)
+        amp = np.sqrt(1e-10) * ref.rayleigh(scale=math.sqrt(0.5), size=n)
+        assert s0.tobytes() == (amp * amp).tobytes()
+        assert rng.random() == ref.random()
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):

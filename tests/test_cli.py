@@ -409,6 +409,27 @@ print(code, loaded, hasattr(ia, "integrate"), gc.get_freeze_count() > 0)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 [] True True"
 
+    @pytest.mark.parametrize("command, text", [
+        ("outage-sweep", "trials: 300\n"),
+        ("sis-sim", "abm_agents: 30\nabm_steps: 8\nabm_ensemble_runs: 3\n"),
+    ])
+    def test_sampling_commands_load_no_spatial_module(self, tmp_path, command, text):
+        # both find close pairs (Matern thinning, agent contacts); only
+        # topology's nearest-neighbour queries need scipy.spatial
+        script = (
+            "import sys\nimport ris_sim.cli\ncode = ris_sim.cli.main(sys.argv[1:])\n"
+            "print(code, [m for m in sys.modules if m.startswith('scipy.spatial')])\n"
+        )
+        cfg = _write(tmp_path, "c.yaml", text)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "--config", cfg, "--out", str(tmp_path / "o"), command],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
 
 class TestSisSim:
     SMALL = "abm_agents: 30\nabm_steps: 8\nabm_ensemble_runs: 3\n"

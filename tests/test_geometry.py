@@ -2,9 +2,12 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ris_sim.geometry import (
@@ -328,30 +331,92 @@ class TestClosePairs:
         group = rng.integers(0, groups, 400)
         want = _bruteforce_pairs(points, group, 10.0)
         assert len(want) > 20
-        assert _pair_set(*close_pairs(points, group, window, 10.0)) == want
+        assert _pair_set(*close_pairs(points, group, 10.0)) == want
 
     def test_boundary_and_coincident_points(self):
         # (0, 1) and (4, 5) are exactly r apart, (0, 2) just beyond it, and
         # point 3 sits on points 0 and 4 but in a group of its own
-        window = Window("rectangle", half_extents=(20.0, 20.0))
         points = np.array([[0.0, 0.0], [3.0, 4.0], [-3.0, -4.0 - 1e-9],
                            [0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
         group = np.array([0, 0, 0, 1, 2, 2])
-        got = _pair_set(*close_pairs(points, group, window, 5.0))
+        got = _pair_set(*close_pairs(points, group, 5.0))
         assert got == {(0, 1), (4, 5)} == _bruteforce_pairs(points, group, 5.0)
 
     def test_coincident_groups_never_pair(self):
         window = Window("disk", radius=30.0)
         points = np.tile(window.sample_uniform(50, _rng(5)), (4, 1))
         group = np.repeat(np.arange(4), 50)
-        a, b = close_pairs(points, group, window, 8.0)
+        a, b = close_pairs(points, group, 8.0)
         assert a.size > 0
         assert np.all(group[a] == group[b])
         assert _pair_set(a, b) == _bruteforce_pairs(points, group, 8.0)
 
     def test_empty(self):
-        a, b = close_pairs(np.empty((0, 2)), np.empty(0, dtype=int), Window(), 5.0)
+        a, b = close_pairs(np.empty((0, 2)), np.empty(0, dtype=int), 5.0)
         assert a.size == b.size == 0
+
+    @given(
+        st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+                           st.integers(0, 4)), max_size=80),
+        st.floats(1e-3, 200.0),
+        st.sampled_from([0.0, 1e6, -1e6]),
+        st.sampled_from([1, 1000]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bruteforce_property(self, rows, r, offset, group_stride):
+        # a group stride of 1000 leaves more group ids than points
+        points = np.array([(x + offset, y) for x, y, _ in rows]).reshape(-1, 2)
+        group = np.array([g * group_stride for _, _, g in rows], dtype=int)
+        got = _pair_set(*close_pairs(points, group, r))
+        assert got == _bruteforce_pairs(points, group, r)
+
+    @pytest.mark.parametrize("r", [2.0, 0.3])
+    def test_lattice_at_spacing_r(self, r):
+        i, j = np.meshgrid(np.arange(12), np.arange(9))
+        points = np.column_stack((i.ravel() * r, j.ravel() * r))
+        group = np.zeros(points.shape[0], dtype=int)
+        got = _pair_set(*close_pairs(points, group, r))
+        assert got == _bruteforce_pairs(points, group, r)
+        if r == 2.0:
+            # every horizontal and vertical neighbour, no diagonal
+            assert len(got) == 11 * 9 + 12 * 8
+
+    def test_all_points_coincident(self):
+        points = np.tile([[3.7, -1.2]], (60, 1))
+        group = np.repeat([0, 1, 2], 20)
+        got = _pair_set(*close_pairs(points, group, 0.5))
+        assert len(got) == 3 * 20 * 19 // 2
+        assert got == _bruteforce_pairs(points, group, 0.5)
+
+    def test_r_larger_than_span(self):
+        rng = _rng(8)
+        points = rng.random((90, 2))
+        group = rng.integers(0, 3, 90)
+        got = _pair_set(*close_pairs(points, group, 10.0))
+        assert got == _bruteforce_pairs(points, group, 10.0)
+        assert len(got) == sum(k * (k - 1) // 2 for k in np.bincount(group))
+
+    def test_tiny_r_widens_the_table(self):
+        # a 1e6 span at r = 1e-3 would be 1e18 cells; the widened table
+        # stays O(n)
+        rng = _rng(9)
+        base = rng.uniform(-5e5, 5e5, (800, 2))
+        points = np.vstack((base, base[:200] + [[6e-4, 7e-4]], base[200:300] + [[0.0, 2e-3]]))
+        group = rng.integers(0, 4, points.shape[0])
+        group[800:1000] = group[:200]
+        tracemalloc.start()
+        try:
+            got = _pair_set(*close_pairs(points, group, 1e-3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert len(got) == 200
+        assert got == _bruteforce_pairs(points, group, 1e-3)
+
+    def test_r_must_be_positive(self):
+        with pytest.raises(ValueError):
+            close_pairs(np.zeros((3, 2)), np.zeros(3, dtype=int), 0.0)
 
 
 class TestRisClusters:
