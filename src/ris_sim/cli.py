@@ -17,10 +17,13 @@ the analytic chain (gamma fit, transform, outage series, beta and mu).
 Every output file starts with the resolved configuration as comment lines,
 and identical seeds produce byte-identical files.
 
-Start-up loads only what every command needs: ``scipy.spatial`` is imported
-by topology alone (its nearest-neighbour queries) and ``scipy.integrate`` by
-the first quadrature-oracle call (validate-laplace), so r0-sweep loads
-neither, and outage-sweep and sis-sim load no ``scipy.spatial``.
+Start-up loads only what the command needs: ``scipy.spatial`` is imported
+by topology alone (its nearest-neighbour queries), ``scipy.integrate`` by
+the first quadrature-oracle call (validate-laplace), ``scipy.special`` by
+``main`` for validate-power and validate-laplace alone (the incomplete gamma
+and beta functions), and ``concurrent.futures`` only to start sis-sim's
+panel threads or the ensembles' worker processes.  r0-sweep, outage-sweep
+and sis-sim load none of the three scipy subpackages.
 ``main`` freezes the import-time heap (``gc.freeze``) once per process, so
 neither the collector's passes during the run nor the one at exit walk it.
 """
@@ -33,7 +36,6 @@ import io
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +118,8 @@ def _fmt(v) -> str:
 def _thread_map(fn, items, threads: int):
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -366,6 +370,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.threads < 1:
         _log(f"configuration error: --threads must be at least 1, got {args.threads}")
         return EXIT_CONFIG
+    if args.command in ("validate-power", "validate-laplace"):
+        # they call scipy.special's incomplete gamma or beta function; the
+        # attribute lookup runs the lazily bound module now, so its import
+        # stays in set-up and under the freeze below
+        from scipy.special import gammainc  # noqa: F401
     if gc.get_freeze_count() == 0:
         # the import-time heap lives until exit: freezing it spares the
         # collector's passes over it, the one at interpreter exit included

@@ -51,7 +51,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 def _lazy_module(name: str):
@@ -69,11 +68,17 @@ def _lazy_module(name: str):
 
 
 # scipy.integrate pulls in scipy.optimize, linalg and sparse, about 0.35 s of
-# start-up that only the oracle needs.  It stays a module attribute, looked up
-# as ``integrate.quad`` at each call, so the call can be wrapped or patched.
-# The first attribute access loads it without a lock (Python 3.11), which is
-# safe because the oracle is only ever called from one thread.
+# start-up that only the oracle needs, and scipy.special (with numpy.f2py
+# behind its array-API layer) about 0.28 s that only the oracle and the
+# gamma CDF need.  They stay module attributes, looked up as
+# ``integrate.quad`` and ``special.betainc`` at each call (inside the
+# oracle's integrand too), so a call can be wrapped or patched.  The first
+# attribute access loads a module without a lock (Python 3.11), which is
+# safe because the oracle is only ever called from one thread, and because
+# ``cli.main`` loads ``special`` for the two commands that use it before any
+# thread or worker process exists.
 integrate = _lazy_module("scipy.integrate")
+special = _lazy_module("scipy.special")
 
 __all__ = [
     "LaplaceParams",

@@ -69,9 +69,11 @@ class Jet:
         if not math.isfinite(e[0]):
             raise ArithmeticError("jet exp overflowed at the constant term")
         j = np.arange(1, n)
-        for k in range(1, n):
-            # e_k = (1/k) * sum_{j=1..k} j * a_j * e_{k-j}
-            e[k] = np.dot(j[:k] * a[1 : k + 1], e[k - 1 :: -1]) / k
+        # an overflow shows as a non-finite coefficient, checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, n):
+                # e_k = (1/k) * sum_{j=1..k} j * a_j * e_{k-j}
+                e[k] = np.dot(j[:k] * a[1 : k + 1], e[k - 1 :: -1]) / k
         if not np.all(np.isfinite(e)):
             raise ArithmeticError("jet exp produced non-finite coefficients")
         return Jet(e)

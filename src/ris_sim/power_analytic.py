@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 __all__ = [
     "MomentPair",
@@ -59,15 +58,16 @@ class GammaFit:
             raise ValueError("gamma shape and scale must be positive")
 
     def raw_moment(self, k: int) -> float:
-        """E{X^k} = scale^k * Gamma(shape + k) / Gamma(shape)."""
-        return self.scale**k * math.exp(gammaln(self.shape + k) - gammaln(self.shape))
+        """E{X^k} = scale^k * Gamma(shape + k) / Gamma(shape), the rising
+        factorial shape (shape + 1) ... (shape + k - 1) times scale^k."""
+        return self.scale**k * math.prod(self.shape + i for i in range(k))
 
 
 def nakagami_amplitude_mean(m: float) -> float:
     """Mean amplitude Gamma(m + 1/2) / (Gamma(m) sqrt(m)) at unit power."""
     if m < 0.5:
         raise ValueError(f"Nakagami shape must be at least 0.5, got {m}")
-    return math.exp(gammaln(m + 0.5) - gammaln(m)) / math.sqrt(m)
+    return math.exp(math.lgamma(m + 0.5) - math.lgamma(m)) / math.sqrt(m)
 
 
 def sr_moments(n_elements: int, m1: float, m2: float) -> MomentPair:
@@ -128,6 +128,8 @@ def s0_moments(
 def s0_gamma_cdf(x: float | np.ndarray, fit: GammaFit) -> float | np.ndarray:
     """Regularized lower incomplete gamma at x / scale, element-wise for an
     array ``x`` (a float for a scalar)."""
+    from scipy.special import gammainc
+
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError(f"x must be nonnegative, got {x.min()}")

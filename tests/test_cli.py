@@ -49,6 +49,14 @@ def _run_cli(tmp_path: Path, config_text: str, command: str, *,
     )
 
 
+def _run_script(script: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def _read_rows(path: Path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     return list(csv.DictReader(lines))
@@ -157,6 +165,15 @@ class TestExitCodes:
         assert proc.returncode == EXIT_VALIDATION
         assert "numeric failure" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_jet_overflow_leaves_one_line_without_a_warning(self, tmp_path):
+        # a noise-limited link at order 60: the jet's recurrence overflows,
+        # which the finiteness check reports, not numpy
+        text = "power_dbm: -150\nnoise_dbm: 40\nseries_order: 60\n"
+        proc = _run_cli(tmp_path, text, "outage-sweep")
+        assert proc.returncode == EXIT_VALIDATION
+        assert "numeric failure: ArithmeticError" in proc.stderr
+        assert "Warning" not in proc.stderr
 
 
 class TestFailFast:
@@ -399,13 +416,8 @@ print(code, loaded, hasattr(ia, "integrate"), gc.get_freeze_count() > 0)
 
     def test_r0_sweep_loads_no_quadrature_or_tree(self, tmp_path):
         cfg = Path(__file__).resolve().parents[1] / "configs" / "fig6_r0_vs_ue_density.yaml"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, "--config", str(cfg), "--trials", "1000",
-             "--out", str(tmp_path / "o"), "r0-sweep"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _run_script(self.SCRIPT, ["--config", str(cfg), "--trials", "1000",
+                                         "--out", str(tmp_path / "o"), "r0-sweep"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 [] True True"
 
@@ -421,14 +433,50 @@ print(code, loaded, hasattr(ia, "integrate"), gc.get_freeze_count() > 0)
             "print(code, [m for m in sys.modules if m.startswith('scipy.spatial')])\n"
         )
         cfg = _write(tmp_path, "c.yaml", text)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "--config", cfg, "--out", str(tmp_path / "o"), command],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _run_script(script, ["--config", cfg, "--out", str(tmp_path / "o"), command])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
+
+    # scipy.special stays in sys.modules as an unexecuted lazy module, so its
+    # compiled _ufuncs tell whether it ran; numpy.f2py comes in behind it.
+    # concurrent.futures (and logging behind it) starts threads or workers,
+    # which --threads 1 never asks for.
+    UNUSED = ("scipy.special._ufuncs", "numpy.f2py", "concurrent.futures")
+
+    @pytest.mark.parametrize("command, text", [
+        ("outage-sweep", "trials: 300\n"),
+        ("sis-sim", "abm_agents: 30\nabm_steps: 8\nabm_ensemble_runs: 3\n"),
+        ("r0-sweep", "sweep:\n  axis: ue_density\n  grid: [1.0e-3, 1.0e-2]\n"),
+    ])
+    def test_no_special_functions_or_pool(self, tmp_path, command, text):
+        script = (
+            "import sys\nimport ris_sim.cli\ncode = ris_sim.cli.main(sys.argv[1:])\n"
+            f"print(code, [m for m in {self.UNUSED!r} if m in sys.modules])\n"
+        )
+        cfg = _write(tmp_path, "c.yaml", text)
+        proc = _run_script(script, ["--config", cfg, "--out", str(tmp_path / "o"), command])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+    @pytest.mark.parametrize("command, trials", [
+        ("validate-power", 5000), ("validate-laplace", 1000)])
+    def test_special_functions_load_in_set_up(self, tmp_path, command, trials):
+        # loaded by the time the config is, so the import counts as set-up
+        # and not as the command's work
+        script = (
+            "import sys\nimport ris_sim.cli as cli\nseen = []\n"
+            "load_config = cli.load_config\n"
+            "def stamped(*args, **kwargs):\n"
+            "    cfg = load_config(*args, **kwargs)\n"
+            "    seen.append('scipy.special._ufuncs' in sys.modules)\n"
+            "    return cfg\n"
+            "cli.load_config = stamped\n"
+            "print(cli.main(sys.argv[1:]), seen)\n"
+        )
+        cfg = _write(tmp_path, "c.yaml", f"trials: {trials}\n")
+        proc = _run_script(script, ["--config", cfg, "--out", str(tmp_path / "o"), command])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 [True]"
 
 
 class TestSisSim:

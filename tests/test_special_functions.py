@@ -1,14 +1,16 @@
 """Numerics kernel tests.
 
-The gamma special functions come from ``scipy.special``; the log-gamma and
-incomplete-gamma checks run them where the package uses them
-(``power_analytic``) against closed forms, the standard library and
-mpmath.  The outage jet's exponential, and the series it is built from, are
-checked against closed forms, mpmath Taylor coefficients and finite
-differences.
+The gamma-law moments are rising factorials and the Nakagami amplitude mean
+a log-gamma difference from the standard library (``math.lgamma``); only the
+regularized incomplete gamma comes from ``scipy.special``.  The checks run
+them where the package uses them (``power_analytic``) against exact
+rational arithmetic, closed forms, ``scipy.special`` and mpmath.  The outage
+jet's exponential, and the series it is built from, are checked against
+closed forms, mpmath Taylor coefficients and finite differences.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -33,9 +35,33 @@ def _unit(shape):
 
 class TestLnGamma:
     def test_at_one(self):
-        # unit exponential law: E{X^k} = k!
-        for k in range(5):
-            assert _unit(1.0).raw_moment(k) == pytest.approx(math.factorial(k), rel=1e-13)
+        # unit exponential law: E{X^k} = k!, exact while k! has at most 53
+        # significant bits
+        for k in range(23):
+            assert _unit(1.0).raw_moment(k) == math.factorial(k)
+
+    @given(st.floats(min_value=1e-3, max_value=1e7), st.floats(min_value=1e-12, max_value=1e3),
+           st.integers(min_value=0, max_value=8))
+    @settings(max_examples=200, deadline=None)
+    def test_rising_factorial(self, shape, scale, k):
+        # scale^k shape (shape + 1) ... (shape + k - 1) in exact rationals; the
+        # float sum and product round once each per factor, scale**k by at most
+        # one ulp
+        exact = Fraction(scale) ** k * math.prod(Fraction(shape) + i for i in range(k))
+        got = GammaFit(shape, scale).raw_moment(k)
+        assert got == pytest.approx(float(exact), rel=(2 * k + 3) * 2.0**-53)
+
+    def test_amplitude_mean_against_scipy_gammaln(self):
+        # the same log-gamma difference with scipy's gammaln: 1e-13 while the
+        # log-gammas are small; beyond, each log-gamma carries a rounding of
+        # about eps * |lgamma(m)| that the difference keeps, in both the
+        # reference and the package
+        for m in np.concatenate([np.linspace(0.5, 30.0, 300), np.geomspace(30.0, 1e6, 300)]):
+            m = float(m)
+            ref = math.exp(sps.gammaln(m + 0.5) - sps.gammaln(m)) / math.sqrt(m)
+            cancellation = 4.0 * 2.0**-52 * (abs(math.lgamma(m)) + abs(math.lgamma(m + 0.5)))
+            assert nakagami_amplitude_mean(m) == pytest.approx(
+                ref, rel=max(1e-13, cancellation)), m
 
     def test_half(self):
         # Gamma(1) / (Gamma(1/2) sqrt(1/2)) = sqrt(2 / pi)
