@@ -7,8 +7,9 @@ validation failure (including an overflow or a failed quadrature in the
 numeric layers).  No environment variable is read: --threads (default 1,
 at least 1) caps the worker processes that draw the per-trial field
 interference of the Monte Carlo ensembles (outage-sweep, validate-laplace;
-see ``montecarlo.run_ensemble``) and sets the threads that run sis-sim's
-panels.  Output is byte-identical whatever its value.
+see ``montecarlo.run_ensemble``).  The other commands run serially,
+sis-sim's six panels as one agent run (``mobility_sim.run_abm``).  Output is
+byte-identical whatever its value.
 
 Monte Carlo ensembles feed validate-power, outage-sweep and
 validate-laplace only; r0-sweep, and the rates behind sis-sim's agents, are
@@ -21,9 +22,9 @@ Start-up loads only what the command needs: ``scipy.spatial`` is imported
 by topology alone (its nearest-neighbour queries), ``scipy.integrate`` by
 the first quadrature-oracle call (validate-laplace), ``scipy.special`` by
 ``main`` for validate-power and validate-laplace alone (the incomplete gamma
-and beta functions), and ``concurrent.futures`` only to start sis-sim's
-panel threads or the ensembles' worker processes.  r0-sweep, outage-sweep
-and sis-sim load none of the three scipy subpackages.
+and beta functions), and ``concurrent.futures`` only to start the
+ensembles' worker processes.  r0-sweep, outage-sweep and sis-sim load none
+of the three scipy subpackages.
 ``main`` freezes the import-time heap (``gc.freeze``) once per process, so
 neither the collector's passes during the run nor the one at exit walk it.
 """
@@ -113,15 +114,6 @@ def _fmt(v) -> str:
     if isinstance(v, np.integer):
         return str(int(v))
     return str(v)
-
-
-def _thread_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -216,30 +208,28 @@ def cmd_outage_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 def cmd_sis_sim(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     """Six-panel interference propagation: three densities by two initial
     splits, each an ensemble-averaged agent trajectory plus the matched-rate
-    ODE trajectory."""
+    ODE trajectory.
+
+    The six agent ensembles share their seed and sizes, so one ``run_abm``
+    call advances them together on one set of draws (see ``mobility_sim``);
+    it runs serially whatever ``threads`` says."""
+    panels = []
+    for name, lam_u, infected_frac in SIS_PANELS:
+        x0 = round(infected_frac * cfg.abm_agents)
+        res = analytic_rates(cfg.outage_params(lambda_u=lam_u), cfg.reflected_form)
+        abm = cfg.abm_config(lambda_u=lam_u, x0=x0, beta=res.beta, mu=res.mu)
+        panels.append((name, lam_u, x0, res, abm))
+    trajectories = run_abm([abm for *_, abm in panels])
+
     abm_rows = []
     ode_rows = []
-
-    def one_panel(panel):
-        name, lam_u, infected_frac = panel
-        x0 = round(infected_frac * cfg.abm_agents)
-        res = analytic_rates(
-            cfg.outage_params(lambda_u=lam_u), cfg.reflected_form
-        )
-        abm = cfg.abm_config(lambda_u=lam_u, x0=x0, beta=res.beta, mu=res.mu)
-        t, mean_s, mean_x, stderr_x = run_abm(abm)
+    for (name, lam_u, x0, res, abm), (t, mean_s, mean_x, stderr_x) in zip(panels, trajectories):
+        for i in range(t.size):
+            abm_rows.append((name, lam_u, x0, t[i], mean_s[i], mean_x[i], stderr_x[i]))
         area = abm.n_agents / lam_u
         pair_rate = res.beta * math.pi * abm.r_i**2 / area
         sis = SisParams(beta=pair_rate, mu=res.mu, n_total=abm.n_agents, x0=x0)
         t_ode, s_ode, x_ode = sis_ode_solve(sis, t_end=float(abm.steps), dt=0.1)
-        return name, lam_u, x0, res, (t, mean_s, mean_x, stderr_x), (t_ode, s_ode, x_ode)
-
-    results = _thread_map(one_panel, list(SIS_PANELS), threads)
-    for name, lam_u, x0, res, abm_tr, ode_tr in results:
-        t, mean_s, mean_x, stderr_x = abm_tr
-        for i in range(t.size):
-            abm_rows.append((name, lam_u, x0, t[i], mean_s[i], mean_x[i], stderr_x[i]))
-        t_ode, s_ode, x_ode = ode_tr
         for i in range(0, t_ode.size, 10):
             ode_rows.append((name, lam_u, x0, t_ode[i], s_ode[i], x_ode[i]))
         print(
@@ -354,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker processes for Monte Carlo ensembles, threads for sis-sim panels")
+        help="worker processes for Monte Carlo ensembles (sis-sim runs serially)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("topology", help="sample and export one topology")
     sub.add_parser("validate-power", help="serving-power CDF vs gamma fit")

@@ -54,7 +54,9 @@ MAX_CONTACT_PAIRS = 1e7
 # values of one sis-sim trajectory, max(abm_ensemble_runs, 60) x (abm_steps
 # + 1): a panel's runs x steps array of infected counts, and the ODE grids of
 # the six panels at ten points per step (their CSV rows are a tenth of
-# that); each stays near 80 MB of floats
+# that).  At the bound run_abm holds all six panels' counts at once as int32
+# (240 MB) plus one panel's float64 spread temporary (80 MB); the ODE grids
+# stay near 80 MB of floats
 MAX_TRAJECTORY_POINTS = 1e7
 # Nakagami hop amplitudes of one serving-power batch, trials x n_elements
 # (validate-laplace draws at least 1000 trials): each hop-sized array stays

@@ -238,19 +238,22 @@ def sis_ode_solve(
         raise ValueError("dt and t_end must be positive")
     n_steps = int(round(t_end / dt))
     t = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    x = np.empty(n_steps + 1)
-    x[0] = p.x0
+    # Python floats: the same float64 arithmetic without numpy-scalar calls
+    beta, mu, n_total = float(p.beta), float(p.mu), float(p.n_total)
+    xi = float(p.x0)
+    x = [xi]
 
     def rhs(xv: float) -> float:
-        return p.beta * xv * (p.n_total - xv) - p.mu * xv
+        return beta * xv * (n_total - xv) - mu * xv
 
-    for i in range(n_steps):
-        xi = x[i]
+    for _ in range(n_steps):
         k1 = rhs(xi)
         k2 = rhs(xi + 0.5 * dt * k1)
         k3 = rhs(xi + 0.5 * dt * k2)
         k4 = rhs(xi + dt * k3)
-        x[i + 1] = xi + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        xi = xi + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        x.append(xi)
+    x = np.array(x)
     return t, p.n_total - x, x
 
 

@@ -458,6 +458,18 @@ print(code, loaded, hasattr(ia, "integrate"), gc.get_freeze_count() > 0)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
 
+    def test_sis_sim_starts_no_pool_at_two_threads(self, tmp_path):
+        # the six panels advance in one agent run, whatever --threads says
+        script = (
+            "import sys\nimport ris_sim.cli\ncode = ris_sim.cli.main(sys.argv[1:])\n"
+            "print(code, 'concurrent.futures' in sys.modules)\n"
+        )
+        cfg = _write(tmp_path, "c.yaml", "abm_agents: 30\nabm_steps: 8\nabm_ensemble_runs: 3\n")
+        proc = _run_script(script, ["--config", cfg, "--threads", "2",
+                                    "--out", str(tmp_path / "o"), "sis-sim"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
     @pytest.mark.parametrize("command, trials", [
         ("validate-power", 5000), ("validate-laplace", 1000)])
     def test_special_functions_load_in_set_up(self, tmp_path, command, trials):
@@ -515,6 +527,15 @@ class TestSisSim:
         first = data(tmp_path / "a", "1")
         assert data(tmp_path / "b", "1") == first
         assert data(tmp_path / "c", "2") == first
+
+    def test_figure_5_matches_tracked_results(self, tmp_path):
+        # the full Figure-5 config: 6 panels x 100 runs x 100 agents x 200 steps
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / "o"
+        cfg = str(root / "configs" / "fig5_sis_panels.yaml")
+        assert main(["--config", cfg, "--out", str(out), "sis-sim"]) == EXIT_OK
+        for name in ("sis_abm.csv", "sis_ode.csv"):
+            assert _data_lines(out / name) == _data_lines(root / "results" / "fig5" / name)
 
 
 class TestValidateLaplace:

@@ -44,6 +44,26 @@ class TestRandomWalk:
             pts = random_walk_step(pts, window, _rng(step + 10))
             assert window.contains(pts).all()
 
+    @pytest.mark.parametrize("half_extents", [(15.0, 15.0), (15.0, 4.0)])
+    def test_reflection_equals_the_fold_everywhere(self, half_extents):
+        # the fold skips np.mod for points inside; it must give the bytes of
+        # the fold applied to every point, also many periods away
+        pts = _rng(5).uniform(-200.0, 200.0, (2, 400, 2))
+        pts[:, :200] *= 0.01  # half of them inside
+        wide = Window("rectangle", half_extents=(30.0, 30.0))
+        moved = mobility_sim._reflect_into([Window("rectangle", half_extents=half_extents), wide],
+                                           pts)
+        for layer, (hx, hy) in ((0, half_extents), (1, (30.0, 30.0))):
+            for axis, h in enumerate((hx, hy)):
+                y = np.mod(pts[layer, :, axis] + h, 4.0 * h)
+                ref = np.where(y <= 2.0 * h, y - h, 3.0 * h - y)
+                assert moved[layer, :, axis].tobytes() == ref.tobytes()
+
+    def test_one_window_per_layer(self):
+        window = Window("rectangle", half_extents=(15.0, 15.0))
+        with pytest.raises(ValueError, match="2 windows for 3 layers"):
+            random_walk_step(np.zeros((3, 5, 2)), [window, window], _rng(4))
+
     def test_disk_window_rejected(self):
         # the agent arena is always a rectangle (AbmConfig.resolve_window)
         with pytest.raises(ValueError, match="rectangle"):
@@ -231,6 +251,13 @@ class TestRunAbm:
         with pytest.raises(ValueError):
             AbmConfig(lambda_u=0)
 
+    @pytest.mark.parametrize("field", ["n_agents", "steps", "ensemble_runs"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_counts_below_one_rejected(self, field, value):
+        # x0=0 keeps n_agents below one from tripping the x0 check first
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got {value}"):
+            AbmConfig(x0=0, **{field: value})
+
     def test_chunk_streams(self, monkeypatch):
         # two runs per chunk; chunk c places its agents from stream
         # (seed, c, 0) and takes step k from stream (seed, c, k + 1)
@@ -257,3 +284,78 @@ class TestRunAbm:
         assert np.array_equal(stderr_x, x_series.std(axis=1, ddof=1) / math.sqrt(3))
         assert np.allclose(mean_s + mean_x, 40.0)
         assert np.all(stderr_x[4:] > 0.0)
+
+
+def _bytes(trajectory):
+    return [a.tobytes() for a in trajectory]
+
+
+class TestRunAbmTogether:
+    """Configs advanced together in one run_abm call."""
+
+    BASE = dict(n_agents=40, r_i=10.0, steps=15, seed=21, ensemble_runs=5)
+    PANELS = ((5e-3, 5, 0.2, 0.1), (1e-2, 5, 0.3, 0.05),
+              (5e-3, 20, 0.2, 0.1), (1e-3, 0, 0.5, 0.2), (1e-2, 20, 0.1, 0.3))
+
+    def _configs(self, **base):
+        base = dict(self.BASE, **base)
+        return [AbmConfig(lambda_u=lam, x0=x0, beta=beta, mu=mu, **base)
+                for lam, x0, beta, mu in self.PANELS]
+
+    @pytest.mark.parametrize("chunk_agents", [1 << 16, 80])
+    def test_each_config_as_alone(self, monkeypatch, chunk_agents):
+        # at 80 agents a chunk holds two runs: chunks of 2, 2 and 1 run
+        monkeypatch.setattr(mobility_sim, "_CHUNK_AGENTS", chunk_agents)
+        configs = self._configs()
+        together = run_abm(configs)
+        assert len(together) == len(configs)
+        for cfg, trajectory in zip(configs, together):
+            assert _bytes(trajectory) == _bytes(run_abm(cfg))
+        assert np.all(together[2][2] >= together[0][2])  # same arena, larger x0
+
+    def test_one_run_each(self):
+        configs = self._configs(ensemble_runs=1)
+        for cfg, trajectory in zip(configs, run_abm(configs)):
+            assert np.all(np.isnan(trajectory[3]))
+            assert _bytes(trajectory) == _bytes(run_abm(cfg))
+
+    def test_a_list_of_one_is_the_single_run(self):
+        cfg = self._configs()[1]
+        (together,) = run_abm([cfg])
+        assert _bytes(together) == _bytes(run_abm(cfg))
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 22), ("n_agents", 50), ("r_i", 12.0), ("steps", 16), ("ensemble_runs", 6)])
+    def test_configs_must_share(self, field, value):
+        configs = self._configs()
+        configs[-1] = AbmConfig(**dict(vars(configs[-1]), **{field: value}))
+        with pytest.raises(ValueError, match=f"must share {field}"):
+            run_abm(configs)
+
+    def test_no_configs_rejected(self):
+        with pytest.raises(ValueError, match="no configs"):
+            run_abm([])
+
+    def test_stacked_step_counts_per_config(self):
+        configs = self._configs()[:3]
+        windows = [configs[0].resolve_window(), configs[1].resolve_window()]
+        positions = np.stack([w.sample_uniform(40, _rng(30)) for w in windows])
+        infected = np.tile(np.arange(40) < 5, (3, 1))
+        infected[2, 5:20] = True
+        state = AgentState(positions, infected)
+        new, (s, x) = abm_step(state, configs, _rng(31), windows)
+        assert new.positions.shape == (2, 40, 2) and new.infected.shape == (3, 40)
+        assert np.array_equal(x, new.infected.sum(axis=1))
+        assert np.array_equal(s + x, [40, 40, 40])
+        # row 0 and row 2 share the arena of windows[0]
+        alone, counts = abm_step(_state(positions[0], infected[2]), configs[2], _rng(31),
+                                 windows[0])
+        assert np.array_equal(alone.positions, new.positions[0])
+        assert np.array_equal(alone.infected, new.infected[2])
+        assert counts == (int(s[2]), int(x[2]))
+
+    def test_stacked_state_must_match_the_arenas(self):
+        configs = self._configs()[:3]
+        state = AgentState(np.zeros((3, 40, 2)), np.zeros((3, 40), dtype=bool))
+        with pytest.raises(ValueError, match="2 arenas and 3 configs"):
+            abm_step(state, configs, _rng(0))
