@@ -6,8 +6,9 @@ epidemic panels, then the four propagation-intensity sweeps.  Figures 3 and
 4 use the default configuration; the rest load their dedicated files.
 
 Every command runs with --threads set to the CPUs this process may run on,
-which changes no output byte.  The Monte Carlo commands take 5-30 s each at
-the configs' 1e5 trials; pass --quick for a 2e4-trial smoke pass.
+which changes no output byte, and its wall time is printed when it ends.
+The Monte Carlo commands take 2-10 s each at the configs' 1e5 trials on two
+CPUs; pass --quick for a 2e4-trial smoke pass.
 
 With --check nothing under results/ is written: every command runs into a
 temporary directory, and each CSV is compared with the tracked file, both
@@ -27,6 +28,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from ris_sim.cli import main as cli_main
@@ -57,7 +59,9 @@ def _run_all(out_root: str, quick: bool) -> int:
         if quick:
             argv = ["--trials", "20000"] + argv
         print(f"== ris-sim {' '.join(argv)}", flush=True)
+        start = time.perf_counter()
         code = cli_main(argv)
+        print(f"== {command} wall time: {time.perf_counter() - start:.2f} s", flush=True)
         if code != 0:
             print(f"command failed with exit code {code}", file=sys.stderr)
             return code

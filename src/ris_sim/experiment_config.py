@@ -236,8 +236,8 @@ class ExperimentConfig:
                     f"points of one field, above {MAX_WINDOW_POINTS:.0e}"
                 )
             area = window.area()
-            # near-user movers of one trial: a field of lambda_b * area cells
-            # (network_field mode) or the target's own cell (cell_reflected)
+            # near-user movers of one trial: a field of lambda_b * area cells,
+            # or the target's own cell (validate-laplace's cell-reflected term)
             movers = self.lambda_u * math.pi * self.r_i**2 * max(1.0, self.lambda_b * area)
             if not movers <= MAX_WINDOW_POINTS:
                 raise ConfigError(
@@ -376,14 +376,13 @@ class ExperimentConfig:
             power_dbm = axis_value
         return self.outage_params(power_dbm=power_dbm, **laplace_overrides)
 
-    def simulation_setup(self, moved_mode: str = "network_field") -> SimulationSetup:
+    def simulation_setup(self) -> SimulationSetup:
         return SimulationSetup(
             topology=self.topology_config(),
             channel=self.channel_params(),
             link=self.link_geometry(),
             r_i=self.r_i,
             serving_mode=self.serving_mode,
-            moved_mode=moved_mode,
         )
 
     def abm_config(self, lambda_u: float, x0: int,

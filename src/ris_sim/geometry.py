@@ -327,26 +327,39 @@ def sample_ris_clusters(
 def nearest_per_group(d2: np.ndarray, group: np.ndarray, n_groups: int) -> np.ndarray:
     """For each group 0..n_groups-1, the index of its entry with the smallest
     ``d2``, or -1 for a group with no entries.  Ties resolve to the lowest index.
+
+    ``group`` must be non-decreasing, so that each group's entries form one
+    run (``np.repeat`` and ``sample_ris_clusters`` give it so); ValueError
+    otherwise.  Linear in the entries: a minimum per run, then the run's
+    first entry equal to it.
     """
     nearest = np.full(n_groups, -1, dtype=int)
     if d2.size == 0:
         return nearest
-    # stable sort by (group, d2): each group's first entry is its nearest
-    order = np.lexsort((d2, group))
-    sorted_group = group[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = sorted_group[1:] != sorted_group[:-1]
-    nearest[sorted_group[first]] = order[first]
+    if np.any(group[1:] < group[:-1]):
+        raise ValueError("groups must be non-decreasing")
+    start = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+    run_length = np.diff(np.append(start, d2.size))
+    at_min = np.flatnonzero(d2 == np.repeat(np.minimum.reduceat(d2, start), run_length))
+    # at_min is sorted, so each run's first hit follows a hit of the run before
+    run = np.repeat(np.arange(start.size), run_length)[at_min]
+    first = np.concatenate(([True], run[1:] != run[:-1]))
+    nearest[group[start[run[first]]]] = at_min[first]
     return nearest
 
 
 def serving_surfaces(bs: np.ndarray, ris: np.ndarray, ris_parent: np.ndarray) -> np.ndarray:
     """Index of each BS's closest cluster child, or -1 for an empty cluster.
 
-    Ties resolve to the lowest surface index.
+    Ties resolve to the lowest surface index.  ``sample_ris_clusters``
+    returns the surfaces sorted by parent; other orders pay a stable sort.
     """
     d2 = np.sum((ris - bs[ris_parent]) ** 2, axis=1)
-    return nearest_per_group(d2, ris_parent, bs.shape[0])
+    if np.all(ris_parent[1:] >= ris_parent[:-1]):
+        return nearest_per_group(d2, ris_parent, bs.shape[0])
+    order = np.argsort(ris_parent, kind="stable")
+    nearest = nearest_per_group(d2[order], ris_parent[order], bs.shape[0])
+    return np.where(nearest >= 0, order[nearest], -1)
 
 
 def build_topology(config: TopologyConfig, rng: np.random.Generator) -> NetworkTopology:

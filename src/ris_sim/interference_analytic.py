@@ -67,16 +67,17 @@ def _lazy_module(name: str):
     return module
 
 
-# scipy.integrate pulls in scipy.optimize, linalg and sparse, about 0.35 s of
-# start-up that only the oracle needs, and scipy.special (with numpy.f2py
-# behind its array-API layer) about 0.28 s that only the oracle and the
-# gamma CDF need.  They stay module attributes, looked up as
-# ``integrate.quad`` and ``special.betainc`` at each call (inside the
-# oracle's integrand too), so a call can be wrapped or patched.  The first
-# attribute access loads a module without a lock (Python 3.11), which is
-# safe because the oracle is only ever called from one thread, and because
-# ``cli.main`` loads ``special`` for the two commands that use it before any
-# thread or worker process exists.
+# scipy.integrate pulls in scipy.optimize, linalg, sparse and spatial, about
+# 0.35 s of start-up that only the oracle needs, and scipy.special (with
+# numpy.f2py behind its array-API layer) about 0.28 s that only the oracle
+# and the gamma CDF need.  They stay module attributes, looked up as
+# ``integrate.quad`` at each call and as ``special.betainc`` once per
+# transform variable s (when the oracle builds its inner integrand), so a
+# call can be wrapped or patched.  The first attribute access loads a module
+# without a lock (Python 3.11), which is safe because the oracle is only
+# ever called from one thread, and because ``cli.main`` loads ``special``
+# for the two commands that use it before any thread or worker process
+# exists.
 integrate = _lazy_module("scipy.integrate")
 special = _lazy_module("scipy.special")
 
@@ -238,38 +239,47 @@ def _kernel_ratio(w: float, root_k: float, alpha: float) -> float:
         return math.inf
 
 
-def _cluster_inner(v: float, p: LaplaceParams, k: float) -> float:
-    """integral_{d_min}^{d_max} u / (1 + (u v)**alpha / k) du, in closed form.
+def _cluster_inner(p: LaplaceParams, k: float):
+    """The function v -> integral_{d_min}^{d_max} u / (1 + (u v)**alpha / k) du,
+    in closed form.
 
     With x = (u v)**alpha / k and t = x / (1 + x) the integral is
     k**(2/alpha) / (alpha v**2) * B(2/alpha, 1 - 2/alpha) * (I_t2 - I_t1),
     I_t = I_t(2/alpha, 1 - 2/alpha) the regularized incomplete beta
     function.  An end with x >= 1 enters through its complement
     1 - I_t = I_{1/(1+x)}(1 - 2/alpha, 2/alpha): t itself would round to 1
-    as v grows and take the difference with it.
+    as v grows and take the difference with it.  What depends on (p, k)
+    alone, B included, is computed once here, not at each of the outer
+    quadrature's evaluations.
     """
-    a = p.alpha
+    a, d_min, d_max = p.alpha, p.d_min, p.d_max
     root_k = k ** (1.0 / a)
-    x1 = _kernel_ratio(p.d_min * v, root_k, a)
-    x2 = _kernel_ratio(p.d_max * v, root_k, a)
-    if x2 < 1e-17:
-        # the kernel is 1 to rounding over the whole interval (v = 0 included)
-        return 0.5 * (p.d_max * p.d_max - p.d_min * p.d_min)
     lo, hi = 2.0 / a, 1.0 - 2.0 / a
+    beta = special.beta(lo, hi)
+    betainc, betaincc = special.betainc, special.betaincc
+    half_span = 0.5 * (d_max * d_max - d_min * d_min)
 
     def complement(x: float, w: float) -> float:
         # 1 - I_t, from 1 / (1 + x) = (root_k / w)**alpha to rounding once x overflows
         y = 1.0 / (1.0 + x) if math.isfinite(x) else (root_k / w) ** a
-        return special.betainc(hi, lo, y)
+        return betainc(hi, lo, y)
 
-    if x2 < 1.0:
-        diff = special.betainc(lo, hi, x2 / (1.0 + x2)) - special.betainc(lo, hi, x1 / (1.0 + x1))
-    elif x1 < 1.0:
-        diff = special.betaincc(lo, hi, x1 / (1.0 + x1)) - complement(x2, p.d_max * v)
-    else:
-        diff = complement(x1, p.d_min * v) - complement(x2, p.d_max * v)
-    r = root_k / v
-    return float(r * r * special.beta(lo, hi) * diff / a)
+    def inner(v: float) -> float:
+        x1 = _kernel_ratio(d_min * v, root_k, a)
+        x2 = _kernel_ratio(d_max * v, root_k, a)
+        if x2 < 1e-17:
+            # the kernel is 1 to rounding over the whole interval (v = 0 included)
+            return half_span
+        if x2 < 1.0:
+            diff = betainc(lo, hi, x2 / (1.0 + x2)) - betainc(lo, hi, x1 / (1.0 + x1))
+        elif x1 < 1.0:
+            diff = betaincc(lo, hi, x1 / (1.0 + x1)) - complement(x2, d_max * v)
+        else:
+            diff = complement(x1, d_min * v) - complement(x2, d_max * v)
+        r = root_k / v
+        return float(r * r * beta * diff / a)
+
+    return inner
 
 
 @functools.lru_cache(maxsize=128)
@@ -282,9 +292,10 @@ def _reflected_cluster_exponent(s: float, p: LaplaceParams) -> float:
         return 0.0
     a = p.alpha
     two_pi_lr = 2.0 * math.pi * p.lambda_r
+    inner = _cluster_inner(p, k)
 
     def outer(v: float) -> float:
-        return -math.expm1(-two_pi_lr * _cluster_inner(v, p, k)) * v
+        return -math.expm1(-two_pi_lr * inner(v)) * v
 
     # the kernel at u = d_max and at u = d_min turns over at lo and hi: below
     # lo the integrand is linear in v, beyond hi it decays like v**(1-alpha),

@@ -13,17 +13,22 @@ closed-form after-movement factor: a Poisson field of density
 lambda_b * lambda_u * pi * r_i**2 across the window, each point adding a
 direct-strength term.  The per-cell alternative (Poisson(lambda_u pi r_i**2)
 movers whose reflected bounce from their own serving surface reaches the
-target) is implemented too and reported alongside in validation output.
+target) is reported alongside in validation output: ``run_ensemble(...,
+cell_reflected=True)`` adds it on the same fields and the same field fading
+(common random numbers), so the two after-movement samples differ only in
+their movers.
 
 Ensembles are sampled in chunks of trials.  A chunk draws the fields, the
-serving links and the moved users of all its trials in vectorized passes
-from one generator, stream (seed, chunk + 1); only the per-topology
+serving links and the network-field movers of all its trials in vectorized
+passes from one generator, stream (seed, chunk + 1); only the per-topology
 interference kernel and its fading draws run trial by trial, from the same
-generator where the sampling left it.  The chunk size comes from the setup
+generator where the sampling left it.  The cell-reflected movers draw from
+the first child of that stream (``SeedSequence.spawn``), so asking for them
+leaves every other sample unchanged.  The chunk size comes from the setup
 alone, so a trial of a full chunk has the same interference whatever the
 trial count; a partial last chunk draws fewer trials from its stream and
 differs.  Pinned serving powers are one batch over all trials from stream
-(seed, 0).
+(seed, 0), drawn when ``EnsembleStats.s0`` is first read.
 
 All sampling runs in the calling process.  With ``run_ensemble(...,
 workers=n)`` and enough chunks (``pool_workers``), each chunk's per-trial
@@ -34,10 +39,12 @@ byte-identical whatever the worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,29 +101,40 @@ class SimulationSetup:
     link: LinkGeometry = field(default_factory=LinkGeometry)
     r_i: float = 10.0
     serving_mode: str = "pinned"
-    moved_mode: str = "network_field"
 
     def __post_init__(self):
         if self.serving_mode not in ("pinned", "associated"):
             raise ValueError(f"unknown serving mode {self.serving_mode!r}")
-        if self.moved_mode not in ("network_field", "cell_reflected"):
-            raise ValueError(f"unknown moved-interferer mode {self.moved_mode!r}")
         if not self.r_i > 0:
             raise ValueError("r_i must be positive")
 
 
 @dataclass
 class EnsembleStats:
-    """Raw per-trial samples plus bookkeeping; estimators live below."""
+    """Raw per-trial samples plus bookkeeping; estimators live below.
 
-    s0: np.ndarray
+    ``i_after_cell_reflected`` (None unless asked for) is the after-movement
+    interference with the cell-reflected movers in place of the network
+    field, on the same fields and field fading as ``i_after``.
+    """
+
     i_before: np.ndarray
     i_after: np.ndarray
     resampled: int
+    # the serving powers, or in pinned mode the call that draws them
+    serving: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
+    i_after_cell_reflected: np.ndarray | None = None
+
+    @property
+    def s0(self) -> np.ndarray:
+        """Serving power per trial; pinned ones are drawn on first access."""
+        if callable(self.serving):
+            self.serving = self.serving()
+        return self.serving
 
     @property
     def trials(self) -> int:
-        return self.s0.size
+        return self.i_before.size
 
 
 @dataclass(frozen=True)
@@ -141,8 +159,11 @@ _CHUNK_POINTS = 1 << 16
 _HOP_BLOCK = 1 << 16
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
+def _stream(seed: int, index: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
+    """Stream (seed, index), or with ``spawn_key`` its child of that key, as
+    ``SeedSequence.spawn`` would make it."""
+    seq = np.random.SeedSequence((seed, index), spawn_key=spawn_key)
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def _chunk_trials(setup: SimulationSetup) -> int:
@@ -155,8 +176,7 @@ def _chunk_trials(setup: SimulationSetup) -> int:
     area = cfg.window.area()
     points = matern_parent_intensity(cfg.lambda_b, cfg.r_b) * cfg.window.dilate(cfg.r_b).area()
     points += cfg.lambda_r * area
-    if setup.moved_mode == "network_field":
-        points += cfg.lambda_b * cfg.lambda_u * math.pi * setup.r_i**2 * area
+    points += cfg.lambda_b * cfg.lambda_u * math.pi * setup.r_i**2 * area
     return max(1, int(_CHUNK_POINTS / max(points, 1.0)))
 
 
@@ -280,29 +300,37 @@ def _nearest_bs_in_trial(
     return np.where(nearest >= 0, pair_bs[nearest], -1)
 
 
-def _moved_interference(
+def _network_field_movers(setup: SimulationSetup, trials: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Interference per trial from the network field of near movers:
+    Poisson(lambda_b lambda_u pi r_i**2) points per unit area of the window,
+    each a direct Rayleigh term."""
+    cfg, ch = setup.topology, setup.channel
+    density = cfg.lambda_b * cfg.lambda_u * math.pi * setup.r_i**2
+    counts = rng.poisson(density * cfg.window.area(), size=trials)
+    pts = cfg.window.sample_uniform(int(counts.sum()), rng)
+    trial = np.repeat(np.arange(trials), counts)
+    d = np.hypot(pts[:, 0], pts[:, 1])
+    near = d > 0
+    power = ch.c * d[near] ** (-ch.alpha) * rng.exponential(size=int(near.sum()))
+    return np.bincount(trial[near], weights=power, minlength=trials)
+
+
+def _cell_reflected_movers(
     setup: SimulationSetup,
     bs: np.ndarray,
     bs_start: np.ndarray,
     ris: np.ndarray,
-    serving_ris: np.ndarray | None,
+    serving_ris: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Extra interference from users that moved near the target, per trial
-    of a chunk laid out as ``_sample_fields`` returns it (``serving_ris`` as
-    ``serving_surfaces`` returns it; only the cell_reflected mode reads it)."""
+    """Interference per trial of a chunk laid out as ``_sample_fields``
+    returns it, from Poisson(lambda_u pi r_i**2) movers in the disk of
+    radius r_i around the target: each mover's nearest BS of its trial
+    bounces its signal off that BS's serving surface (``serving_ris`` as
+    ``serving_surfaces`` returns it) to the target."""
     cfg, ch = setup.topology, setup.channel
     trials = bs_start.size - 1
-    if setup.moved_mode == "network_field":
-        density = cfg.lambda_b * cfg.lambda_u * math.pi * setup.r_i**2
-        counts = rng.poisson(density * cfg.window.area(), size=trials)
-        pts = cfg.window.sample_uniform(int(counts.sum()), rng)
-        trial = np.repeat(np.arange(trials), counts)
-        d = np.hypot(pts[:, 0], pts[:, 1])
-        near = d > 0
-        power = ch.c * d[near] ** (-ch.alpha) * rng.exponential(size=int(near.sum()))
-        return np.bincount(trial[near], weights=power, minlength=trials)
-
     counts = rng.poisson(cfg.lambda_u * math.pi * setup.r_i**2, size=trials)
     positions = Window("disk", radius=setup.r_i).sample_uniform(int(counts.sum()), rng)
     trial = np.repeat(np.arange(trials), counts)
@@ -360,21 +388,24 @@ def sinr_from_powers(
     return power_w * np.asarray(s0) / (power_w * np.asarray(interference) + sigma2_w)
 
 
-def _sample_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generator):
+def _sample_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generator,
+                  movers_rng: np.random.Generator | None = None):
     """Everything a chunk of ``trials`` trials samples in vectorized passes.
 
     Returns (s0, moved, resampled, loop): the associated serving powers (None
     in pinned mode: they do not depend on the field, and the caller draws
     them), the moved-user interference per trial, the redrawn empty fields,
     and the arguments of ``_field_draws``, which draws the rest of the
-    chunk from the same generator, ``rng`` last among them.
+    chunk from the same generator, ``rng`` last among them.  ``moved`` holds
+    the network-field term, followed, when ``movers_rng`` is given, by the
+    cell-reflected term on the same fields, drawn from ``movers_rng`` alone.
     """
     ch = setup.channel
     associated = setup.serving_mode == "associated"
     bs, bs_start, ris, ris_parent, resampled = _sample_fields(
         setup.topology, rng, trials, nonempty=associated)
     serving_ris = None
-    if associated or setup.moved_mode == "cell_reflected":
+    if associated or movers_rng is not None:
         serving_ris = serving_surfaces(bs, ris, ris_parent)
     s0 = serving = None
     if associated:
@@ -386,7 +417,9 @@ def _sample_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generator)
         pl_r = np.zeros(trials)
         pl_r[has] = ch.c * _bounce_length(bs[serving[has]], ris[j[has]]) ** (-ch.alpha)
         s0 = draw_serving_power(ch, pl_d, pl_r, trials, rng)
-    moved = _moved_interference(setup, bs, bs_start, ris, serving_ris, rng)
+    moved = [_network_field_movers(setup, trials, rng)]
+    if movers_rng is not None:
+        moved.append(_cell_reflected_movers(setup, bs, bs_start, ris, serving_ris, movers_rng))
     ris_start = np.searchsorted(ris_parent, bs_start)
     return s0, moved, resampled, (ch, bs, bs_start, ris, ris_start, serving, rng)
 
@@ -429,7 +462,7 @@ def pool_workers(threads: int, chunks: int, cpus: int) -> int:
 
 
 def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
-                 workers: int = 1) -> EnsembleStats:
+                 workers: int = 1, cell_reflected: bool = False) -> EnsembleStats:
     """``trials`` trials, sampled in chunks from per-(seed, chunk) streams.
 
     The trials are cut into chunks of a size derived from the setup alone,
@@ -437,8 +470,13 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
     the interference of a trial in a full chunk (and its serving power in
     associated mode) depends on the seed and the trial's position, not on
     the trial count; a partial last chunk draws differently.  The
-    pinned-mode serving powers are drawn in one vectorized batch over all
-    trials from stream (seed, 0) (their law does not depend on the topology).
+    pinned-mode serving powers are one vectorized batch over all trials
+    from stream (seed, 0) (their law does not depend on the topology),
+    drawn on the first read of ``s0``.
+
+    With ``cell_reflected`` each chunk also draws the cell-reflected movers,
+    from the child stream of its own, and fills ``i_after_cell_reflected``;
+    every other sample is the same as without.
 
     With ``workers`` above 1 (capped by ``pool_workers``) each chunk's
     per-trial loop runs in a fork-started worker process, handed the chunk's
@@ -450,32 +488,40 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
     if workers < 1:
         raise ValueError("workers must be positive")
     ch = setup.channel
-    s0 = np.empty(trials)
     i_b = np.empty(trials)
-    i_a = np.empty(trials)
+    # after movement, one row per moved-user term
+    i_a = np.empty((1 + cell_reflected, trials))
     if setup.serving_mode == "pinned":
         pl_d, pl_r = setup.link.pathloss(ch.c, ch.alpha)
-        s0[:] = draw_serving_power(ch, pl_d, pl_r, trials, _stream(seed, 0))
+        serving = functools.partial(draw_serving_power, ch, pl_d, pl_r, trials, _stream(seed, 0))
+    else:
+        serving = np.empty(trials)
 
     size = _chunk_trials(setup)
     chunks = [slice(start, min(start + size, trials)) for start in range(0, trials, size)]
     resampled = 0
 
     def sampled():
-        """(trials, moved-user interference, ``_field_draws`` arguments) of
-        each chunk in turn."""
+        """(trials, moved-user terms, ``_field_draws`` arguments) of each
+        chunk in turn."""
         nonlocal resampled
         for c, chunk in enumerate(chunks):
+            movers = _stream(seed, c + 1, (0,)) if cell_reflected else None
             chunk_s0, moved, n_resampled, loop = _sample_chunk(
-                setup, chunk.stop - chunk.start, _stream(seed, c + 1))
+                setup, chunk.stop - chunk.start, _stream(seed, c + 1), movers)
             if chunk_s0 is not None:
-                s0[chunk] = chunk_s0
+                serving[chunk] = chunk_s0
             resampled += n_resampled
             yield chunk, moved, loop
 
-    def store(chunk: slice, moved: np.ndarray, drawn: tuple[np.ndarray, np.ndarray]):
+    def store(chunk: slice, moved: list[np.ndarray], drawn: tuple[np.ndarray, np.ndarray]):
         i_b[chunk], field_after = drawn
-        i_a[chunk] = moved + field_after
+        for row, term in zip(i_a, moved):
+            row[chunk] = term + field_after
+
+    def stats() -> EnsembleStats:
+        return EnsembleStats(i_b, i_a[0], resampled, serving,
+                             i_a[1] if cell_reflected else None)
 
     workers = pool_workers(workers, len(chunks), len(os.sched_getaffinity(0)))
     # a forked worker is a copy of this process, and a lock another thread
@@ -483,7 +529,7 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
     if workers < 2 or threading.active_count() > 1:
         for chunk, moved, loop in sampled():
             store(chunk, moved, _field_draws(*loop))
-        return EnsembleStats(s0, i_b, i_a, resampled)
+        return stats()
 
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
@@ -506,7 +552,7 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
         # on a failure here or in a worker no queued chunk starts, and every
         # worker has exited before the exception propagates
         pool.shutdown(wait=True, cancel_futures=True)
-    return EnsembleStats(s0, i_b, i_a, resampled)
+    return stats()
 
 
 def outage_from_ensemble(

@@ -331,9 +331,8 @@ class TestMonteCarloWorkers:
         _two_cpus(monkeypatch)
         cfg = load_config(None)
         trials = 4000
-        for moved_mode in ("network_field", "cell_reflected"):
-            setup = cfg.simulation_setup(moved_mode=moved_mode)
-            assert -(-trials // montecarlo._chunk_trials(setup)) >= 4
+        # the one ensemble, which carries both moved-user terms
+        assert -(-trials // montecarlo._chunk_trials(cfg.simulation_setup())) >= 4
 
         def data(out, threads):
             argv = ["--trials", str(trials), "--seed", "4", "--out", str(out),
@@ -554,6 +553,35 @@ class TestValidateLaplace:
         first = data(tmp_path / "a", "1")
         assert data(tmp_path / "b", "1") == first
         assert data(tmp_path / "c", "2") == first
+
+    def test_cell_reflected_column_shares_the_fields(self, tmp_path):
+        assert main(["--trials", "1000", "--seed", "4", "--out", str(tmp_path),
+                     "validate-laplace"]) == EXIT_OK
+        rows = _read_rows(tmp_path / "laplace_validation.csv")
+        compared = [r for r in rows if r["monte_carlo"]]
+        before = [r for r in compared if r["stage"] == "before"]
+        after = [r for r in compared if r["stage"] == "after"]
+        assert before and after
+        assert all(r["monte_carlo_cell_reflected"] == r["monte_carlo"] for r in before)
+        assert any(r["monte_carlo_cell_reflected"] != r["monte_carlo"] for r in after)
+
+    @pytest.mark.parametrize("command, draws", [
+        ("validate-laplace", []), ("outage-sweep", [1000])])
+    def test_pinned_serving_powers_drawn_only_when_read(self, tmp_path, monkeypatch,
+                                                        command, draws):
+        # validate-laplace reads only the interference
+        from ris_sim import montecarlo
+
+        calls = []
+        draw = montecarlo.draw_serving_power
+
+        def counting(*args):
+            calls.append(args[3])
+            return draw(*args)
+
+        monkeypatch.setattr(montecarlo, "draw_serving_power", counting)
+        assert main(["--trials", "1000", "--out", str(tmp_path), command]) == EXIT_OK
+        assert calls == draws
 
 
 class TestValidatePower:

@@ -498,6 +498,45 @@ class TestAssociation:
                                np.array([1]))
         assert out.tolist() == [-1, 0]
 
+    @given(st.lists(st.integers(0, 5), max_size=40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_serving_surfaces_any_parent_order(self, parent, seed):
+        rng = _rng(seed)
+        bs = rng.uniform(-100.0, 100.0, (6, 2))
+        parent = np.array(parent, dtype=int)
+        # whole-metre offsets from the parent, so that distances tie often
+        ris = bs[parent] + rng.integers(-2, 3, (parent.size, 2))
+        expected = np.full(6, -1)
+        for i in range(6):
+            children = np.flatnonzero(parent == i)
+            if children.size:
+                expected[i] = children[np.argmin(np.sum((ris[children] - bs[i]) ** 2, axis=1))]
+        assert serving_surfaces(bs, ris, parent).tolist() == expected.tolist()
+
+
+class TestNearestPerGroup:
+    @given(
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3)), max_size=60),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bruteforce_argmin(self, rows, spare_groups):
+        # few distinct distances, so that most groups hold ties; np.argmin
+        # breaks a tie to the lowest index
+        group = np.sort(np.array([g for g, _ in rows], dtype=int))
+        d2 = np.array([float(d) for _, d in rows])
+        n_groups = 8 + spare_groups
+        expected = np.full(n_groups, -1)
+        for g in range(n_groups):
+            members = np.flatnonzero(group == g)
+            if members.size:
+                expected[g] = members[np.argmin(d2[members])]
+        assert nearest_per_group(d2, group, n_groups).tolist() == expected.tolist()
+
+    def test_decreasing_groups_refused(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            nearest_per_group(np.array([1.0, 2.0, 3.0]), np.array([0, 1, 0]), 2)
+
 
 class TestBuildTopology:
     def _config(self):

@@ -316,7 +316,7 @@ class TestClusterInner:
     def test_matches_mpmath(self, alpha, x1):
         p = LaplaceParams(alpha=alpha)
         v = self._v(x1, p, self.K)
-        assert ia._cluster_inner(v, p, self.K) == pytest.approx(
+        assert ia._cluster_inner(p, self.K)(v) == pytest.approx(
             float(_mp_inner(v, p, self.K)), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [2.2, 3.0, 3.7, 5.0])
@@ -325,7 +325,7 @@ class TestClusterInner:
         p = LaplaceParams(alpha=alpha, d_max=1e9)
         for x1 in (1e-12, 0.9):
             v = self._v(x1, p, self.K)
-            assert ia._cluster_inner(v, p, self.K) == pytest.approx(
+            assert ia._cluster_inner(p, self.K)(v) == pytest.approx(
                 float(_mp_inner(v, p, self.K)), rel=1e-12)
         assert 1.0 / (1.0 + (p.d_max * v) ** alpha / self.K) < 1e-16
 
@@ -333,16 +333,16 @@ class TestClusterInner:
     def test_limits_in_v(self, alpha):
         p = LaplaceParams(alpha=alpha)
         half_span = 0.5 * (p.d_max**2 - p.d_min**2)
-        assert ia._cluster_inner(0.0, p, self.K) == half_span
-        assert ia._cluster_inner(1e-300, p, self.K) == half_span
+        assert ia._cluster_inner(p, self.K)(0.0) == half_span
+        assert ia._cluster_inner(p, self.K)(1e-300) == half_span
         # v**alpha overflows a float: at this k the integral underflows
         huge = 10.0 ** (320.0 / alpha)
         with pytest.raises(OverflowError):
             huge**alpha
-        assert 0.0 <= ia._cluster_inner(huge, p, self.K) <= 1e-300
+        assert 0.0 <= ia._cluster_inner(p, self.K)(huge) <= 1e-300
         # and at a large k it does not
         k = 1e40
-        assert ia._cluster_inner(huge, p, k) == pytest.approx(
+        assert ia._cluster_inner(p, k)(huge) == pytest.approx(
             float(_mp_inner(huge, p, k)), rel=1e-12)
 
 

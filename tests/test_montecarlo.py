@@ -128,8 +128,9 @@ class TestSimulateTrial:
         assert np.all(np.isfinite(sinr_b)) and np.all(np.isfinite(sinr_a))
 
     def test_cell_reflected_mode_runs(self):
-        stats = run_ensemble(_setup(moved_mode="cell_reflected"), 20, seed=4)
-        assert np.all(stats.i_after >= 0.0)
+        stats = run_ensemble(_setup(), 20, seed=4, cell_reflected=True)
+        assert np.all(stats.i_after_cell_reflected >= 0.0)
+        assert run_ensemble(_setup(), 20, seed=4).i_after_cell_reflected is None
 
 
 class TestFieldKernel:
@@ -210,11 +211,11 @@ class TestEstimators:
         assert sinr == pytest.approx([2.0, 4.0 / 3.0])
 
 
-def _reference_trial(setup, rng):
+def _reference_trial(setup, rng, moved_mode):
     """One trial as the per-trial loop drew it before the chunked engine:
     field (empty fields redrawn in associated mode), serving power, kernel
-    draws, then the moved users one by one.  Returns (s0, i_before, i_after,
-    resampled)."""
+    draws, then the moved users one by one, as a network field or as
+    cell-reflected movers.  Returns (s0, i_before, i_after, resampled)."""
     cfg, ch = setup.topology, setup.channel
     parent = matern_parent_intensity(cfg.lambda_b, cfg.r_b)
     resamples = 0
@@ -242,7 +243,7 @@ def _reference_trial(setup, rng):
     kernel = _field_kernel(bs, ris, ch, exclude=exclude)
     i_before = _draw_field_interference(kernel, rng)
     i_after = _draw_field_interference(kernel, rng)
-    if setup.moved_mode == "network_field":
+    if moved_mode == "network_field":
         density = cfg.lambda_b * cfg.lambda_u * math.pi * setup.r_i**2
         pts = cfg.window.sample_uniform(rng.poisson(density * cfg.window.area()), rng)
         d = np.hypot(pts[:, 0], pts[:, 1])
@@ -267,10 +268,10 @@ def _reference_trial(setup, rng):
     return s0, i_before, i_after, resamples
 
 
-def _reference_ensemble(setup, trials, seed):
+def _reference_ensemble(setup, trials, seed, moved_mode="network_field"):
     rows = np.array([
         _reference_trial(setup, np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((seed, t + 1)))))
+            np.random.PCG64(np.random.SeedSequence((seed, t + 1)))), moved_mode)
         for t in range(trials)
     ])
     return rows[:, 0], rows[:, 1], rows[:, 2], int(rows[:, 3].sum())
@@ -287,17 +288,19 @@ class TestChunkEngine:
     @pytest.mark.parametrize("moved_mode", ["network_field", "cell_reflected"])
     def test_law_matches_per_trial_loop(self, serving_mode, moved_mode):
         # two-sample KS on independent ensembles of both engines; a real
-        # change of law at this size shows as p far below 1e-3
+        # change of law at this size shows as p far below 1e-3.  The chunk
+        # engine draws the cell-reflected movers beside the network field.
         topo = TopologyConfig(lambda_u=5e-2, window=Window("disk", radius=500.0))
-        setup = _setup(topology=topo, serving_mode=serving_mode, moved_mode=moved_mode)
+        setup = _setup(topology=topo, serving_mode=serving_mode)
         n = 3000
-        got = run_ensemble(setup, n, seed=21)
-        s0, i_before, i_after, _ = _reference_ensemble(setup, n, seed=22)
+        got = run_ensemble(setup, n, seed=21, cell_reflected=moved_mode == "cell_reflected")
+        got_after = got.i_after if moved_mode == "network_field" else got.i_after_cell_reflected
+        s0, i_before, i_after, _ = _reference_ensemble(setup, n, seed=22, moved_mode=moved_mode)
         assert ks_2samp(got.i_before, i_before).pvalue > 1e-3
-        assert ks_2samp(got.i_after, i_after).pvalue > 1e-3
+        assert ks_2samp(got_after, i_after).pvalue > 1e-3
         assert ks_2samp(got.s0, s0).pvalue > 1e-3
         # the moved users add interference in a nonzero share of trials
-        assert np.mean(got.i_after > got.i_before) > 0.2
+        assert np.mean(got_after > got.i_before) > 0.2
 
     def test_resampled_matches_per_trial_loop(self):
         # empty fields are common in this small window; the redraw count per
@@ -317,13 +320,14 @@ class TestChunkEngine:
 
     @pytest.mark.parametrize("serving_mode", ["pinned", "associated"])
     def test_first_chunk_independent_of_trial_count(self, small_chunks, serving_mode):
-        setup = _setup(serving_mode=serving_mode, moved_mode="cell_reflected")
+        setup = _setup(serving_mode=serving_mode)
         chunk = montecarlo._chunk_trials(setup)
         assert 5 <= chunk <= 50
-        one = run_ensemble(setup, chunk, seed=8)
-        two = run_ensemble(setup, 2 * chunk, seed=8)
+        one = run_ensemble(setup, chunk, seed=8, cell_reflected=True)
+        two = run_ensemble(setup, 2 * chunk, seed=8, cell_reflected=True)
         assert np.array_equal(one.i_before, two.i_before[:chunk])
         assert np.array_equal(one.i_after, two.i_after[:chunk])
+        assert np.array_equal(one.i_after_cell_reflected, two.i_after_cell_reflected[:chunk])
         if serving_mode == "associated":
             # pinned serving powers are one batch over all trials
             assert np.array_equal(one.s0, two.s0[:chunk])
@@ -352,14 +356,44 @@ class TestChunkEngine:
 
     @pytest.mark.parametrize("serving_mode", ["pinned", "associated"])
     def test_repeats_identical_and_seeds_differ(self, small_chunks, serving_mode):
-        setup = _setup(serving_mode=serving_mode, moved_mode="cell_reflected")
-        a, b = run_ensemble(setup, 100, seed=5), run_ensemble(setup, 100, seed=5)
-        c = run_ensemble(setup, 100, seed=6)
-        for field_name in ("s0", "i_before", "i_after"):
+        setup = _setup(serving_mode=serving_mode)
+        a, b = (run_ensemble(setup, 100, seed=5, cell_reflected=True) for _ in range(2))
+        c = run_ensemble(setup, 100, seed=6, cell_reflected=True)
+        for field_name in ("s0", "i_before", "i_after", "i_after_cell_reflected"):
             x, y, z = getattr(a, field_name), getattr(b, field_name), getattr(c, field_name)
             assert x.tobytes() == y.tobytes()
             assert not np.array_equal(x, z)
         assert a.resampled == b.resampled
+
+    @pytest.mark.parametrize("serving_mode", ["pinned", "associated"])
+    def test_cell_reflected_term_leaves_the_network_field_unchanged(self, small_chunks,
+                                                                   serving_mode):
+        # the cell-reflected movers draw from streams of their own
+        setup = _setup(serving_mode=serving_mode)
+        plain = run_ensemble(setup, 100, seed=5)
+        both = run_ensemble(setup, 100, seed=5, cell_reflected=True)
+        for name in ("s0", "i_before", "i_after"):
+            assert getattr(both, name).tobytes() == getattr(plain, name).tobytes()
+        assert both.resampled == plain.resampled
+        assert not np.array_equal(both.i_after_cell_reflected, both.i_after)
+
+    def test_pinned_serving_powers_drawn_on_first_read(self, monkeypatch):
+        calls = []
+        draw = montecarlo.draw_serving_power
+
+        def counting(*args):
+            calls.append(args[3])
+            return draw(*args)
+
+        monkeypatch.setattr(montecarlo, "draw_serving_power", counting)
+        setup = _setup()
+        stats = run_ensemble(setup, 50, seed=7, cell_reflected=True)
+        assert calls == [] and stats.trials == 50
+        s0 = stats.s0
+        assert stats.s0 is s0 and calls == [50]
+        ch = setup.channel
+        want = draw(ch, *setup.link.pathloss(ch.c, ch.alpha), 50, montecarlo._stream(7, 0))
+        assert s0.tobytes() == want.tobytes()
 
     def test_cell_reflected_nearest_bs_matches_associate_nearest(self):
         rng = _rng(17)
@@ -433,13 +467,16 @@ class TestWorkerPool:
     @pytest.mark.parametrize("moved_mode", ["network_field", "cell_reflected"])
     def test_byte_identical_across_workers(self, small_chunks, four_cpus, serving_mode,
                                            moved_mode):
-        setup = _setup(serving_mode=serving_mode, moved_mode=moved_mode)
+        setup = _setup(serving_mode=serving_mode)
+        cell_reflected = moved_mode == "cell_reflected"
+        names = ("s0", "i_before", "i_after") + ("i_after_cell_reflected",) * cell_reflected
         trials = 170
         assert trials // montecarlo._chunk_trials(setup) >= 6
-        ref = run_ensemble(setup, trials, seed=9, workers=1)
+        ref = run_ensemble(setup, trials, seed=9, workers=1, cell_reflected=cell_reflected)
         for workers in (1, 2, 3):
-            got = run_ensemble(setup, trials, seed=9, workers=workers)
-            for name in ("s0", "i_before", "i_after"):
+            got = run_ensemble(setup, trials, seed=9, workers=workers,
+                               cell_reflected=cell_reflected)
+            for name in names:
                 assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
             assert got.resampled == ref.resampled
         assert four_cpus == [2, 3]
