@@ -40,29 +40,31 @@ __all__ = [
 SWEEP_AXES = ("power_dbm", "ue_density", "frequency_ghz", "ris_elements")
 GROUP_AXES = ("bs_density", "ris_elements", None)
 
-# expected points of any one field (Matern parents, surfaces, users, one
-# trial's moved users) in the window, and sis-sim agents: one topology of
-# that size still fits comfortably in memory
-MAX_WINDOW_POINTS = 1e7
-# expected BS x surface pairs of one trial's field interference, at the base
-# density and at each bs_density group value: each pair-sized array of the
-# kernel stays near 80 MB
-MAX_FIELD_PAIRS = 1e7
-# expected agent contact pairs of one sis-sim step call (a chunk of runs, at
-# the densest panel): the pair-sized arrays of a step stay near 160 MB each
-MAX_CONTACT_PAIRS = 1e7
-# values of one sis-sim trajectory, max(abm_ensemble_runs, 60) x (abm_steps
-# + 1): a panel's runs x steps array of infected counts, and the ODE grids of
-# the six panels at ten points per step (their CSV rows are a tenth of
-# that).  At the bound run_abm holds all six panels' counts at once as int32
-# (240 MB) plus one panel's float64 spread temporary (80 MB); the ODE grids
-# stay near 80 MB of floats
-MAX_TRAJECTORY_POINTS = 1e7
-# Nakagami hop amplitudes of one serving-power batch, trials x n_elements
-# (validate-laplace draws at least 1000 trials): each hop-sized array stays
-# near 400 MB
-MAX_SERVING_HOPS = 5e7
-
+# the bound of each quantity that ExperimentConfig.expected_load yields, in
+# the order it yields them: a config above any bound is refused at load
+LOAD_BOUNDS = {
+    # Matern parents, surfaces or users: one topology still fits in memory
+    "expected points of one field": 1e7,
+    # a field of lambda_b * area cells, or the target's own cell
+    "expected moved users per trial": 1e7,
+    "agents": 1e7,  # sis-sim agents of one run
+    # one step call's chunk of runs at the densest panel: pair-sized arrays
+    # near 160 MB each
+    "expected agent contact pairs per step": 1e7,
+    # max(abm_ensemble_runs, 60) x (abm_steps + 1): the six panels' int32
+    # infected counts (240 MB), one float64 spread (80 MB), the ODE grids at
+    # ten points per step (80 MB; their CSV rows are a tenth of that)
+    "agent trajectory points": 1e7,
+    # trials x n_elements hops of one serving-power batch, arrays near 400 MB
+    # (validate-laplace draws them, for at least 1000 trials, only associated)
+    "serving-hop draws": 5e7,
+    # at lambda_b and each bs_density group value: pair-sized arrays of the
+    # field kernel near 80 MB each
+    "expected BS x surface pairs per trial": 1e7,
+    # a run just under either work bound took 2 to 5 minutes serially on 2 vCPUs
+    "expected Monte Carlo pair draws": 1e10,
+    "expected agent-steps": 2e9,
+}
 
 # sis-sim panels (name, user density, initially infected fraction): three
 # densities by 5/95 and 50/50 splits
@@ -223,65 +225,59 @@ class ExperimentConfig:
                     f"lambda_b={self.lambda_b} unreachable for r_b={self.r_b}: "
                     "lambda_b * pi * r_b^2 must be below 1"
                 )
-            window = self.simulation_setup().topology.window
-            points = max(
-                matern_parent_intensity(self.lambda_b, self.r_b)
-                * window.dilate(self.r_b).area(),
-                self.lambda_r * window.area(),
-                self.lambda_u * window.area(),
-            )
-            if not points <= MAX_WINDOW_POINTS:
-                raise ConfigError(
-                    f"window_radius={self.window_radius} holds {points:.3g} expected "
-                    f"points of one field, above {MAX_WINDOW_POINTS:.0e}"
-                )
-            area = window.area()
-            # near-user movers of one trial: a field of lambda_b * area cells,
-            # or the target's own cell (validate-laplace's cell-reflected term)
-            movers = self.lambda_u * math.pi * self.r_i**2 * max(1.0, self.lambda_b * area)
-            if not movers <= MAX_WINDOW_POINTS:
-                raise ConfigError(
-                    f"r_i={self.r_i} gives {movers:.3g} expected moved users per trial, "
-                    f"above {MAX_WINDOW_POINTS:.0e}"
-                )
-            if not self.abm_agents <= MAX_WINDOW_POINTS:
-                raise ConfigError(
-                    f"abm_agents={self.abm_agents} is above {MAX_WINDOW_POINTS:.0e} agents"
-                )
-            densest = max(lambda_u for _, lambda_u, _ in SIS_PANELS)
-            contacts = self.abm_config(lambda_u=densest, x0=0).expected_step_pairs()
-            if not contacts <= MAX_CONTACT_PAIRS:
-                raise ConfigError(
-                    f"r_i={self.r_i} and abm_agents={self.abm_agents} give {contacts:.3g} "
-                    f"expected agent contact pairs per step, above {MAX_CONTACT_PAIRS:.0e}"
-                )
-            trajectory = max(self.abm_ensemble_runs, 10 * len(SIS_PANELS)) * (self.abm_steps + 1.0)
-            if not trajectory <= MAX_TRAJECTORY_POINTS:
-                raise ConfigError(
-                    f"abm_steps={self.abm_steps} and abm_ensemble_runs={self.abm_ensemble_runs} "
-                    f"give {trajectory:.3g} agent trajectory points, "
-                    f"above {MAX_TRAJECTORY_POINTS:.0e}"
-                )
-            hops = float(max(self.trials, 1000)) * self.n_elements
-            if not hops <= MAX_SERVING_HOPS:
-                raise ConfigError(
-                    f"trials={self.trials} and n_elements={self.n_elements} give {hops:.3g} "
-                    f"serving-hop draws, above {MAX_SERVING_HOPS:.0e}"
-                )
-            bs_groups = self.sweep.group_grid if self.sweep.group_by == "bs_density" else ()
-            for lambda_b in (self.lambda_b, *bs_groups):
-                pairs = (lambda_b * area) * (self.lambda_r * area)
-                if not pairs <= MAX_FIELD_PAIRS:
-                    raise ConfigError(
-                        f"lambda_b={lambda_b} and lambda_r={self.lambda_r} give {pairs:.3g} "
-                        f"expected BS x surface pairs per trial, above {MAX_FIELD_PAIRS:.0e}"
-                    )
+            self.simulation_setup()  # its TopologyConfig is the only check on r_r
+            for keys, amount, row in self.expected_load():
+                if not amount <= LOAD_BOUNDS[row]:
+                    named = " and ".join(f"{key}={value}" for key, value in keys.items())
+                    raise ConfigError(f"{named} give {amount:.3g} {row}, "
+                                      f"above {LOAD_BOUNDS[row]:.0e}")
             groups = self.sweep.group_grid if self.sweep.group_by else (None,)
             for group_value in groups:
                 for axis_value in self.sweep.grid:
                     self.sweep_outage_params(axis_value, group_value)
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(str(exc)) from exc
+
+    def expected_load(self):
+        """``(keys, amount, row)`` per quantity of ``LOAD_BOUNDS``, lazily and
+        in its order: the keys that set the quantity, with their values."""
+        def keys(*names, **values):
+            return {**values, **{name: getattr(self, name) for name in names}}
+        area = self.window().area()
+        parents = (matern_parent_intensity(self.lambda_b, self.r_b)
+                   * self.window().dilate(self.r_b).area())
+        surfaces = self.lambda_r * area
+        points = "expected points of one field"
+        yield keys("lambda_b", "r_b", "window_radius"), parents, points
+        yield keys("lambda_r", "window_radius"), surfaces, points
+        yield keys("lambda_u", "window_radius"), self.lambda_u * area, points
+        movers = self.lambda_u * math.pi * self.r_i**2 * max(1.0, self.lambda_b * area)
+        yield (keys("lambda_u", "r_i", "lambda_b", "window_radius"), movers,
+               "expected moved users per trial")
+        yield keys("abm_agents"), self.abm_agents, "agents"
+        abm = self.abm_config(lambda_u=max(lambda_u for _, lambda_u, _ in SIS_PANELS), x0=0)
+        yield (keys("r_i", "abm_agents", "abm_ensemble_runs"), abm.expected_step_pairs(),
+               "expected agent contact pairs per step")
+        yield (keys("abm_steps", "abm_ensemble_runs"),
+               max(self.abm_ensemble_runs, 10 * len(SIS_PANELS)) * (self.abm_steps + 1.0),
+               "agent trajectory points")
+        trials = float(max(self.trials, 1000))
+        yield keys("trials", "n_elements"), trials * self.n_elements, "serving-hop draws"
+        bs_groups = self.sweep.group_grid if self.sweep.group_by == "bs_density" else ()
+        for lambda_b in (self.lambda_b, *bs_groups):
+            yield (keys("lambda_r", "window_radius", lambda_b=lambda_b),
+                   lambda_b * area * surfaces, "expected BS x surface pairs per trial")
+        # a trial costs about 40 us, a Matern parent 0.5 us, a moved user 0.2 us
+        # and a pair 40 ns: 1000, 12, 5 and 1 pair draws at each of two stages
+        yield (keys("trials", "lambda_b", "r_b", "lambda_r", "lambda_u", "r_i", "window_radius"),
+               trials * 2 * (1000 + 12 * parents + 5 * movers + self.lambda_b * area * surfaces),
+               "expected Monte Carlo pair draws")
+        # an agent-step costs about 0.13 us, and 0.04 us (0.3 agent-steps) more
+        # per contact pair of one agent at the densest panel
+        contacts = abm.expected_step_pairs() / (abm.chunk_runs() * self.abm_agents)
+        yield (keys("r_i", "abm_agents", "abm_steps", "abm_ensemble_runs"),
+               len(SIS_PANELS) * self.abm_ensemble_runs * self.abm_steps * self.abm_agents
+               * (1 + 0.3 * contacts), "expected agent-steps")
 
     # ---- derived parameter objects -------------------------------------
 

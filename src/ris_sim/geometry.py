@@ -351,15 +351,11 @@ def nearest_per_group(d2: np.ndarray, group: np.ndarray, n_groups: int) -> np.nd
 def serving_surfaces(bs: np.ndarray, ris: np.ndarray, ris_parent: np.ndarray) -> np.ndarray:
     """Index of each BS's closest cluster child, or -1 for an empty cluster.
 
-    Ties resolve to the lowest surface index.  ``sample_ris_clusters``
-    returns the surfaces sorted by parent; other orders pay a stable sort.
+    Ties resolve to the lowest surface index.  The surfaces must be sorted
+    by parent, as ``sample_ris_clusters`` returns them; ValueError otherwise.
     """
     d2 = np.sum((ris - bs[ris_parent]) ** 2, axis=1)
-    if np.all(ris_parent[1:] >= ris_parent[:-1]):
-        return nearest_per_group(d2, ris_parent, bs.shape[0])
-    order = np.argsort(ris_parent, kind="stable")
-    nearest = nearest_per_group(d2[order], ris_parent[order], bs.shape[0])
-    return np.where(nearest >= 0, order[nearest], -1)
+    return nearest_per_group(d2, ris_parent, bs.shape[0])
 
 
 def build_topology(config: TopologyConfig, rng: np.random.Generator) -> NetworkTopology:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import ris_sim
 from ris_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
-from ris_sim.experiment_config import load_config
+from ris_sim.experiment_config import LOAD_BOUNDS, load_config
 
 SRC = str(Path(ris_sim.__file__).resolve().parents[1])
 
@@ -67,6 +67,31 @@ def _data_lines(path: Path) -> list[bytes]:
     return [l for l in path.read_bytes().splitlines() if not l.startswith(b"#")]
 
 
+# (config, command, the load row that refuses it), at the CLI's 100 trials
+_BUDGET_CASES = [
+    # ~3e8 users in the window
+    ("window_radius: 1.0e+5\n", "topology", "expected points of one field"),
+    # ~1e10 network-field movers per trial
+    ("r_i: 1.0e+5\n", "outage-sweep", "moved users per trial"),
+    ("abm_agents: 100000000\nr_i: 1.0e-3\n", "sis-sim", "agents"),
+    # ~8e7 agent contact pairs in one sis-sim step
+    ("r_i: 500.0\nabm_agents: 20000\nabm_steps: 1\nabm_ensemble_runs: 1\n", "sis-sim",
+     "contact pairs per step"),
+    # an 80 GB array of 100 runs x 1e8 steps of infected counts
+    ("abm_steps: 100000000\nabm_ensemble_runs: 100\nabm_agents: 10\n", "sis-sim",
+     "agent trajectory points"),
+    # 1e5 trials x 1e8 elements of Nakagami hops
+    ("n_elements: 100000000\n", "validate-power", "serving-hop draws"),
+    # ~3e8 BS x surface pairs per trial
+    ("lambda_r: 3.0\n", "outage-sweep", "BS x surface pairs per trial"),
+    # ~8e6 pairs per trial for at least 1000 trials: about 5 minutes
+    ("lambda_r: 8.0e-2\n", "validate-laplace", "Monte Carlo pair draws"),
+    # 3.6e10 agent-steps: hours
+    ("abm_agents: 600\nabm_steps: 166000\nabm_ensemble_runs: 60\n", "sis-sim",
+     "agent-steps"),
+]
+
+
 class TestExitCodes:
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = _write(tmp_path, "bad.yaml", "not_a_key: 1\n")
@@ -113,23 +138,19 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "pairs per trial" in lines[0]
 
-    @pytest.mark.parametrize(
-        "text,command,reason",
-        [
-            # ~1e10 network-field movers per trial
-            ("r_i: 1.0e+5\n", "outage-sweep", "moved users per trial"),
-            # 1e5 trials x 1e8 elements of Nakagami hops
-            ("n_elements: 100000000\n", "validate-power", "serving-hop draws"),
-            # an 80 GB array of 100 runs x 1e8 steps of infected counts
-            ("abm_steps: 100000000\nabm_ensemble_runs: 100\nabm_agents: 10\n", "sis-sim",
-             "agent trajectory points"),
-        ],
-    )
+    @pytest.mark.parametrize("text,command,reason", _BUDGET_CASES)
     def test_draw_budgets_exit_config_under_memory_limit(self, tmp_path, text, command, reason):
         proc = _run_cli(tmp_path, text, command, limit_memory=True)
         assert proc.returncode == EXIT_CONFIG
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and reason in lines[0]
+        assert len(lines) == 1 and f"{reason}, above" in lines[0]
+
+    def test_every_load_bound_has_a_refusing_case(self):
+        # each case names one row, and each row has a case
+        named = [[row for row in LOAD_BOUNDS if row.endswith(reason)]
+                 for *_, reason in _BUDGET_CASES]
+        assert all(len(rows) == 1 for rows in named)
+        assert {rows[0] for rows in named} == set(LOAD_BOUNDS)
 
     def test_contact_pair_budget_exits_config_under_memory_limit(self, tmp_path):
         # ~8e7 agent contact pairs in one sis-sim step: refused at load

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ris_sim.experiment_config import (
+    LOAD_BOUNDS,
     ConfigError,
     ExperimentConfig,
     SweepConfig,
@@ -129,6 +130,15 @@ class TestValidation:
             "abm_agents: 100000000\nr_i: 1.0e-3\n",  # 1e8 agents, few contacts
             # 1e10 agent trajectory points (an 80 GB array of infected counts)
             "abm_steps: 100000000\nabm_ensemble_runs: 100\nabm_agents: 10\n",
+            # ~2e11 Monte Carlo pair draws: about 0.8 h at 53 us per trial
+            "n_elements: 1\nlambda_r: 1.0e-9\ntrials: 50000000\n",
+            "n_elements: 1\ntrials: 50000000\n",  # about 1.8 h at 132 us per trial
+            "r_i: 1000.0\n",  # ~1e6 moved users per trial, 1e5 trials: about 4.5 h
+            # 3.6e10 agent-steps: hours at ~5e6 agent-steps per second
+            "abm_agents: 600\nabm_steps: 166000\nabm_ensemble_runs: 60\n",
+            # 1.4e9 agent-steps, each with ~57 contact pairs at the densest panel:
+            # about an hour at 4e5 agent-steps per second
+            "r_i: 60.0\nabm_agents: 2000\nabm_steps: 2000\nabm_ensemble_runs: 60\n",
             "lambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
             "  group_by: bs_density\n  group_grid: [1.0e-5, 1.2e-4]\n",  # pairs at 1.2e-4
             "sweep:\n  axis: ue_density\n  grid: [-1.0, 1.0e-3]\n",
@@ -143,10 +153,27 @@ class TestValidation:
             load_config(text=text)
 
     def test_pair_budget_at_each_bs_group(self):
-        base = "lambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
+        # 1000 trials keep the base's Monte Carlo work under its bound
+        base = "trials: 1000\nlambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
         assert load_config(text=base).lambda_r == 3.0e-2
         with pytest.raises(ConfigError, match="lambda_b=0.00012 .* pairs"):
             load_config(text=base + "  group_by: bs_density\n  group_grid: [1.2e-4]\n")
+
+    @pytest.mark.parametrize(
+        "text,row",
+        [
+            # 2.5e6 trials at 53 us: 131 s serially on 2 vCPUs
+            ("n_elements: 1\nlambda_r: 1.0e-9\ntrials: 2500000\n",
+             "expected Monte Carlo pair draws"),
+            # 1.3e9 agent-steps: 271 s serially on 2 vCPUs
+            ("abm_agents: 600\nabm_steps: 1000\nabm_ensemble_runs: 370\n",
+             "expected agent-steps"),
+        ],
+    )
+    def test_just_under_a_work_bound_loads(self, text, row):
+        load = load_config(text=text).expected_load()
+        amount = max(amount for _, amount, name in load if name == row)
+        assert 0.9 * LOAD_BOUNDS[row] < amount <= LOAD_BOUNDS[row]
 
     def test_series_order_range(self):
         for order in (-1, 61):
@@ -198,6 +225,13 @@ class TestSchemaDoc:
                 documented.update(re.findall(r"`(\w+)`", line.split("|")[1]))
         expected = {f.name for f in fields(ExperimentConfig)} - {"sweep"}
         assert documented == expected
+
+    def test_load_bounds_table(self):
+        # the rows of the "Load bounds" table: quantity, formula, bound
+        section = self.TEXT.split("## Load bounds", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|") for line in section.splitlines() if line.startswith("| ")]
+        documented = {cells[1].strip(): float(cells[-2]) for cells in rows[1:]}
+        assert documented == LOAD_BOUNDS
 
     def test_sweep_keys(self):
         block = self.TEXT.split("```yaml\n", 1)[1].split("```", 1)[0].splitlines()

@@ -470,10 +470,16 @@ class TestAssociation:
 
     def test_serving_surfaces_nearest_child(self):
         bs = np.array([[0.0, 0.0], [100.0, 0.0], [-100.0, 0.0]])
-        ris = np.array([[95.0, 0.0], [8.0, 0.0], [3.0, 4.0], [104.0, 0.0], [5.0, 0.0]])
-        parent = np.array([1, 0, 0, 1, 0])
-        # BS 0: surfaces 2 and 4 tie at distance 5, the lower index wins
-        assert serving_surfaces(bs, ris, parent).tolist() == [2, 3, -1]
+        ris = np.array([[8.0, 0.0], [3.0, 4.0], [5.0, 0.0], [95.0, 0.0], [104.0, 0.0]])
+        parent = np.array([0, 0, 0, 1, 1])
+        # BS 0: surfaces 1 and 2 tie at distance 5, the lower index wins
+        assert serving_surfaces(bs, ris, parent).tolist() == [1, 4, -1]
+
+    def test_serving_surfaces_unsorted_parents_refused(self):
+        bs = np.array([[0.0, 0.0], [100.0, 0.0]])
+        ris = np.array([[95.0, 0.0], [5.0, 0.0]])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            serving_surfaces(bs, ris, np.array([1, 0]))
 
     def test_serving_surfaces_no_surfaces(self):
         out = serving_surfaces(np.zeros((3, 2)), np.zeros((0, 2)), np.zeros(0, dtype=int))
@@ -500,10 +506,10 @@ class TestAssociation:
 
     @given(st.lists(st.integers(0, 5), max_size=40), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
-    def test_serving_surfaces_any_parent_order(self, parent, seed):
+    def test_serving_surfaces_any_sorted_parents(self, parent, seed):
         rng = _rng(seed)
         bs = rng.uniform(-100.0, 100.0, (6, 2))
-        parent = np.array(parent, dtype=int)
+        parent = np.sort(np.array(parent, dtype=int))
         # whole-metre offsets from the parent, so that distances tie often
         ris = bs[parent] + rng.integers(-2, 3, (parent.size, 2))
         expected = np.full(6, -1)
