@@ -18,8 +18,9 @@ its data lines (those not starting with #) and its config header lines
 For each differing file the differing columns are printed with their
 largest relative difference (or the number of differing cells for text
 columns), and the differing header keys by name; the exit code is 1.  The
-tracked results come from a full pass at the configs' trials, so compare
-with --check alone.
+tracked results come from a full pass at the configs' trials, so --check
+refuses --quick: it prints one line to stderr and exits 2 before running
+anything.
 """
 
 import argparse
@@ -146,12 +147,16 @@ def _compare(fresh_root: Path) -> dict[str, list[str]]:
     return differ
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="2e4 trials instead of 1e5")
     parser.add_argument("--check", action="store_true",
                         help="run into a temporary directory and compare with results/")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.check and args.quick:
+        print("--check compares with results/, written at the configs' trials: "
+              "drop --quick", file=sys.stderr)
+        return 2
     if not args.check:
         return _run_all("results", args.quick)
     with tempfile.TemporaryDirectory(prefix="ris-sim-check-") as tmp:

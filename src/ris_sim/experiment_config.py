@@ -58,8 +58,9 @@ LOAD_BOUNDS = {
     # trials x n_elements hops of one serving-power batch, arrays near 400 MB
     # (validate-laplace draws them, for at least 1000 trials, only associated)
     "serving-hop draws": 5e7,
-    # at lambda_b and each bs_density group value: pair-sized arrays of the
-    # field kernel near 80 MB each
+    # at lambda_b, where outage-sweep and validate-laplace sample (r0-sweep,
+    # the only reader of the bs_density groups, samples nothing): the two
+    # slots of the field kernel's buffer, near 80 MB each
     "expected BS x surface pairs per trial": 1e7,
     # a run just under either work bound took 2 to 5 minutes serially on 2 vCPUs
     "expected Monte Carlo pair draws": 1e10,
@@ -241,8 +242,8 @@ class ExperimentConfig:
     def expected_load(self):
         """``(keys, amount, row)`` per quantity of ``LOAD_BOUNDS``, lazily and
         in its order: the keys that set the quantity, with their values."""
-        def keys(*names, **values):
-            return {**values, **{name: getattr(self, name) for name in names}}
+        def keys(*names):
+            return {name: getattr(self, name) for name in names}
         area = self.window().area()
         parents = (matern_parent_intensity(self.lambda_b, self.r_b)
                    * self.window().dilate(self.r_b).area())
@@ -263,10 +264,8 @@ class ExperimentConfig:
                "agent trajectory points")
         trials = float(max(self.trials, 1000))
         yield keys("trials", "n_elements"), trials * self.n_elements, "serving-hop draws"
-        bs_groups = self.sweep.group_grid if self.sweep.group_by == "bs_density" else ()
-        for lambda_b in (self.lambda_b, *bs_groups):
-            yield (keys("lambda_r", "window_radius", lambda_b=lambda_b),
-                   lambda_b * area * surfaces, "expected BS x surface pairs per trial")
+        yield (keys("lambda_b", "lambda_r", "window_radius"), self.lambda_b * area * surfaces,
+               "expected BS x surface pairs per trial")
         # a trial costs about 40 us, a Matern parent 0.5 us, a moved user 0.2 us
         # and a pair 40 ns: 1000, 12, 5 and 1 pair draws at each of two stages
         yield (keys("trials", "lambda_b", "r_b", "lambda_r", "lambda_u", "r_i", "window_radius"),

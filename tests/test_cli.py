@@ -370,7 +370,7 @@ import multiprocessing, os, sys
 import ris_sim.cli
 from ris_sim import montecarlo
 
-def failing_draw(kernel, rng):
+def failing_draw(kernel, rng, *rest):
     raise RuntimeError("draw failed in a worker")
 
 os.sched_getaffinity = lambda pid: {0, 1}

@@ -140,7 +140,8 @@ class TestValidation:
             # about an hour at 4e5 agent-steps per second
             "r_i: 60.0\nabm_agents: 2000\nabm_steps: 2000\nabm_ensemble_runs: 60\n",
             "lambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
-            "  group_by: bs_density\n  group_grid: [1.0e-5, 1.2e-4]\n",  # pairs at 1.2e-4
+            # Monte Carlo pair draws at lambda_b and 1e5 trials; the groups add none
+            "  group_by: bs_density\n  group_grid: [1.0e-5, 1.2e-4]\n",
             "sweep:\n  axis: ue_density\n  grid: [-1.0, 1.0e-3]\n",
             "sweep:\n  axis: frequency_ghz\n  grid: [0.0, 1.0]\n",
             "gain_tx: -1.0\nsweep:\n  axis: frequency_ghz\n  grid: [1.0]\n",
@@ -152,12 +153,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(text=text)
 
-    def test_pair_budget_at_each_bs_group(self):
-        # 1000 trials keep the base's Monte Carlo work under its bound
-        base = "trials: 1000\nlambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
-        assert load_config(text=base).lambda_r == 3.0e-2
+    # 1000 trials keep the base's Monte Carlo work under its bound
+    PAIR_BASE = "trials: 1000\nlambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
+
+    def test_pair_budget_ignores_bs_groups(self):
+        # only r0-sweep reads the groups, and it samples no pair
+        text = self.PAIR_BASE + "  group_by: bs_density\n  group_grid: [1.2e-4]\n"
+        assert load_config(text=text).sweep.group_grid == (1.2e-4,)
+
+    def test_pair_budget_at_lambda_b(self):
+        assert load_config(text=self.PAIR_BASE).lambda_r == 3.0e-2
         with pytest.raises(ConfigError, match="lambda_b=0.00012 .* pairs"):
-            load_config(text=base + "  group_by: bs_density\n  group_grid: [1.2e-4]\n")
+            load_config(text=self.PAIR_BASE + "lambda_b: 1.2e-4\n")
 
     @pytest.mark.parametrize(
         "text,row",

@@ -163,6 +163,29 @@ class TestFieldKernel:
         assert got == _reference_field_interference(bs, ris, ch, ref_rng, exclude)
         assert rng.random() == ref_rng.random()
 
+    def test_chunk_buffer_matches_fresh_arrays(self):
+        # (BSs, surfaces) per trial: the largest in the middle, a trial with
+        # no BS and one with no surfaces
+        sizes = [(3, 4), (0, 0), (8, 9), (4, 0), (2, 5)]
+        gen = _rng(21)
+        bs = gen.uniform(-400.0, 400.0, (sum(b for b, _ in sizes), 2))
+        ris = gen.uniform(-400.0, 400.0, (sum(r for _, r in sizes), 2))
+        bs_start = np.concatenate(([0], np.cumsum([b for b, _ in sizes])))
+        ris_start = np.concatenate(([0], np.cumsum([r for _, r in sizes])))
+        # associated mode: each trial's serving BS is left out of its kernel
+        serving = bs_start[:-1] + np.array([2, 0, 5, 1, 0])
+        ch = ChannelParams()
+        rng, ref_rng = _rng(8), _rng(8)
+        drawn = montecarlo._field_draws(ch, bs, bs_start, ris, ris_start, serving, rng)
+        want = np.empty((2, len(sizes)))
+        for t in range(len(sizes)):
+            kernel = _field_kernel(bs[bs_start[t]:bs_start[t + 1]],
+                                   ris[ris_start[t]:ris_start[t + 1]], ch,
+                                   serving[t] - bs_start[t])
+            want[:, t] = [_draw_field_interference(kernel, ref_rng) for _ in range(2)]
+        assert [a.tobytes() for a in drawn] == [row.tobytes() for row in want]
+        assert rng.random() == ref_rng.random()
+
 
 class TestEnsemble:
     def test_reproducible(self):
@@ -513,7 +536,7 @@ class TestWorkerPool:
         _assert_no_children()
 
     def test_worker_failure_leaves_no_workers(self, small_chunks, four_cpus, monkeypatch):
-        def failing_draw(kernel, rng):
+        def failing_draw(kernel, rng, *rest):
             raise RuntimeError("draw failed in a worker")
 
         # the workers are forked after the patch, so they draw with it
