@@ -6,7 +6,10 @@ epidemic panels, then the four propagation-intensity sweeps.  Figures 3 and
 4 use the default configuration; the rest load their dedicated files.
 
 Every command runs with --threads set to the CPUs this process may run on,
-which changes no output byte, and its wall time is printed when it ends.
+which changes no output byte.  When it ends, its wall time is printed with
+this process's peak RSS so far (``ru_maxrss``; it never falls, so a command
+that raises it is the one that set it, and forked Monte Carlo workers are
+not counted).
 The Monte Carlo commands take 2-10 s each at the configs' 1e5 trials on two
 CPUs; pass --quick for a 2e4-trial smoke pass.
 
@@ -27,6 +30,7 @@ import argparse
 import csv
 import math
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -62,7 +66,11 @@ def _run_all(out_root: str, quick: bool) -> int:
         print(f"== ris-sim {' '.join(argv)}", flush=True)
         start = time.perf_counter()
         code = cli_main(argv)
-        print(f"== {command} wall time: {time.perf_counter() - start:.2f} s", flush=True)
+        wall = time.perf_counter() - start
+        # kilobytes on Linux
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"== {command} wall time: {wall:.2f} s, peak RSS so far: {peak:.1f} MB",
+              flush=True)
         if code != 0:
             print(f"command failed with exit code {code}", file=sys.stderr)
             return code

@@ -28,7 +28,8 @@ leaves every other sample unchanged.  The chunk size comes from the setup
 alone, so a trial of a full chunk has the same interference whatever the
 trial count; a partial last chunk draws fewer trials from its stream and
 differs.  Pinned serving powers are one batch over all trials from stream
-(seed, 0), drawn when ``EnsembleStats.s0`` is first read.
+(seed, 0), drawn when ``EnsembleStats.s0`` is first read, one row block of
+hops at a time (``draw_serving_power``), so no trials x N array is held.
 
 The per-trial loop of a chunk (``_field_draws``) owns one float64 buffer of
 two slots, each as long as the chunk's largest BS x surface pair count, and
@@ -165,7 +166,8 @@ class RateEstimate:
 # Matern parents, surfaces and network-field movers sampled per chunk: bounds
 # a chunk's memory whatever the densities
 _CHUNK_POINTS = 1 << 16
-# second-hop amplitudes the serving-power draw holds at once
+# hops per row block of the serving-power draw, which holds one block of
+# first hops and one of second hops at a time (one row when N is larger)
 _HOP_BLOCK = 1 << 16
 
 
@@ -388,20 +390,21 @@ def draw_serving_power(
     Every element is aligned onto the direct path, so the reflected term is
     the scalar sum of the N Nakagami amplitude products.  The gains are scalars
     or length-``n`` arrays (one link per draw).  The draw order is n Rayleigh
-    amplitudes, then the (n, N) first hops, then the second hops; when no
-    draw has a reflected link (``pl_reflected == 0``) the hops are not drawn.
-    The second hops are drawn and multiplied in blocks of rows, in the same
-    order, so one (n, N) matrix is held rather than three.
+    amplitudes, then, block by block of ``max(1, _HOP_BLOCK // N)`` rows, the
+    block's first hops and then its second hops; when no draw has a reflected
+    link (``pl_reflected == 0``) the hops are not drawn.  Only one block of
+    hops is held at a time, so the draw needs O(block + n) memory, not
+    O(n N).  For n up to one block the order is that of one batch: all n x N
+    first hops, then all second hops.
     """
     if np.any(np.less(pl_direct, 0)) or np.any(np.less(pl_reflected, 0)):
         raise ValueError("path-loss gains must be nonnegative")
     amp = np.sqrt(pl_direct) * sample_rayleigh(rng, n)
     if np.any(np.greater(pl_reflected, 0.0)):
-        hops = sample_nakagami(ch.m1, rng, (n, ch.n_elements))
         sums = np.empty(n)
         rows = max(1, _HOP_BLOCK // ch.n_elements)
         for start in range(0, n, rows):
-            block = hops[start:start + rows]
+            block = sample_nakagami(ch.m1, rng, (min(rows, n - start), ch.n_elements))
             block *= sample_nakagami(ch.m2, rng, block.shape)
             np.sum(block, axis=1, out=sums[start:start + rows])
         amp += np.sqrt(pl_reflected) * sums

@@ -8,6 +8,7 @@ oracles (replayed generator streams, element-wise phase sums) for both.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,13 +126,18 @@ class TestFadingSamplers:
             sample_nakagami(0.3, _rng())
 
 
-def _replay_fading(ch, n, seed):
-    """The serving draw's amplitudes, replayed in its documented order."""
+def _replay_fading(ch, n, seed, rows=None):
+    """The serving draw's amplitudes, replayed in its documented order: the
+    Rayleigh amplitudes, then per block of ``rows`` draws (one block when
+    None) the block's first hops and then its second hops."""
     rng = _rng(seed)
     g = rng.rayleigh(scale=math.sqrt(0.5), size=n)
-    h1 = np.sqrt(rng.gamma(ch.m1, 1.0 / ch.m1, (n, ch.n_elements)))
-    h2 = np.sqrt(rng.gamma(ch.m2, 1.0 / ch.m2, (n, ch.n_elements)))
-    return g, h1, h2, rng
+    h1, h2 = [], []
+    for start in range(0, n, rows or n):
+        shape = (min(rows or n, n - start), ch.n_elements)
+        h1.append(np.sqrt(rng.gamma(ch.m1, 1.0 / ch.m1, shape)))
+        h2.append(np.sqrt(rng.gamma(ch.m2, 1.0 / ch.m2, shape)))
+    return g, np.concatenate(h1), np.concatenate(h2), rng
 
 
 class TestPhaseAlignment:
@@ -180,15 +186,16 @@ class TestServingPower:
         expected = s0_moments(pl_d, pl_r, ch.n_elements, ch.m1, ch.m2).mean
         assert np.mean(draws) == pytest.approx(expected, rel=0.02)
 
-    def test_hop_blocks_give_the_unblocked_bytes(self):
-        # the second hops are drawn in row blocks; n is not a multiple of one
+    def test_hop_blocks_replay_the_block_order(self):
+        # each row block draws its first hops, then its second hops; n is not
+        # a multiple of a block
         ch = ChannelParams(m1=1.7, m2=3.0, n_elements=50)
         rows = montecarlo._HOP_BLOCK // ch.n_elements
         n = 2 * rows + rows // 3
         pl_r = np.linspace(0.0, 1e-14, n)
         rng = _rng(8)
         s0 = draw_serving_power(ch, 1e-10, pl_r, n, rng)
-        g, h1, h2, ref = _replay_fading(ch, n, 8)
+        g, h1, h2, ref = _replay_fading(ch, n, 8, rows)
         amp = np.sqrt(1e-10) * g + np.sqrt(pl_r) * np.sum(h1 * h2, axis=1)
         assert s0.tobytes() == (amp * amp).tobytes()
         assert rng.random() == ref.random()
@@ -199,6 +206,36 @@ class TestServingPower:
         amp = np.sqrt(1e-10) * ref.rayleigh(scale=math.sqrt(0.5), size=n)
         assert s0.tobytes() == (amp * amp).tobytes()
         assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("extra", [0, -1])
+    def test_one_block_gives_the_one_batch_bytes(self, extra):
+        # up to one block, all first hops come before all second hops, as in
+        # one batch: small associated chunks keep their bytes
+        ch = ChannelParams(m1=1.7, m2=3.0, n_elements=50)
+        n = montecarlo._HOP_BLOCK // ch.n_elements + extra
+        pl_r = np.linspace(0.0, 1e-14, n)
+        rng = _rng(10)
+        s0 = draw_serving_power(ch, 1e-10, pl_r, n, rng)
+        g, h1, h2, ref = _replay_fading(ch, n, 10)
+        amp = np.sqrt(1e-10) * g + np.sqrt(pl_r) * np.sum(h1 * h2, axis=1)
+        assert s0.tobytes() == (amp * amp).tobytes()
+        assert rng.random() == ref.random()
+
+    def test_memory_does_not_grow_with_draws_times_elements(self):
+        # numpy reports its buffers to tracemalloc; of 50 blocks of hops one
+        # is held at a time, beside the draw's O(n) amplitudes and sums
+        ch = ChannelParams()
+        rows = montecarlo._HOP_BLOCK // ch.n_elements
+        n = 50 * rows
+        pl_d, pl_r = LinkGeometry().pathloss(ch.c, ch.alpha)
+        tracemalloc.start()
+        try:
+            draw_serving_power(ch, pl_d, pl_r, n, _rng(9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = rows * ch.n_elements * 8
+        assert peak <= 4 * block + 8 * n * 8
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):

@@ -80,7 +80,7 @@ _BUDGET_CASES = [
     # an 80 GB array of 100 runs x 1e8 steps of infected counts
     ("abm_steps: 100000000\nabm_ensemble_runs: 100\nabm_agents: 10\n", "sis-sim",
      "agent trajectory points"),
-    # 1e5 trials x 1e8 elements of Nakagami hops
+    # 1000 trials x 1e8 elements of Nakagami hops: about 1.4 h
     ("n_elements: 100000000\n", "validate-power", "serving-hop draws"),
     # ~3e8 BS x surface pairs per trial
     ("lambda_r: 3.0\n", "outage-sweep", "BS x surface pairs per trial"),
@@ -161,15 +161,15 @@ class TestExitCodes:
         assert len(lines) == 1 and "contact pairs per step" in lines[0]
 
     def test_overrides_apply_before_the_check(self, tmp_path):
-        # 300000 trials in the file exceed the serving-hop budget; the 20000
-        # given on the command line do not
-        cfg = _write(tmp_path, "big.yaml", "trials: 300000\n")
-        argv = ["--config", cfg, "--trials", "20000", "--seed", "3",
+        # 300000 trials of 20000 elements in the file exceed the serving-hop
+        # budget; the 2000 given on the command line do not
+        cfg = _write(tmp_path, "big.yaml", "trials: 300000\nn_elements: 20000\n")
+        argv = ["--config", cfg, "--trials", "2000", "--seed", "3",
                 "--out", str(tmp_path / "o"), "validate-power"]
         assert main(argv) == EXIT_OK
 
     def test_overrides_are_checked(self, tmp_path):
-        cfg = _write(tmp_path, "small.yaml", "trials: 10\n")
+        cfg = _write(tmp_path, "small.yaml", "trials: 10\nn_elements: 20000\n")
         argv = ["--config", cfg, "--trials", "300000", "--out", str(tmp_path / "o"),
                 "validate-power"]
         assert main(argv) == EXIT_CONFIG

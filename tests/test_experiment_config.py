@@ -124,7 +124,8 @@ class TestValidation:
             "window_radius: 1.0e+5\n",  # ~3e8 expected users
             "lambda_r: 3.0\n",  # ~3e8 BS x surface pairs per trial
             "r_i: 1.0e+5\n",  # ~1e10 moved users per trial
-            "n_elements: 1000\ntrials: 100000\n",  # 1e8 serving-hop draws
+            # 1e10 serving-hop draws: about 10 minutes at 60 ns per hop
+            "n_elements: 100000\ntrials: 100000\n",
             # ~8e7 agent contact pairs per step at the densest sis-sim panel
             "r_i: 500.0\nabm_agents: 20000\nabm_steps: 1\nabm_ensemble_runs: 1\n",
             "abm_agents: 100000000\nr_i: 1.0e-3\n",  # 1e8 agents, few contacts
@@ -175,6 +176,8 @@ class TestValidation:
             # 1.3e9 agent-steps: 271 s serially on 2 vCPUs
             ("abm_agents: 600\nabm_steps: 1000\nabm_ensemble_runs: 370\n",
              "expected agent-steps"),
+            # 4.9e9 serving hops (validate-power): 302 s serially on 2 vCPUs
+            ("trials: 100000\nn_elements: 49000\n", "serving-hop draws"),
         ],
     )
     def test_just_under_a_work_bound_loads(self, text, row):

@@ -1,6 +1,8 @@
-"""scripts/reproduce_figures.py: argument checks that run no command."""
+"""scripts/reproduce_figures.py with its command runner stubbed: argument
+checks and the line printed after each command."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
@@ -22,3 +24,14 @@ def test_quick_check_refused_before_running(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert ran == [] and out == ""
     assert len(err.splitlines()) == 1 and "--quick" in err
+
+
+def test_each_command_reports_wall_time_and_peak_rss(monkeypatch, capsys, tmp_path):
+    script = _load_script()
+    monkeypatch.setattr(script, "cli_main", lambda argv: 0)
+    assert script._run_all(str(tmp_path), quick=True) == 0
+    out = capsys.readouterr().out
+    pattern = r"== (\S+) wall time: \d+\.\d\d s, peak RSS so far: (\d+\.\d) MB"
+    reports = re.findall(pattern, out)
+    assert [command for command, _ in reports] == [command for *_, command in script.RUNS]
+    assert all(float(peak) > 0 for _, peak in reports)
