@@ -18,15 +18,14 @@ the analytic chain (gamma fit, transform, outage series, beta and mu).
 Every output file starts with the resolved configuration as comment lines,
 and identical seeds produce byte-identical files.
 
-Start-up loads only what the command needs: ``scipy.integrate`` by the
-first quadrature-oracle call (validate-laplace; its package import brings
-``scipy.optimize``, ``scipy.sparse`` and ``scipy.spatial`` with it),
-``scipy.spatial`` otherwise by topology alone (its nearest-neighbour
-queries), ``scipy.special`` by ``main`` for validate-power and
-validate-laplace alone (the incomplete gamma and beta functions), and
-``concurrent.futures`` only to start the ensembles' worker processes.
-r0-sweep, outage-sweep and sis-sim load none of the three scipy
-subpackages.
+Start-up loads only what the command needs: ``scipy.spatial`` by topology
+alone (its nearest-neighbour queries), ``scipy.special`` by ``main`` for
+validate-power and validate-laplace alone (the incomplete gamma and beta
+functions), and ``concurrent.futures`` only to start the ensembles' worker
+processes.  No command loads ``scipy.integrate``, ``scipy.optimize`` or
+``scipy.sparse``: validate-laplace's quadrature oracle runs the package's
+own rule (``ris_sim.integrate``).  r0-sweep, outage-sweep and sis-sim load
+no scipy subpackage.
 ``main`` freezes the import-time heap (``gc.freeze``) once per process, so
 neither the collector's passes during the run nor the one at exit walk it.
 """
@@ -295,6 +294,11 @@ def cmd_validate_laplace(cfg: ExperimentConfig, out_dir: Path, threads: int) -> 
             closed_default = closed(float(s), p, cfg.reflected_form)
             closed_pgfl = closed(float(s), p, "pgfl")
             oracle = laplace_quadrature_oracle(float(s), p, stage)
+            if oracle == 0.0:
+                raise ArithmeticError(
+                    f"quadrature oracle underflows to 0.0 at s={s:.6g} ({stage} stage), "
+                    "so no relative error can be taken against it"
+                )
             worst_rel = max(worst_rel, abs(closed_pgfl - oracle) / oracle)
             analytic.append((stage, s, closed_default, oracle, closed_pgfl))
 

@@ -32,14 +32,22 @@ power law, and the outer integral keeps the full nonlinearity, which the
 pgfl closed form linearizes.  The direct-field integral stays an adaptive
 quadrature, since its closed form is exactly what the oracle checks.
 
+Both outer integrals run ``integrate.quad``, the package's own vectorized
+Gauss–Kronrod rule, over finite breakpoints only: segments of at most a
+decade up to a point V past the kernel's turn-over, then the tail beyond V
+in closed form, the leading term of the integrand's series in v**-alpha.  V
+is the first decade at which the series' next term falls below 1e-12 of
+that leading term, a bound checked at each call, so a tail that decays as
+slowly as v**(1-alpha) at alpha near 2 is never left to an infinite-range
+extrapolation.
+
 The reflected integral depends on (s, p) alone and not on the stage, so it
 is memoized: it is a pure function of a float and a frozen (hashable)
 dataclass, the cache is bounded (128 entries, more than the 50-point grids
 that evaluate both stages), and a failing quadrature raises, so a failure
-is never cached.  With the inner integral in closed form one oracle point
-costs 3.5 ``quad`` calls on average (two for the direct field, and three
-for the reflected factor in the first stage only), 1–2 ms on a 2-vCPU
-host.
+is never cached.  One oracle point costs 1.5 ``quad`` calls on average (one
+for the direct field, and one for the reflected factor in the first stage
+only) of about three refinement passes each, 0.6–1.2 ms on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -51,6 +59,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import integrate
 
 
 def _lazy_module(name: str):
@@ -67,18 +77,15 @@ def _lazy_module(name: str):
     return module
 
 
-# scipy.integrate pulls in scipy.optimize, linalg, sparse and spatial, about
-# 0.35 s of start-up that only the oracle needs, and scipy.special (with
-# numpy.f2py behind its array-API layer) about 0.28 s that only the oracle
-# and the gamma CDF need.  They stay module attributes, looked up as
-# ``integrate.quad`` at each call and as ``special.betainc`` once per
-# transform variable s (when the oracle builds its inner integrand), so a
-# call can be wrapped or patched.  The first attribute access loads a module
-# without a lock (Python 3.11), which is safe because the oracle is only
-# ever called from one thread, and because ``cli.main`` loads ``special``
-# for the two commands that use it before any thread or worker process
-# exists.
-integrate = _lazy_module("scipy.integrate")
+# scipy.special (with numpy.f2py behind its array-API layer) takes about
+# 0.28 s of start-up that only the oracle and the gamma CDF need.  It stays a
+# module attribute, looked up as ``special.betainc`` once per transform
+# variable s (when the oracle builds its inner integrand), and the oracle's
+# quadrature as ``integrate.quad`` at each call, so either can be wrapped or
+# patched.  The first attribute access loads a module without a lock (Python
+# 3.11), which is safe because the oracle is only ever called from one
+# thread, and because ``cli.main`` loads ``special`` for the two commands
+# that use it before any thread or worker process exists.
 special = _lazy_module("scipy.special")
 
 __all__ = [
@@ -206,51 +213,77 @@ def laplace_after(s: float, p: LaplaceParams, form: str = "affine") -> float:
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=200)
 
+# the largest share of a closed-form tail that its first neglected term may be
+_TAIL_RTOL = 1e-12
 
-def _checked_quad(fn, lo, hi, points=None) -> float:
-    """Integral of a nonnegative integrand; a negative value can only come
-    from a failed extrapolation and raises like a large error estimate."""
-    val, err = integrate.quad(fn, lo, hi, points=points, **_QUAD_OPTS)
+
+def _checked_quad(fn, edges) -> float:
+    """Integral of a nonnegative integrand over the breakpoints ``edges``; a
+    negative value, which the rule's positive weights cannot give, raises
+    like a large error estimate."""
+    val, err = integrate.quad(fn, edges, **_QUAD_OPTS)
     if not math.isfinite(val) or val < 0.0 or err > max(1e-10, 1e-6 * abs(val)):
         raise ArithmeticError(
-            f"quadrature failed: value={val}, abserr={err}, interval=({lo}, {hi})"
+            f"quadrature failed: value={val}, abserr={err}, "
+            f"interval=({edges[0]}, {edges[-1]})"
         )
     return val
 
 
+def _decades(start: float, next_coeff: float, alpha: float) -> list[float]:
+    """Edges start, 10 start, ..., V = start * 10**m for a tail whose
+    integral over [V, inf) is its leading term times
+    (1 - next_coeff * V**-alpha + ...): the fewest decades, at least one,
+    that leave the next term below _TAIL_RTOL of the leading one.  Raises
+    when V leaves the float range or the bound does not hold there."""
+    edges = [start, start * 10.0]
+    while math.isfinite(edges[-1]) and next_coeff * edges[-1] ** -alpha >= _TAIL_RTOL:
+        edges.append(edges[-1] * 10.0)
+    ratio = next_coeff * edges[-1] ** -alpha
+    if not (math.isfinite(edges[-1]) and ratio < _TAIL_RTOL):
+        raise ArithmeticError(
+            f"closed-form tail from V={edges[-1]}: next term {ratio} of the leading one, "
+            f"not below {_TAIL_RTOL}"
+        )
+    return edges
+
+
 def _ppp_direct_integral(kernel_scale: float, alpha: float) -> float:
-    """integral_0^inf (1 - 1/(1 + kernel_scale * v**-alpha)) v dv."""
+    """integral_0^inf (1 - 1/(1 + kernel_scale * v**-alpha)) v dv.
+
+    Quadrature over [0, knee], knee = k**(1/alpha), and decades past it up
+    to V, plus the tail beyond V in closed form: there the integrand is
+    k v**(1-alpha) (1 - k v**-alpha + ...), so the tail is
+    k V**(2-alpha) / (alpha-2) and its next term is k V**-alpha
+    (alpha-2) / (2 alpha-2) of that.
+    """
     if kernel_scale == 0.0:
         return 0.0
+    k, a = kernel_scale, alpha
 
-    def integrand(v: float) -> float:
+    def integrand(v: np.ndarray) -> np.ndarray:
         # algebraically 1 - 1/(1 + k v^-a), written overflow-safe
-        return v / (1.0 + v**alpha / kernel_scale)
+        with np.errstate(over="ignore"):
+            return v / (1.0 + v**a / k)
 
-    knee = kernel_scale ** (1.0 / alpha)
-    return _checked_quad(integrand, 0.0, knee) + _checked_quad(integrand, knee, np.inf)
-
-
-def _kernel_ratio(w: float, root_k: float, alpha: float) -> float:
-    """(w / root_k)**alpha, inf where it overflows a float."""
-    try:
-        return (w / root_k) ** alpha
-    except OverflowError:
-        return math.inf
+    edges = _decades(k ** (1.0 / a), k * (a - 2.0) / (2.0 * a - 2.0), a)
+    tail = k * edges[-1] ** (2.0 - a) / (a - 2.0)
+    return _checked_quad(integrand, [0.0, *edges]) + tail
 
 
 def _cluster_inner(p: LaplaceParams, k: float):
     """The function v -> integral_{d_min}^{d_max} u / (1 + (u v)**alpha / k) du,
-    in closed form.
+    in closed form, elementwise on an array of v (a scalar v gives a scalar).
 
     With x = (u v)**alpha / k and t = x / (1 + x) the integral is
     k**(2/alpha) / (alpha v**2) * B(2/alpha, 1 - 2/alpha) * (I_t2 - I_t1),
     I_t = I_t(2/alpha, 1 - 2/alpha) the regularized incomplete beta
     function.  An end with x >= 1 enters through its complement
     1 - I_t = I_{1/(1+x)}(1 - 2/alpha, 2/alpha): t itself would round to 1
-    as v grows and take the difference with it.  What depends on (p, k)
-    alone, B included, is computed once here, not at each of the outer
-    quadrature's evaluations.
+    as v grows and take the difference with it.  Each branch evaluates the
+    incomplete beta function once on the subset of v it covers.  What
+    depends on (p, k) alone, B included, is computed once here, not at each
+    of the outer quadrature's evaluations.
     """
     a, d_min, d_max = p.alpha, p.d_min, p.d_max
     root_k = k ** (1.0 / a)
@@ -259,25 +292,35 @@ def _cluster_inner(p: LaplaceParams, k: float):
     betainc, betaincc = special.betainc, special.betaincc
     half_span = 0.5 * (d_max * d_max - d_min * d_min)
 
-    def complement(x: float, w: float) -> float:
+    def complement(x: np.ndarray, w: np.ndarray) -> np.ndarray:
         # 1 - I_t, from 1 / (1 + x) = (root_k / w)**alpha to rounding once x overflows
-        y = 1.0 / (1.0 + x) if math.isfinite(x) else (root_k / w) ** a
+        y = 1.0 / (1.0 + x)
+        over = np.isinf(x)
+        y[over] = (root_k / w[over]) ** a
         return betainc(hi, lo, y)
 
-    def inner(v: float) -> float:
-        x1 = _kernel_ratio(d_min * v, root_k, a)
-        x2 = _kernel_ratio(d_max * v, root_k, a)
-        if x2 < 1e-17:
-            # the kernel is 1 to rounding over the whole interval (v = 0 included)
-            return half_span
-        if x2 < 1.0:
-            diff = betainc(lo, hi, x2 / (1.0 + x2)) - betainc(lo, hi, x1 / (1.0 + x1))
-        elif x1 < 1.0:
-            diff = betaincc(lo, hi, x1 / (1.0 + x1)) - complement(x2, d_max * v)
-        else:
-            diff = complement(x1, d_min * v) - complement(x2, d_max * v)
-        r = root_k / v
-        return float(r * r * beta * diff / a)
+    def inner(v):
+        v = np.asarray(v, dtype=float)
+        with np.errstate(over="ignore"):
+            # the kernel ratios at u = d_min and d_max, inf where they overflow
+            x1 = (d_min * v / root_k) ** a
+            x2 = (d_max * v / root_k) ** a
+        # the kernel is 1 to rounding over the whole interval (v = 0 included)
+        out = np.full(v.shape, half_span)
+        below = (x2 >= 1e-17) & (x2 < 1.0)
+        across = (x2 >= 1.0) & (x1 < 1.0)
+        above = x1 >= 1.0
+        t1, t2 = x1[below], x2[below]
+        out[below] = betainc(lo, hi, t2 / (1.0 + t2)) - betainc(lo, hi, t1 / (1.0 + t1))
+        t1 = x1[across]
+        out[across] = (betaincc(lo, hi, t1 / (1.0 + t1))
+                       - complement(x2[across], d_max * v[across]))
+        out[above] = (complement(x1[above], d_min * v[above])
+                      - complement(x2[above], d_max * v[above]))
+        inside = below | across | above
+        r = root_k / v[inside]
+        out[inside] = r * r * beta * out[inside] / a
+        return out[()]
 
     return inner
 
@@ -286,25 +329,39 @@ def _cluster_inner(p: LaplaceParams, k: float):
 def _reflected_cluster_exponent(s: float, p: LaplaceParams) -> float:
     """integral_0^inf (1 - exp(-2 pi lambda_r * inner(v))) v dv with the inner
     surface integral truncated to [d_min, d_max] and evaluated by
-    ``_cluster_inner``."""
+    ``_cluster_inner``.
+
+    Past v = k**(1/alpha) / d_min the inner integral is
+    k v**-alpha (C - k v**-alpha C2 + ...), C and C2 the integrals of
+    u**(1-alpha) and u**(1-2 alpha) over [d_min, d_max], so the integrand is
+    2 pi lambda_r k C v**(1-alpha) (1 - k v**-alpha (C2/C + pi lambda_r C)
+    + ...).  Quadrature runs over decades from that point up to V, and the
+    tail beyond V is 2 pi lambda_r k C V**(2-alpha) / (alpha-2), its next
+    term k V**-alpha (alpha-2) / (2 alpha-2) (C2/C + pi lambda_r C) of that.
+    """
     k = s * p.n_elements * p.c**2
     if k == 0.0 or p.lambda_r == 0.0:
         return 0.0
-    a = p.alpha
+    a, d_min, d_max = p.alpha, p.d_min, p.d_max
     two_pi_lr = 2.0 * math.pi * p.lambda_r
     inner = _cluster_inner(p, k)
 
-    def outer(v: float) -> float:
-        return -math.expm1(-two_pi_lr * inner(v)) * v
+    def outer(v: np.ndarray) -> np.ndarray:
+        return -np.expm1(-two_pi_lr * inner(v)) * v
 
     # the kernel at u = d_max and at u = d_min turns over at lo and hi: below
     # lo the integrand is linear in v, beyond hi it decays like v**(1-alpha),
-    # and its mass can sit anywhere from lo on.  An interval much longer
-    # than the mass around it can come back with a negative integral.
+    # and its mass can sit anywhere from lo on, so [lo, hi] is cut into
+    # segments of at most a decade as well
     root_k = k ** (1.0 / a)
-    lo, hi = root_k / p.d_max, root_k / p.d_min
-    return (_checked_quad(outer, 0.0, lo) + _checked_quad(outer, lo, hi)
-            + _checked_quad(outer, hi, np.inf))
+    lo, hi = root_k / d_max, root_k / d_min
+    c1 = (d_min ** (2.0 - a) - d_max ** (2.0 - a)) / (a - 2.0)
+    c2 = (d_min ** (2.0 - 2.0 * a) - d_max ** (2.0 - 2.0 * a)) / (2.0 * a - 2.0)
+    next_coeff = k * (a - 2.0) / (2.0 * a - 2.0) * (c2 / c1 + 0.5 * two_pi_lr * c1)
+    edges = _decades(hi, next_coeff, a)
+    tail = two_pi_lr * k * c1 * edges[-1] ** (2.0 - a) / (a - 2.0)
+    between = np.geomspace(lo, hi, math.ceil(math.log10(d_max / d_min)) + 1)[:-1]
+    return _checked_quad(outer, [0.0, *between, *edges]) + tail
 
 
 def laplace_quadrature_oracle(s: float, p: LaplaceParams, stage: str = "before") -> float:

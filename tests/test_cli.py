@@ -187,6 +187,19 @@ class TestExitCodes:
         assert "numeric failure" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_oracle_underflow_exits_validation(self, tmp_path):
+        # a strong path gain drives the transform below the smallest float:
+        # no relative error can be formed against an oracle value of 0.0
+        proc = _run_cli(tmp_path, "pathloss_const: 1.0e+3\nlambda_r: 1.0e-4\n",
+                        "validate-laplace")
+        assert proc.returncode == EXIT_VALIDATION
+        lines = proc.stderr.splitlines()
+        assert lines[-1] == (
+            "numeric failure: ArithmeticError: quadrature oracle underflows to 0.0 at "
+            "s=1e+06 (before stage), so no relative error can be taken against it")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_jet_overflow_leaves_one_line_without_a_warning(self, tmp_path):
         # a noise-limited link at order 60: the jet's recurrence overflows,
         # which the finiteness check reports, not numpy
@@ -440,6 +453,19 @@ print(code, loaded, hasattr(ia, "integrate"), gc.get_freeze_count() > 0)
                                          "--out", str(tmp_path / "o"), "r0-sweep"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 [] True True"
+
+    def test_validate_laplace_loads_no_quadpack_stack(self, tmp_path):
+        # the oracle's own rule needs none of scipy.integrate and the
+        # optimize, sparse and linalg packages its import brings along
+        script = (
+            "import sys\nimport ris_sim.cli\ncode = ris_sim.cli.main(sys.argv[1:])\n"
+            "print(code, [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse',"
+            " 'scipy.linalg') if m in sys.modules])\n"
+        )
+        proc = _run_script(script, ["--trials", "1000", "--out", str(tmp_path / "o"),
+                                    "validate-laplace"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     @pytest.mark.parametrize("command, text", [
         ("outage-sweep", "trials: 300\n"),

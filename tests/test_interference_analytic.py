@@ -6,6 +6,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from scipy import integrate as scipy_integrate
 
 from ris_sim import interference_analytic as ia
 from ris_sim.interference_analytic import (
@@ -133,9 +134,17 @@ class TestQuadratureOracle:
         assert abs(affine / oracle - 0.9907128645) < 1e-4
 
 
+def _scipy_quad(fn, lo, hi):
+    """QUADPACK's integral of a scalar integrand (infinite ``hi`` allowed),
+    with the oracle's tolerances and its checks."""
+    val, err = scipy_integrate.quad(fn, lo, hi, **ia._QUAD_OPTS)
+    assert math.isfinite(val) and val >= 0.0 and err <= max(1e-10, 1e-6 * val), (val, err)
+    return val
+
+
 def _nested_reflected(s, p):
     """The reflected-cluster integral with its inner integral as a second
-    adaptive quadrature (no closed form)."""
+    adaptive quadrature (no closed form), both by QUADPACK on scalars."""
     k = s * p.n_elements * p.c**2
     if k == 0.0 or p.lambda_r == 0.0:
         return 0.0
@@ -145,7 +154,7 @@ def _nested_reflected(s, p):
         def integrand(u):
             return u / (1.0 + (u * v) ** a / k)
 
-        return ia._checked_quad(integrand, p.d_min, p.d_max)
+        return _scipy_quad(integrand, p.d_min, p.d_max)
 
     two_pi_lr = 2.0 * math.pi * p.lambda_r
 
@@ -153,7 +162,44 @@ def _nested_reflected(s, p):
         return -math.expm1(-two_pi_lr * inner(v)) * v
 
     knee = max(k ** (1.0 / a) / p.d_min, p.d_min)
-    return ia._checked_quad(outer, 0.0, knee) + ia._checked_quad(outer, knee, np.inf)
+    return _scipy_quad(outer, 0.0, knee) + _scipy_quad(outer, knee, np.inf)
+
+
+def _quadpack_oracle(s, p, stage):
+    """The oracle with QUADPACK on scalar integrands and infinite ranges, as
+    it was computed before the array rule: the direct field over [0, knee]
+    and [knee, inf), the reflected factor over [0, lo], [lo, hi] and
+    [hi, inf)."""
+    if s == 0.0:
+        return 1.0
+    k, a = s * p.c, p.alpha
+
+    def field(v):
+        return v / (1.0 + v**a / k)
+
+    knee = k ** (1.0 / a)
+    direct = _scipy_quad(field, 0.0, knee) + _scipy_quad(field, knee, np.inf)
+    k = s * p.n_elements * p.c**2
+    inner = ia._cluster_inner(p, k)
+    two_pi_lr = 2.0 * math.pi * p.lambda_r
+
+    def outer(v):
+        return -math.expm1(-two_pi_lr * float(inner(v))) * v
+
+    lo, hi = k ** (1.0 / a) / p.d_max, k ** (1.0 / a) / p.d_min
+    reflected = sum(_scipy_quad(outer, x, y) for x, y in ((0.0, lo), (lo, hi), (hi, np.inf)))
+    exponent = 2.0 * math.pi * p.lambda_b * (direct + reflected)
+    if stage == "after":
+        exponent += 2.0 * math.pi * p.lambda_u_near * direct
+    return math.exp(-exponent)
+
+
+class TestAgainstQuadpack:
+    @pytest.mark.parametrize("stage", ["before", "after"])
+    def test_grid_matches(self, stage):
+        for s in np.geomspace(1e2, 1e9, 50):
+            assert laplace_quadrature_oracle(float(s), P, stage) == pytest.approx(
+                _quadpack_oracle(float(s), P, stage), rel=1e-12)
 
 
 def _fresh_oracle(s, p, stage):
@@ -211,8 +257,8 @@ class TestOracleMemo:
             laplace_quadrature_oracle(s, P, "after")
         after = ia._reflected_cluster_exponent.cache_info()
         assert (after.hits - info.hits, after.misses - info.misses) == (len(grid), 0)
-        # the after pass integrates the direct field alone, on two intervals
-        assert calls[0] - before == 2 * len(grid)
+        # the after pass integrates the direct field alone, in one call
+        assert calls[0] - before == len(grid)
 
     def test_key_includes_the_params(self):
         s = 1e6
@@ -365,6 +411,42 @@ class TestReflectedExponent:
                           n_elements=44, lambda_r=0.5)
         assert ia._reflected_cluster_exponent.__wrapped__(1e-5, p) == pytest.approx(
             float(_mp_reflected(1e-5, p)), rel=1e-10)
+
+
+class TestTails:
+    """Past the last quadrature edge V each integral is finished in closed
+    form; the next term of its tail series must stay below 1e-12 of it."""
+
+    @pytest.mark.parametrize("alpha", [2.05, 2.2, 3.0])
+    @pytest.mark.parametrize("start, coeff", [(1e-7, 1e-12), (1.0, 0.2), (40.0, 3e11)])
+    def test_fewest_decades_meeting_the_bound(self, alpha, start, coeff):
+        edges = ia._decades(start, coeff, alpha)
+        assert len(edges) >= 2 and edges[0] == start
+        assert edges == pytest.approx([start * 10.0**j for j in range(len(edges))])
+        assert coeff * edges[-1] ** -alpha < ia._TAIL_RTOL
+        if len(edges) > 2:
+            assert coeff * edges[-2] ** -alpha >= ia._TAIL_RTOL
+
+    def test_unmet_bound_raises(self):
+        # the first decade past 1e308 overflows a float
+        with pytest.raises(ArithmeticError, match="closed-form tail"):
+            ia._decades(1e308, 1.0, 3.0)
+
+    @pytest.mark.parametrize("alpha", [2.05, 2.2])
+    @pytest.mark.parametrize("k", [1e-3, 63.326, 1e5])
+    def test_direct_matches_mpmath(self, alpha, k):
+        # integral_0^inf v / (1 + v**alpha / k) dv = k**(2/alpha) (pi/alpha) / sin(2 pi/alpha)
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            exact = mpmath.mpf(k) ** (2 / a) * mpmath.pi / (a * mpmath.sin(2 * mpmath.pi / a))
+        assert ia._ppp_direct_integral(k, alpha) == pytest.approx(float(exact), rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [2.05, 2.2])
+    def test_reflected_matches_mpmath(self, alpha):
+        p = LaplaceParams(alpha=alpha, lambda_r=1e-4, n_elements=200, d_min=1.0, d_max=1e3)
+        for s in (1e4, 1e8):
+            assert ia._reflected_cluster_exponent.__wrapped__(s, p) == pytest.approx(
+                float(_mp_reflected(s, p)), rel=1e-10)
 
 
 class TestEmpiricalLaplace:
