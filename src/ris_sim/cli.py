@@ -20,12 +20,11 @@ and identical seeds produce byte-identical files.
 
 Start-up loads only what the command needs: ``scipy.spatial`` by topology
 alone (its nearest-neighbour queries), ``scipy.special`` by ``main`` for
-validate-power and validate-laplace alone (the incomplete gamma and beta
-functions), and ``concurrent.futures`` only to start the ensembles' worker
-processes.  No command loads ``scipy.integrate``, ``scipy.optimize`` or
-``scipy.sparse``: validate-laplace's quadrature oracle runs the package's
-own rule (``ris_sim.integrate``).  r0-sweep, outage-sweep and sis-sim load
-no scipy subpackage.
+validate-power alone (the incomplete gamma function), and
+``concurrent.futures`` only to start the ensembles' worker processes.
+validate-laplace, outage-sweep, sis-sim and r0-sweep load no scipy module:
+the quadrature oracle runs the package's own rules (``ris_sim.integrate``
+and the Gauss–Jacobi rules of its inner integral).
 ``main`` freezes the import-time heap (``gc.freeze``) once per process, so
 neither the collector's passes during the run nor the one at exit walk it.
 """
@@ -371,10 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.threads < 1:
         _log(f"configuration error: --threads must be at least 1, got {args.threads}")
         return EXIT_CONFIG
-    if args.command in ("validate-power", "validate-laplace"):
-        # they call scipy.special's incomplete gamma or beta function; the
-        # attribute lookup runs the lazily bound module now, so its import
-        # stays in set-up and under the freeze below
+    if args.command == "validate-power":
+        # its gamma CDF calls scipy.special's incomplete gamma function:
+        # imported now, the module stays in set-up and under the freeze below
         from scipy.special import gammainc  # noqa: F401
     if gc.get_freeze_count() == 0:
         # the import-time heap lives until exit: freezing it spares the

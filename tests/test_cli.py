@@ -440,11 +440,11 @@ class TestStartUp:
     SCRIPT = """
 import gc, sys
 import ris_sim.cli
-import ris_sim.interference_analytic as ia
 code = ris_sim.cli.main(sys.argv[1:])
 loaded = [m for m in ("scipy.optimize", "scipy.sparse", "scipy.linalg",
                       "scipy.spatial._ckdtree") if m in sys.modules]
-print(code, loaded, hasattr(ia, "integrate"), gc.get_freeze_count() > 0)
+print(code, loaded, "scipy.integrate" in sys.modules, "scipy" in sys.modules,
+      gc.get_freeze_count() > 0)
 """
 
     def test_r0_sweep_loads_no_quadrature_or_tree(self, tmp_path):
@@ -452,16 +452,22 @@ print(code, loaded, hasattr(ia, "integrate"), gc.get_freeze_count() > 0)
         proc = _run_script(self.SCRIPT, ["--config", str(cfg), "--trials", "1000",
                                          "--out", str(tmp_path / "o"), "r0-sweep"])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 [] True True"
+        assert proc.stdout.splitlines()[-1] == "0 [] False False True"
+
+    # every module of the scipy package, scipy itself included
+    SCIPY = "[m for m in sys.modules if m.partition('.')[0] == 'scipy']"
+
+    def test_import_loads_no_scipy_module(self):
+        proc = _run_script(f"import sys\nimport ris_sim.cli\nprint({self.SCIPY})\n", [])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_validate_laplace_loads_no_quadpack_stack(self, tmp_path):
-        # the oracle's own rule needs none of scipy.integrate and the
-        # optimize, sparse and linalg packages its import brings along
-        script = (
-            "import sys\nimport ris_sim.cli\ncode = ris_sim.cli.main(sys.argv[1:])\n"
-            "print(code, [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse',"
-            " 'scipy.linalg') if m in sys.modules])\n"
-        )
+        # the oracle's own rules need neither scipy.integrate (with the
+        # optimize, sparse and linalg packages its import brings along) nor
+        # scipy.special's incomplete beta function, so no scipy module loads
+        script = ("import sys\nimport ris_sim.cli\ncode = ris_sim.cli.main(sys.argv[1:])\n"
+                  f"print(code, {self.SCIPY})\n")
         proc = _run_script(script, ["--trials", "1000", "--out", str(tmp_path / "o"),
                                     "validate-laplace"])
         assert proc.returncode == 0, proc.stderr
@@ -483,11 +489,10 @@ print(code, loaded, hasattr(ia, "integrate"), gc.get_freeze_count() > 0)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
 
-    # scipy.special stays in sys.modules as an unexecuted lazy module, so its
-    # compiled _ufuncs tell whether it ran; numpy.f2py comes in behind it.
+    # numpy.f2py comes in behind scipy.special's array-API layer.
     # concurrent.futures (and logging behind it) starts threads or workers,
     # which --threads 1 never asks for.
-    UNUSED = ("scipy.special._ufuncs", "numpy.f2py", "concurrent.futures")
+    UNUSED = ("numpy.f2py", "concurrent.futures")
 
     @pytest.mark.parametrize("command, text", [
         ("outage-sweep", "trials: 300\n"),
@@ -495,9 +500,10 @@ print(code, loaded, hasattr(ia, "integrate"), gc.get_freeze_count() > 0)
         ("r0-sweep", "sweep:\n  axis: ue_density\n  grid: [1.0e-3, 1.0e-2]\n"),
     ])
     def test_no_special_functions_or_pool(self, tmp_path, command, text):
+        # no scipy module at all, scipy.special included
         script = (
             "import sys\nimport ris_sim.cli\ncode = ris_sim.cli.main(sys.argv[1:])\n"
-            f"print(code, [m for m in {self.UNUSED!r} if m in sys.modules])\n"
+            f"print(code, {self.SCIPY} + [m for m in {self.UNUSED!r} if m in sys.modules])\n"
         )
         cfg = _write(tmp_path, "c.yaml", text)
         proc = _run_script(script, ["--config", cfg, "--out", str(tmp_path / "o"), command])
@@ -516,11 +522,12 @@ print(code, loaded, hasattr(ia, "integrate"), gc.get_freeze_count() > 0)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False"
 
-    @pytest.mark.parametrize("command, trials", [
-        ("validate-power", 5000), ("validate-laplace", 1000)])
-    def test_special_functions_load_in_set_up(self, tmp_path, command, trials):
+    @pytest.mark.parametrize("command, trials, loaded", [
+        pytest.param("validate-power", 5000, True, id="validate-power-5000"),
+        pytest.param("validate-laplace", 1000, False, id="validate-laplace-1000")])
+    def test_special_functions_load_in_set_up(self, tmp_path, command, trials, loaded):
         # loaded by the time the config is, so the import counts as set-up
-        # and not as the command's work
+        # and not as the command's work; validate-laplace never loads them
         script = (
             "import sys\nimport ris_sim.cli as cli\nseen = []\n"
             "load_config = cli.load_config\n"
@@ -534,7 +541,7 @@ print(code, loaded, hasattr(ia, "integrate"), gc.get_freeze_count() > 0)
         cfg = _write(tmp_path, "c.yaml", f"trials: {trials}\n")
         proc = _run_script(script, ["--config", cfg, "--out", str(tmp_path / "o"), command])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 [True]"
+        assert proc.stdout.splitlines()[-1] == f"0 [{loaded}]"
 
 
 class TestSisSim:

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
+from scipy import special as scipy_special
 
 from ris_sim import interference_analytic as ia
 from ris_sim.interference_analytic import (
@@ -301,6 +302,35 @@ def _mp_inner(v, p, k):
         return antiderivative(p.d_max) - antiderivative(p.d_min)
 
 
+def _betainc_inner(v, p, k):
+    """The inner integral from scipy's regularized incomplete beta function,
+    as the oracle took it before its Gauss–Jacobi rules:
+    k**a / (alpha v**2) B(a, 1-a) (I_t2 - I_t1), a = 2/alpha, t = x / (1 + x),
+    an end with x >= 1 through its complement I_{1/(1+x)}(1-a, a).
+
+    Returns the value and its rounding: each I, at most 1, is good to about
+    1e-15, and B(a, 1-a) grows like 1/(alpha-2) as alpha nears 2, where the
+    difference of two I near 1 cancels."""
+    a = 2.0 / p.alpha
+    root_k = k ** (1.0 / p.alpha)
+    x1, x2 = ((d * v / root_k) ** p.alpha for d in (p.d_min, p.d_max))
+
+    def lower(x):
+        return scipy_special.betainc(a, 1.0 - a, x / (1.0 + x))
+
+    def upper(x):
+        return scipy_special.betainc(1.0 - a, a, 1.0 / (1.0 + x))
+
+    if x2 < 1.0:
+        diff = lower(x2) - lower(x1)
+    elif x1 < 1.0:
+        diff = 1.0 - lower(x1) - upper(x2)
+    else:
+        diff = upper(x1) - upper(x2)
+    scale = (root_k / v) ** 2 * scipy_special.beta(a, 1.0 - a) / p.alpha
+    return scale * diff, 2e-15 * scale
+
+
 def _mp_reflected(s, p):
     """The reflected-cluster exponent at 25 digits, the inner integral from
     the antiderivatives in 1/x(u) past x(d_min) = 1 (no cancellation).
@@ -341,6 +371,14 @@ def _mp_reflected(s, p):
         return body + two_pi_lr * k * span * edges[-1] ** (2 - a) / (a - 2) ** 2
 
 
+class TestJacobiRule:
+    @pytest.mark.parametrize("c", [-0.99995, -2.0 / 3.0, -1.0 / 3.0, -0.05])
+    def test_exact_to_degree_23(self, c):
+        nodes, weights = ia._jacobi_rule(c, 12)
+        for j in range(24):
+            assert weights @ nodes**j == pytest.approx(1.0 / (c + j + 1.0), rel=1e-14)
+
+
 class TestClusterInner:
     """The inner surface integral against a 400-digit hypergeometric reference."""
 
@@ -364,6 +402,16 @@ class TestClusterInner:
         v = self._v(x1, p, self.K)
         assert ia._cluster_inner(p, self.K)(v) == pytest.approx(
             float(_mp_inner(v, p, self.K)), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [2.0001, 2.2, 3.0, 3.7, 5.0, 8.0])
+    @pytest.mark.parametrize("x1", [1e-300, 1e-15, 1e-6, 0.5, 1.0 - 1e-9, 1.0 + 1e-9,
+                                    2.0, 1e6, 1e20])  # the grid of test_matches_mpmath
+    def test_matches_incomplete_beta(self, alpha, x1):
+        p = LaplaceParams(alpha=alpha)
+        v = self._v(x1, p, self.K)
+        value, rounding = _betainc_inner(v, p, self.K)
+        assert ia._cluster_inner(p, self.K)(v) == pytest.approx(value, rel=1e-13,
+                                                                abs=rounding)
 
     @pytest.mark.parametrize("alpha", [2.2, 3.0, 3.7, 5.0])
     def test_span_across_one(self, alpha):
