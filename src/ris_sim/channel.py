@@ -62,13 +62,11 @@ def sample_rayleigh(rng: np.random.Generator, size=None):
     return rng.rayleigh(scale=math.sqrt(0.5), size=size)
 
 
-def sample_nakagami(m: float, rng: np.random.Generator, size=None):
-    """Nakagami-m amplitude with unit second moment."""
+def sample_nakagami(m: float, rng: np.random.Generator, size):
+    """Array of ``size`` Nakagami-m amplitudes with unit second moment."""
     if m < 0.5:
         raise ValueError(f"Nakagami shape must be at least 0.5, got {m}")
     # numpy's gamma(m, scale) is scale * standard_gamma(m): the same draws
-    if size is None:
-        return np.sqrt(rng.standard_gamma(m) * (1.0 / m))
     amp = rng.standard_gamma(m, size)
     amp *= 1.0 / m
     return np.sqrt(amp, out=amp)

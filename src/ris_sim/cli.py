@@ -11,9 +11,11 @@ see ``montecarlo.run_ensemble``).  The other commands run serially,
 sis-sim's six panels as one agent run (``mobility_sim.run_abm``).  Output is
 byte-identical whatever its value.
 
-Monte Carlo ensembles feed validate-power, outage-sweep and
-validate-laplace only; r0-sweep, and the rates behind sis-sim's agents, are
-the analytic chain (gamma fit, transform, outage series, beta and mu).
+Monte Carlo ensembles feed outage-sweep and validate-laplace only;
+validate-power draws their pinned serving batch, and topology one
+deployment of their field sampler.  r0-sweep, and the rates behind
+sis-sim's agents, are the analytic chain (gamma fit, transform, outage
+series, beta and mu).
 
 Every output file starts with the resolved configuration as comment lines,
 and identical seeds produce byte-identical files.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
+import itertools
 import math
 import os
 import sys
@@ -51,7 +53,7 @@ from .experiment_config import (
     dump_config,
     load_config,
 )
-from .geometry import build_topology, export_topology_csv
+from .geometry import sample_hppp, serving_surfaces
 from .interference_analytic import (
     empirical_laplace,
     laplace_after,
@@ -122,40 +124,47 @@ def _fmt(v) -> str:
 
 
 def cmd_topology(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+    """One deployment from stream SeedSequence(seed): its BSs (each with its
+    nearest cluster child), surfaces and users (each with its nearest BS)."""
     if cfg.lambda_b <= 0:
         _log("error: no base stations (lambda_b must be positive)")
         return EXIT_CONFIG
+    topo = cfg.topology_config()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    topo = build_topology(cfg.topology_config(), rng)
-    out = out_dir / "topology.csv"
-    # newline=None turns the csv module's \r\n row ends into \n
-    points = io.StringIO(newline=None)
-    export_topology_csv(topo, points)
-    _write_atomic(out, lambda fh: fh.write(_config_header(cfg) + points.getvalue()))
-
-    n_bs = topo.bs.shape[0]
+    bs, _, ris, ris_parent, _ = montecarlo.sample_fields(topo, rng, 1)
+    ue = sample_hppp(topo.lambda_u, topo.window, rng)
+    serving_ris = serving_surfaces(bs, ris, ris_parent)
+    serving_bs = np.full(ue.shape[0], -1)
     min_spacing = math.inf
-    if n_bs >= 2:
+    if bs.shape[0] > 0:
         from scipy.spatial import cKDTree
 
-        # distance to each BS's nearest other BS
-        min_spacing = float(cKDTree(topo.bs).query(topo.bs, k=2)[0][:, 1].min())
-    print(f"base stations: {n_bs}")
-    print(f"surfaces: {topo.ris.shape[0]}")
-    print(f"users: {topo.ue.shape[0]}")
+        tree = cKDTree(bs)
+        serving_bs = tree.query(ue)[1]
+        # distance to each BS's nearest other BS, inf for a lone BS
+        min_spacing = float(tree.query(bs, k=2)[0][:, 1].min())
+    # -1 (no cluster child, no BS) is written as an empty field
+    rows = itertools.chain(
+        (("bs", i, *p, "", "" if j < 0 else j) for i, (p, j) in enumerate(zip(bs, serving_ris))),
+        (("ris", j, *p, i, "") for j, (p, i) in enumerate(zip(ris, ris_parent))),
+        (("ue", k, *p, "", "" if i < 0 else i) for k, (p, i) in enumerate(zip(ue, serving_bs))),
+    )
+    _write_csv(out_dir / "topology.csv", cfg,
+               ["kind", "index", "x", "y", "parent_index", "serving_index"], rows)
+    print(f"base stations: {bs.shape[0]}")
+    print(f"surfaces: {ris.shape[0]}")
+    print(f"users: {ue.shape[0]}")
     print(f"min BS spacing: {min_spacing}")
-    _log(f"wrote {out}")
     return EXIT_OK
 
 
 def cmd_validate_power(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     """Empirical vs analytic CDF of the serving power at the representative
     link distances; fails (exit 3) when the KS distance reaches 0.05."""
-    ch = cfg.channel_params()
-    pl_d, pl_r = cfg.link_geometry().pathloss(ch.c, ch.alpha)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 0))))
     n = cfg.trials
-    samples = np.sort(montecarlo.draw_serving_power(ch, pl_d, pl_r, n, rng))
+    # the pinned serving batch of the ensembles with this seed and trial count
+    samples = np.sort(montecarlo.pinned_serving_power(
+        cfg.channel_params(), cfg.link_geometry(), n, cfg.seed))
 
     fit = cfg.serving_gamma_fit()
     analytic = s0_gamma_cdf(samples, fit)

@@ -4,21 +4,22 @@ Base stations follow a Matern type-II hard-core process, each BS carries a
 Poisson cluster of reflecting surfaces, and user terminals form an
 independent homogeneous Poisson process.  Point collections are float64
 arrays of shape (n, 2); the typical user sits at the origin.
+
+These are the building blocks; ``montecarlo.sample_fields`` composes them
+into the deployment that every command samples, and the ``topology``
+command adds the users and their nearest BSs.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import TextIO
 
 import numpy as np
 
 __all__ = [
     "Window",
     "TopologyConfig",
-    "NetworkTopology",
     "sample_hppp",
     "close_pairs",
     "sample_mhcpp",
@@ -27,8 +28,6 @@ __all__ = [
     "sample_ris_clusters",
     "nearest_per_group",
     "serving_surfaces",
-    "build_topology",
-    "export_topology_csv",
 ]
 
 
@@ -109,23 +108,6 @@ class TopologyConfig:
             raise ValueError("r_b must be positive")
         if not self.r_r > 0:
             raise ValueError("r_r must be positive")
-
-
-@dataclass
-class NetworkTopology:
-    """One realization of the BS / RIS / UE fields with association maps.
-
-    ``ris_parent[j]`` indexes the BS owning surface j.  ``serving_bs[k]`` is
-    the nearest-BS index for UE k.  ``serving_ris[i]`` is the index of BS i's
-    closest cluster child, or -1 when the cluster is empty.
-    """
-
-    bs: np.ndarray
-    ris: np.ndarray
-    ris_parent: np.ndarray
-    ue: np.ndarray
-    serving_bs: np.ndarray
-    serving_ris: np.ndarray
 
 
 def sample_hppp(intensity: float, window: Window, rng: np.random.Generator) -> np.ndarray:
@@ -356,46 +338,3 @@ def serving_surfaces(bs: np.ndarray, ris: np.ndarray, ris_parent: np.ndarray) ->
     """
     d2 = np.sum((ris - bs[ris_parent]) ** 2, axis=1)
     return nearest_per_group(d2, ris_parent, bs.shape[0])
-
-
-def build_topology(config: TopologyConfig, rng: np.random.Generator) -> NetworkTopology:
-    """Sample every field and resolve both association maps."""
-    parent_intensity = matern_parent_intensity(config.lambda_b, config.r_b)
-    bs = sample_mhcpp(parent_intensity, config.r_b, config.window, rng)
-    if bs.shape[0] > 0 and config.lambda_r > 0:
-        ris, ris_parent = sample_ris_clusters(
-            bs, config.lambda_r, config.lambda_b, config.r_r, rng
-        )
-    else:
-        ris, ris_parent = np.empty((0, 2)), np.empty(0, dtype=int)
-    ue = sample_hppp(config.lambda_u, config.window, rng)
-
-    n_ue, n_bs = ue.shape[0], bs.shape[0]
-    serving_bs = np.full(n_ue, -1, dtype=int)
-    if n_bs > 0 and n_ue > 0:
-        from scipy.spatial import cKDTree
-
-        serving_bs = cKDTree(bs).query(ue)[1]
-
-    serving_ris = serving_surfaces(bs, ris, ris_parent)
-    return NetworkTopology(bs, ris, ris_parent, ue, serving_bs, serving_ris)
-
-
-def export_topology_csv(topology: NetworkTopology, dest: TextIO) -> None:
-    """Write (kind, index, x, y, parent_index, serving_index) rows to an open
-    text stream."""
-    writer = csv.writer(dest)
-    writer.writerow(["kind", "index", "x", "y", "parent_index", "serving_index"])
-    for i, (x, y) in enumerate(topology.bs):
-        serving = topology.serving_ris[i]
-        writer.writerow(["bs", i, _coord(x), _coord(y), "", "" if serving < 0 else serving])
-    for j, (x, y) in enumerate(topology.ris):
-        writer.writerow(["ris", j, _coord(x), _coord(y), topology.ris_parent[j], ""])
-    for k, (x, y) in enumerate(topology.ue):
-        serving = topology.serving_bs[k]
-        writer.writerow(["ue", k, _coord(x), _coord(y), "", "" if serving < 0 else serving])
-
-
-def _coord(v) -> str:
-    # repr of a numpy scalar is "np.float64(...)" under numpy 2
-    return repr(float(v))

@@ -1,6 +1,8 @@
 """End-to-end empirical harness: sample a topology and fading, compute
 SINRs, and estimate outage, rates, and interference statistics as oracles
-for the analytic modules.
+for the analytic modules.  ``sample_fields`` draws the BSs and surface
+clusters of every command, ``topology`` included, and
+``pinned_serving_power`` every pinned serving power, ``validate-power``'s too.
 
 The validation default pins the serving link at representative distances
 and treats every sampled BS as an interferer with no exclusion zone, which
@@ -28,8 +30,9 @@ leaves every other sample unchanged.  The chunk size comes from the setup
 alone, so a trial of a full chunk has the same interference whatever the
 trial count; a partial last chunk draws fewer trials from its stream and
 differs.  Pinned serving powers are one batch over all trials from stream
-(seed, 0), drawn when ``EnsembleStats.s0`` is first read, one row block of
-hops at a time (``draw_serving_power``), so no trials x N array is held.
+(seed, 0) (``pinned_serving_power``), drawn when ``EnsembleStats.s0`` is
+first read, one row block of hops at a time (``draw_serving_power``), so no
+trials x N array is held.
 
 The per-trial loop of a chunk (``_field_draws``) owns one float64 buffer of
 two slots, each as long as the chunk's largest BS x surface pair count, and
@@ -76,8 +79,10 @@ __all__ = [
     "SimulationSetup",
     "EnsembleStats",
     "draw_serving_power",
+    "pinned_serving_power",
     "pool_workers",
     "run_ensemble",
+    "sample_fields",
     "sinr_from_powers",
     "outage_from_ensemble",
     "rates_from_ensemble",
@@ -192,16 +197,17 @@ def _chunk_trials(setup: SimulationSetup) -> int:
     return max(1, int(_CHUNK_POINTS / max(points, 1.0)))
 
 
-def _sample_fields(cfg: TopologyConfig, rng: np.random.Generator, trials: int,
-                   nonempty: bool = False):
-    """Interferer infrastructure of ``trials`` independent trials.
+def sample_fields(cfg: TopologyConfig, rng: np.random.Generator, trials: int,
+                  nonempty: bool = False):
+    """Base stations and surface clusters of ``trials`` independent trials.
 
     Returns (bs, bs_start, ris, ris_parent, resampled): trial t owns
     ``bs[bs_start[t]:bs_start[t + 1]]``, and ``ris_parent`` indexes ``bs``, so
     the surfaces come in trial order too.  With ``nonempty`` the trials whose
     BS field came out empty are redrawn together until every trial has a BS;
     ``resampled`` counts the redrawn fields, and a trial still empty after
-    1000 attempts raises ``RuntimeError``.
+    1000 attempts raises ``RuntimeError``.  One trial without ``nonempty``
+    is one deployment as the ``topology`` command draws it.
     """
     parent = matern_parent_intensity(cfg.lambda_b, cfg.r_b)
     counts = np.empty(trials, dtype=int)
@@ -355,7 +361,7 @@ def _cell_reflected_movers(
     serving_ris: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Interference per trial of a chunk laid out as ``_sample_fields``
+    """Interference per trial of a chunk laid out as ``sample_fields``
     returns it, from Poisson(lambda_u pi r_i**2) movers in the disk of
     radius r_i around the target: each mover's nearest BS of its trial
     bounces its signal off that BS's serving surface (``serving_ris`` as
@@ -411,6 +417,15 @@ def draw_serving_power(
     return amp * amp
 
 
+def pinned_serving_power(ch: ChannelParams, link: LinkGeometry, n: int,
+                         seed: int) -> np.ndarray:
+    """``n`` serving powers over the pinned link's path loss, drawn from
+    stream (seed, 0): the batch of every pinned-mode ensemble, and the
+    samples of ``validate-power``."""
+    pl_direct, pl_reflected = link.pathloss(ch.c, ch.alpha)
+    return draw_serving_power(ch, pl_direct, pl_reflected, n, _stream(seed, 0))
+
+
 def sinr_from_powers(
     s0: float | np.ndarray,
     interference: float | np.ndarray,
@@ -434,7 +449,7 @@ def _sample_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generator,
     """
     ch = setup.channel
     associated = setup.serving_mode == "associated"
-    bs, bs_start, ris, ris_parent, resampled = _sample_fields(
+    bs, bs_start, ris, ris_parent, resampled = sample_fields(
         setup.topology, rng, trials, nonempty=associated)
     serving_ris = None
     if associated or movers_rng is not None:
@@ -504,9 +519,9 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
     the interference of a trial in a full chunk (and its serving power in
     associated mode) depends on the seed and the trial's position, not on
     the trial count; a partial last chunk draws differently.  The
-    pinned-mode serving powers are one vectorized batch over all trials
-    from stream (seed, 0) (their law does not depend on the topology),
-    drawn on the first read of ``s0``.
+    pinned-mode serving powers are one ``pinned_serving_power`` batch over
+    all trials (their law does not depend on the topology), drawn on the
+    first read of ``s0``.
 
     With ``cell_reflected`` each chunk also draws the cell-reflected movers,
     from the child stream of its own, and fills ``i_after_cell_reflected``;
@@ -526,8 +541,7 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
     # after movement, one row per moved-user term
     i_a = np.empty((1 + cell_reflected, trials))
     if setup.serving_mode == "pinned":
-        pl_d, pl_r = setup.link.pathloss(ch.c, ch.alpha)
-        serving = functools.partial(draw_serving_power, ch, pl_d, pl_r, trials, _stream(seed, 0))
+        serving = functools.partial(pinned_serving_power, ch, setup.link, trials, seed)
     else:
         serving = np.empty(trials)
 
@@ -589,20 +603,21 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
     return stats()
 
 
+def _outage_masks(
+    stats: EnsembleStats, power_w: float, sigma2_w: float, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial, whether the SINR is below ``threshold``, before and after movement."""
+    return tuple(sinr_from_powers(stats.s0, interference, power_w, sigma2_w) < threshold
+                 for interference in (stats.i_before, stats.i_after))
+
+
 def outage_from_ensemble(
     stats: EnsembleStats, power_w: float, sigma2_w: float, threshold: float
 ) -> OutageEstimate:
     """Outage fractions before and after movement with binomial errors."""
-    sinr_b = sinr_from_powers(stats.s0, stats.i_before, power_w, sigma2_w)
-    sinr_a = sinr_from_powers(stats.s0, stats.i_after, power_w, sigma2_w)
-    n = stats.trials
-    p_b = float(np.mean(sinr_b < threshold))
-    p_a = float(np.mean(sinr_a < threshold))
-    return OutageEstimate(
-        p_b, p_a,
-        math.sqrt(max(p_b * (1 - p_b), 1e-12) / n),
-        math.sqrt(max(p_a * (1 - p_a), 1e-12) / n),
-    )
+    p_b, p_a = (float(np.mean(out)) for out in _outage_masks(stats, power_w, sigma2_w, threshold))
+    stderr = (math.sqrt(max(p * (1 - p), 1e-12) / stats.trials) for p in (p_b, p_a))
+    return OutageEstimate(p_b, p_a, *stderr)
 
 
 def rates_from_ensemble(
@@ -610,10 +625,7 @@ def rates_from_ensemble(
 ) -> RateEstimate:
     """Paired transition fractions: infections are non-outage -> outage,
     recoveries the reverse; r0_hat is +inf when no trial recovers."""
-    sinr_b = sinr_from_powers(stats.s0, stats.i_before, power_w, sigma2_w)
-    sinr_a = sinr_from_powers(stats.s0, stats.i_after, power_w, sigma2_w)
-    out_b = sinr_b < threshold
-    out_a = sinr_a < threshold
+    out_b, out_a = _outage_masks(stats, power_w, sigma2_w, threshold)
     beta_hat = float(np.mean(~out_b & out_a))
     mu_hat = float(np.mean(out_b & ~out_a))
     r0 = math.inf if mu_hat == 0.0 else beta_hat / mu_hat

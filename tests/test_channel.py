@@ -123,7 +123,7 @@ class TestFadingSamplers:
 
     def test_nakagami_domain(self):
         with pytest.raises(ValueError):
-            sample_nakagami(0.3, _rng())
+            sample_nakagami(0.3, _rng(), 10)
 
 
 def _replay_fading(ch, n, seed, rows=None):

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output contracts, determinism."""
 
 import csv
+import hashlib
 import math
 import os
 import resource
@@ -9,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +67,11 @@ def _read_rows(path: Path):
 def _data_lines(path: Path) -> list[bytes]:
     """CSV lines without the config header, which embeds out_dir."""
     return [l for l in path.read_bytes().splitlines() if not l.startswith(b"#")]
+
+
+def _data_digest(path: Path) -> str:
+    """sha256 of the data lines joined by newlines."""
+    return hashlib.sha256(b"\n".join(_data_lines(path))).hexdigest()
 
 
 # (config, command, the load row that refuses it), at the CLI's 100 trials
@@ -296,6 +303,71 @@ class TestTopologyCommand:
         b_data = b"\n".join(l for l in b.splitlines() if not l.startswith(b"#"))
         assert a_data == b_data
 
+    def test_rows_match_the_summary(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["--seed", "5", "--out", str(out), "topology"]) == EXIT_OK
+        lines = _data_lines(out / "topology.csv")
+        assert lines[0] == b"kind,index,x,y,parent_index,serving_index"
+        kinds = [line.split(b",")[0].decode() for line in lines[1:]]
+        # the kinds in bs, ris, ue order, as many as the summary counts
+        summary = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        counts = [int(summary[k]) for k in ("base stations", "surfaces", "users")]
+        assert kinds == ["bs"] * counts[0] + ["ris"] * counts[1] + ["ue"] * counts[2]
+
+    def test_points_are_the_sampled_deployment(self, tmp_path):
+        # the fields of one trial of the Monte Carlo sampler, then the users,
+        # from SeedSequence(seed); coordinates read back exactly
+        from ris_sim.geometry import sample_hppp
+        from ris_sim.montecarlo import sample_fields
+
+        out = tmp_path / "run"
+        assert main(["--seed", "5", "--out", str(out), "topology"]) == EXIT_OK
+        topo = load_config(None, overrides={"seed": 5}).topology_config()
+        rng = np.random.default_rng(np.random.SeedSequence(5))
+        bs, _, ris, parent, _ = sample_fields(topo, rng, 1)
+        ue = sample_hppp(topo.lambda_u, topo.window, rng)
+        rows = _read_rows(out / "topology.csv")
+        assert [(float(r["x"]), float(r["y"])) for r in rows] == [
+            tuple(p) for p in np.concatenate((bs, ris, ue))]
+        assert [int(r["parent_index"]) for r in rows if r["kind"] == "ris"] == parent.tolist()
+
+    def test_association_is_nearest(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["--seed", "5", "--out", str(out), "topology"]) == EXIT_OK
+        rows = _read_rows(out / "topology.csv")
+
+        def points(kind):
+            return [r for r in rows if r["kind"] == kind], np.array(
+                [(float(r["x"]), float(r["y"])) for r in rows if r["kind"] == kind])
+
+        (bs_rows, bs), (ris_rows, ris), (ue_rows, ue) = map(points, ("bs", "ris", "ue"))
+        assert bs.shape[0] > 1 and ris.shape[0] > 0 and ue.shape[0] > 0
+        # each user's serving BS is its nearest one
+        d = np.linalg.norm(ue[:, None, :] - bs[None, :, :], axis=2)
+        chosen = d[np.arange(ue.shape[0]), [int(r["serving_index"]) for r in ue_rows]]
+        assert (chosen <= d.min(axis=1) + 1e-12).all()
+        # each BS's serving surface is its nearest cluster child, none for
+        # an empty cluster
+        parent = np.array([int(r["parent_index"]) for r in ris_rows])
+        for i, r in enumerate(bs_rows):
+            children = np.flatnonzero(parent == i)
+            if children.size == 0:
+                assert r["serving_index"] == ""
+                continue
+            d = np.linalg.norm(ris[children] - bs[i], axis=1)
+            assert int(r["serving_index"]) in children
+            assert np.linalg.norm(ris[int(r["serving_index"])] - bs[i]) <= d.min() + 1e-12
+
+    def test_pinned_output(self, tmp_path, capsys):
+        # data lines and summary of seed 5, pinned so that a change to the
+        # field sampler or the writer shows
+        assert main(["--seed", "5", "--out", str(tmp_path), "topology"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "base stations: 33\nsurfaces: 34\nusers: 31745\n"
+            "min BS spacing: 51.73736097107253\n")
+        assert _data_digest(tmp_path / "topology.csv") == (
+            "3faaa2907b528274421d1c0f1c873134332cf1e75faaf017bf3dacdd75f1cf21")
+
 
 class TestOutageSweep:
     def test_columns_and_ordering(self, tmp_path):
@@ -473,22 +545,6 @@ print(code, loaded, "scipy.integrate" in sys.modules, "scipy" in sys.modules,
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
 
-    @pytest.mark.parametrize("command, text", [
-        ("outage-sweep", "trials: 300\n"),
-        ("sis-sim", "abm_agents: 30\nabm_steps: 8\nabm_ensemble_runs: 3\n"),
-    ])
-    def test_sampling_commands_load_no_spatial_module(self, tmp_path, command, text):
-        # both find close pairs (Matern thinning, agent contacts); only
-        # topology's nearest-neighbour queries need scipy.spatial
-        script = (
-            "import sys\nimport ris_sim.cli\ncode = ris_sim.cli.main(sys.argv[1:])\n"
-            "print(code, [m for m in sys.modules if m.startswith('scipy.spatial')])\n"
-        )
-        cfg = _write(tmp_path, "c.yaml", text)
-        proc = _run_script(script, ["--config", cfg, "--out", str(tmp_path / "o"), command])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
-
     # numpy.f2py comes in behind scipy.special's array-API layer.
     # concurrent.futures (and logging behind it) starts threads or workers,
     # which --threads 1 never asks for.
@@ -500,7 +556,9 @@ print(code, loaded, "scipy.integrate" in sys.modules, "scipy" in sys.modules,
         ("r0-sweep", "sweep:\n  axis: ue_density\n  grid: [1.0e-3, 1.0e-2]\n"),
     ])
     def test_no_special_functions_or_pool(self, tmp_path, command, text):
-        # no scipy module at all, scipy.special included
+        # no scipy module at all: not scipy.special, and not scipy.spatial
+        # (Matern thinning and agent contacts find their close pairs without
+        # it; only topology's nearest-neighbour queries need it)
         script = (
             "import sys\nimport ris_sim.cli\ncode = ris_sim.cli.main(sys.argv[1:])\n"
             f"print(code, {self.SCIPY} + [m for m in {self.UNUSED!r} if m in sys.modules])\n"
@@ -656,6 +714,14 @@ class TestValidatePower:
         a = [l for l in (out1 / "power_cdf.csv").read_bytes().splitlines() if not l.startswith(b"#")]
         b = [l for l in (out2 / "power_cdf.csv").read_bytes().splitlines() if not l.startswith(b"#")]
         assert a == b
+
+    def test_pinned_output(self, tmp_path, capsys):
+        # the samples are the pinned serving batch of stream (21, 0)
+        code = main(["--trials", "2000", "--seed", "21", "--out", str(tmp_path), "validate-power"])
+        assert code == EXIT_OK
+        assert "ks_distance: 0.031119450729737815\n" in capsys.readouterr().out
+        assert _data_digest(tmp_path / "power_cdf.csv") == (
+            "c6d214c1d5631dfce462f370ae597fb0a376f42e297a0b8bd5a11863f607bc62")
 
 
 # ---------------------------------------------------------------------------

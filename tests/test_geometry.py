@@ -1,6 +1,5 @@
 """Point-process samplers and association rules."""
 
-import csv
 import math
 import tracemalloc
 
@@ -13,9 +12,7 @@ from scipy import stats
 from ris_sim.geometry import (
     TopologyConfig,
     Window,
-    build_topology,
     close_pairs,
-    export_topology_csv,
     matern_parent_intensity,
     matern_retained_intensity,
     nearest_per_group,
@@ -542,47 +539,3 @@ class TestNearestPerGroup:
     def test_decreasing_groups_refused(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             nearest_per_group(np.array([1.0, 2.0, 3.0]), np.array([0, 1, 0]), 2)
-
-
-class TestBuildTopology:
-    def _config(self):
-        return TopologyConfig(
-            lambda_b=2e-5, lambda_r=2e-5, lambda_u=1e-4,
-            window=Window("disk", radius=500.0),
-        )
-
-    def test_association_is_optimal(self):
-        topo = build_topology(self._config(), _rng(42))
-        assert topo.ue.shape[0] > 0 and topo.bs.shape[0] > 0
-        d = np.linalg.norm(topo.ue[:, None, :] - topo.bs[None, :, :], axis=2)
-        chosen = d[np.arange(topo.ue.shape[0]), topo.serving_bs]
-        assert (chosen <= d.min(axis=1) + 1e-12).all()
-
-    def test_deterministic(self):
-        t1 = build_topology(self._config(), _rng(42))
-        t2 = build_topology(self._config(), _rng(42))
-        assert np.array_equal(t1.bs, t2.bs)
-        assert np.array_equal(t1.ris, t2.ris)
-        assert np.array_equal(t1.ue, t2.ue)
-        assert np.array_equal(t1.serving_bs, t2.serving_bs)
-
-    def test_export_csv(self, tmp_path):
-        topo = build_topology(self._config(), _rng(42))
-        path = tmp_path / "topo.csv"
-        with open(path, "w", newline="") as fh:
-            export_topology_csv(topo, fh)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "kind,index,x,y,parent_index,serving_index"
-        kinds = {line.split(",")[0] for line in lines[1:]}
-        assert kinds == {"bs", "ris", "ue"}
-        n_rows = len(lines) - 1
-        assert n_rows == topo.bs.shape[0] + topo.ris.shape[0] + topo.ue.shape[0]
-
-    def test_export_csv_coordinates_are_plain_floats(self, tmp_path):
-        topo = build_topology(self._config(), _rng(42))
-        path = tmp_path / "topo.csv"
-        with open(path, "w", newline="") as fh:
-            export_topology_csv(topo, fh)
-        rows = list(csv.DictReader(path.read_text().splitlines()))
-        points = np.concatenate((topo.bs, topo.ris, topo.ue))
-        assert [(float(r["x"]), float(r["y"])) for r in rows] == [tuple(p) for p in points]

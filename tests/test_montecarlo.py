@@ -25,11 +25,11 @@ from ris_sim.montecarlo import (
     SimulationSetup,
     _draw_field_interference,
     _field_kernel,
-    _sample_fields,
     draw_serving_power,
     outage_from_ensemble,
     rates_from_ensemble,
     run_ensemble,
+    sample_fields,
     sinr_from_powers,
 )
 
@@ -138,7 +138,7 @@ class TestFieldKernel:
         ch = ChannelParams()
         topo = TopologyConfig(lambda_b=5e-5, lambda_r=1e-4, window=Window("disk", radius=500.0))
         for seed in range(20):
-            bs, _, ris, _, _ = _sample_fields(topo, _rng(100 + seed), 1)
+            bs, _, ris, _, _ = sample_fields(topo, _rng(100 + seed), 1)
             for exclude in (None, seed % bs.shape[0]):
                 kernel = _field_kernel(bs, ris, ch, exclude)
                 rng, ref_rng = _rng(seed), _rng(seed)
