@@ -21,12 +21,12 @@ Every output file starts with the resolved configuration as comment lines,
 and identical seeds produce byte-identical files.
 
 Start-up loads only what the command needs: ``scipy.spatial`` by topology
-alone (its nearest-neighbour queries), ``scipy.special`` by ``main`` for
-validate-power alone (the incomplete gamma function), and
-``concurrent.futures`` only to start the ensembles' worker processes.
-validate-laplace, outage-sweep, sis-sim and r0-sweep load no scipy module:
-the quadrature oracle runs the package's own rules (``ris_sim.integrate``
-and the Gauss–Jacobi rules of its inner integral).
+alone (its nearest-neighbour queries), and ``concurrent.futures`` only to
+start the ensembles' worker processes.  No other command loads a scipy
+module: validate-power's gamma CDF runs the package's own incomplete gamma
+function (``power_analytic.lower_incomplete_gamma_regularized``), and the
+quadrature oracle its own rules (``ris_sim.integrate`` and the Gauss–Jacobi
+rules of its inner integral).
 ``main`` freezes the import-time heap (``gc.freeze``) once per process, so
 neither the collector's passes during the run nor the one at exit walk it.
 """
@@ -379,10 +379,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.threads < 1:
         _log(f"configuration error: --threads must be at least 1, got {args.threads}")
         return EXIT_CONFIG
-    if args.command == "validate-power":
-        # its gamma CDF calls scipy.special's incomplete gamma function:
-        # imported now, the module stays in set-up and under the freeze below
-        from scipy.special import gammainc  # noqa: F401
     if gc.get_freeze_count() == 0:
         # the import-time heap lives until exit: freezing it spares the
         # collector's passes over it, the one at interpreter exit included

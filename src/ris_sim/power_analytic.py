@@ -6,6 +6,12 @@ its first two moments are exact.  The serving power is the square of the
 coherently combined direct and reflected amplitudes; its second moment uses
 the gamma-matched moments of the reflected gain for the cubic and quartic
 terms, which is where the approximation lives.
+
+The distribution function is the regularized incomplete gamma function,
+computed here by its power series and continued fraction rather than
+imported from ``scipy.special``, whose import cost validate-power about
+0.3 s of its 1.0 s and 18 MB of its 56 MB peak memory (20,000 samples, on
+2 vCPUs).
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ __all__ = [
     "gamma_fit_from_moments",
     "s0_moments",
     "s0_gamma_cdf",
+    "lower_incomplete_gamma_regularized",
 ]
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0  # half-normal mean, E{|g|}
@@ -126,12 +133,100 @@ def s0_moments(
 
 
 def s0_gamma_cdf(x: float | np.ndarray, fit: GammaFit) -> float | np.ndarray:
-    """Regularized lower incomplete gamma at x / scale, element-wise for an
-    array ``x`` (a float for a scalar)."""
-    from scipy.special import gammainc
+    """Gamma-law CDF P(shape, x / scale), element-wise for an array ``x``
+    (a float for a scalar); see ``lower_incomplete_gamma_regularized``."""
+    return lower_incomplete_gamma_regularized(fit.shape, np.asarray(x, dtype=float) / fit.scale)
 
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError(f"x must be nonnegative, got {x.min()}")
-    cdf = gammainc(fit.shape, x / fit.scale)
-    return float(cdf) if cdf.ndim == 0 else cdf
+
+# The series needs about 8 sqrt(a) terms next to x = a (16,100 at a = 4.44e6,
+# the shape of 5e6 elements), the fraction fewer, so the cap covers shapes up
+# to about 1.5e8; beyond, the rounding of the exponent a ln x alone exceeds 1e-7.
+_MAX_TERMS = 100_000
+
+
+def lower_incomplete_gamma_regularized(a: float, x: float | np.ndarray) -> float | np.ndarray:
+    """Regularized lower incomplete gamma function P(a, x), element-wise for
+    an array ``x`` (a float for a scalar).
+
+    Below x = a + 1 it sums the power series
+    sum_n x^n / ((a+1)...(a+n)) times exp(a ln x - x - lgamma(a+1)); at or
+    above, it takes one minus Legendre's continued fraction for Q(a, x) times
+    exp(a ln x - x - lgamma(a)), evaluated by the modified Lentz method
+    (Press et al., Numerical Recipes, 3rd ed., sections 5.2 and 6.2).  P(a, 0)
+    is 0 and P(a, inf) is 1.
+
+    Both loops stop when their next update no longer changes any element (it
+    lies below half an ulp of it).  Later updates are smaller still (the
+    series' terms shrink from the first on, the fraction's steps at least
+    once j > a), so an element's value does not depend on the others in its
+    array: a scalar call and an array call agree bit for bit.  Against
+    ``scipy.special.gammainc`` the error is below 1e-12 for shapes up to 1e3;
+    beyond, it grows with the rounding of the exponent, about eps a ln a
+    (2e-8 at a = 4.44e6).  A NaN or negative ``x``, or a shape that is not
+    positive and finite, raises ValueError; a loop that reaches its cap of
+    ``_MAX_TERMS`` terms raises ArithmeticError.
+    """
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"gamma shape must be positive and finite, got {a}")
+    x = np.asarray(x, dtype=float)[()]
+    if not _all(x >= 0.0):
+        raise ValueError(f"x must be nonnegative, got {np.min(x)}")
+    if not isinstance(x, np.ndarray):
+        if x < a + 1.0:
+            return float(_lower_series(a, x)) if x > 0.0 else 0.0
+        return float(1.0 - _upper_fraction(a, x)) if x < math.inf else 1.0
+    p = (x == math.inf).astype(float)  # P(a, 0) and P(a, inf)
+    low = (0.0 < x) & (x < a + 1.0)
+    high = (a + 1.0 <= x) & (x < math.inf)
+    p[low] = _lower_series(a, x[low])
+    p[high] = 1.0 - _upper_fraction(a, x[high])
+    return p
+
+
+def _all(flags) -> bool:
+    """Whether every flag is set, for one numpy flag or an array of them
+    (``numpy.bool_.all`` costs microseconds, ``bool`` does not)."""
+    return bool(flags.all() if flags.ndim else flags)
+
+
+def _lower_series(a: float, x):
+    """P(a, x) for 0 < x < a + 1 from the power series; the term ratio
+    x / (a + n) is below one from the first term on."""
+    term = total = 1.0
+    for n in range(1, _MAX_TERMS + 1):
+        term = term * x / (a + n)
+        updated = total + term
+        if _all(updated == total):
+            return total * np.exp(a * np.log(x) - x - math.lgamma(a + 1.0))
+        total = updated
+    raise ArithmeticError(f"incomplete gamma series: no convergence in {_MAX_TERMS} terms at a={a}")
+
+
+def _upper_fraction(a: float, x):
+    """Q(a, x) for a + 1 <= x < inf from the continued fraction
+    f = b_0 + a_1 / (b_1 + a_2 / (b_2 + ...)), b_j = x + 1 - a + 2j,
+    a_j = j (a - j), with Q = exp(a ln x - x - lgamma(a)) / f.
+
+    Lentz's f_j = f_(j-1) C_j D_j is taken as f_(j-1) (1 + step_j), with the
+    relative step C_j D_j - 1 = -a_j D_j (C_(j-1) D_(j-1) - 1) / C_(j-1)
+    carried by its own recurrence: computed as a product, C_j D_j would stay
+    an ulp or two off one, and the update would never vanish.  For x >= a
+    (b_0 >= 1) every C_j and 1 / D_j is at least j + 1, by induction on j,
+    so neither needs Lentz's guard against zero.
+    """
+    b = x - a + 1.0
+    f = c = b
+    d = 0.0
+    step = -1.0
+    for j in range(1, _MAX_TERMS + 1):
+        aj = j * (a - j)
+        b = b + 2.0
+        d = 1.0 / (b + aj * d)
+        step = -aj * step * d / c
+        c = b + aj / c
+        updated = f + f * step
+        if _all(updated == f):
+            return np.exp(a * np.log(x) - x - math.lgamma(a)) / f
+        f = updated
+    raise ArithmeticError(
+        f"incomplete gamma continued fraction: no convergence in {_MAX_TERMS} terms at a={a}")

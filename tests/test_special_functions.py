@@ -1,10 +1,12 @@
 """Numerics kernel tests.
 
 The gamma-law moments are rising factorials and the Nakagami amplitude mean
-a log-gamma difference from the standard library (``math.lgamma``); only the
-regularized incomplete gamma comes from ``scipy.special``.  The checks run
-them where the package uses them (``power_analytic``) against exact
-rational arithmetic, closed forms, ``scipy.special`` and mpmath.  The outage
+a log-gamma difference from the standard library (``math.lgamma``); the
+regularized incomplete gamma is the package's own series and continued
+fraction (``power_analytic.lower_incomplete_gamma_regularized``).  The
+checks run them where the package uses them (``power_analytic``) against
+exact rational arithmetic, closed forms, ``scipy.special`` and mpmath, and
+check that a scalar call and an array call agree bit for bit.  The outage
 jet's exponential, and the series it is built from, are checked against
 closed forms, mpmath Taylor coefficients and finite differences.
 """
@@ -24,6 +26,7 @@ from ris_sim.interference_analytic import LaplaceParams, transform_exponent_coef
 from ris_sim.outage_epidemic import Jet, OutageParams, outage_transform_jet
 from ris_sim.power_analytic import (
     GammaFit,
+    lower_incomplete_gamma_regularized,
     nakagami_amplitude_mean,
     s0_gamma_cdf,
 )
@@ -135,6 +138,60 @@ class TestIncompleteGamma:
             s0_gamma_cdf(-0.1, _unit(1.0))
         with pytest.raises(ValueError):
             s0_gamma_cdf(np.array([1.0, -0.1]), _unit(1.0))
+
+
+class TestIncompleteGammaKernel:
+    def test_matches_scipy(self):
+        # log-spaced x over the whole range, and a dense band across x = a and
+        # the branch point x = a + 1 where both loops need the most terms
+        worst = 0.0
+        for a in np.geomspace(0.05, 1e3, 41):
+            band = a + np.sqrt(a) * np.linspace(-6.0, 6.0, 241)
+            x = np.concatenate([np.geomspace(1e-10, 2e3, 400), band[band > 0.0],
+                                a + 1.0 + np.linspace(-1e-6, 1e-6, 11)])
+            worst = max(worst, np.abs(lower_incomplete_gamma_regularized(a, x)
+                                      - sps.gammainc(a, x)).max())
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("n_elements, trials", [
+        (1, 100_000), (200, 100_000), (10_000, 100_000), (5_000_000, 1000)])
+    def test_reachable_shapes(self, n_elements, trials):
+        # the fits of validate-power at 1 to 5e6 elements (shape 1.01, 6.18,
+        # 3864 and 4.44e6), the last the most that the serving-hop draws
+        # allow; at 4.44e6 the exponent a ln x - x - lgamma(a + 1) cancels
+        # across terms near 6e7, which costs about 2e-8
+        fit = ExperimentConfig(n_elements=n_elements, trials=trials).serving_gamma_fit()
+        a = fit.shape
+        band = a + np.sqrt(a) * np.linspace(-8.0, 8.0, 321)
+        x = np.concatenate([band[band > 0.0], a * np.geomspace(1e-3, 1e3, 121)])
+        assert np.abs(s0_gamma_cdf(x * fit.scale, fit) - sps.gammainc(a, x)).max() <= 1e-7
+
+    def test_scalar_and_array_calls_agree_bitwise(self):
+        # an element's value must not depend on the slowest element it shares
+        # an array with: validate-power makes one array call, acceptance
+        # criterion 1 a scalar call per sample
+        fit = GammaFit(6.1846, 6.07e-11)
+        x = np.linspace(0.5, 25.0, 2000) * fit.scale
+        array = s0_gamma_cdf(x, fit)
+        assert [s0_gamma_cdf(float(v), fit) for v in x] == list(array)
+
+    def test_non_finite(self):
+        for x in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError):
+                lower_incomplete_gamma_regularized(2.5, x)
+        assert lower_incomplete_gamma_regularized(2.5, math.inf) == 1.0
+        assert list(lower_incomplete_gamma_regularized(2.5, np.array([0.0, 1.0, math.inf]))) == [
+            0.0, lower_incomplete_gamma_regularized(2.5, 1.0), 1.0]
+        for a in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                lower_incomplete_gamma_regularized(a, 1.0)
+
+    def test_iteration_cap(self):
+        # at shape 1e14 either loop would need millions of terms next to x = a
+        with pytest.raises(ArithmeticError):
+            lower_incomplete_gamma_regularized(1e14, 1e14)
+        with pytest.raises(ArithmeticError):
+            lower_incomplete_gamma_regularized(1e14, 1e14 + 2.0)
 
 
 coef_strategy = st.lists(
