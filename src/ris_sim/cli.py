@@ -7,7 +7,9 @@ validation failure (including an overflow or a failed quadrature in the
 numeric layers).  No environment variable is read: --threads (default 1,
 at least 1) caps the worker processes that draw the per-trial field
 interference of the Monte Carlo ensembles (outage-sweep, validate-laplace;
-see ``montecarlo.run_ensemble``).  The other commands run serially,
+see ``montecarlo.run_ensemble``), and the threads that draw the pinned
+serving batch (validate-power, outage-sweep; see
+``montecarlo.pinned_serving_power``).  The other commands run serially,
 sis-sim's six panels as one agent run (``mobility_sim.run_abm``).  Output is
 byte-identical whatever its value.
 
@@ -22,10 +24,11 @@ and identical seeds produce byte-identical files.
 
 Start-up loads only what the command needs: ``scipy.spatial`` by topology
 alone (its nearest-neighbour queries), and ``concurrent.futures`` only to
-start the ensembles' worker processes.  No other command loads a scipy
-module: validate-power's gamma CDF runs the package's own incomplete gamma
-function (``power_analytic.lower_incomplete_gamma_regularized``), and the
-quadrature oracle its own rules (``ris_sim.integrate`` and the Gauss–Jacobi
+start the ensembles' worker processes or the serving batch's threads, after
+set-up.  No other command loads a scipy module: validate-power's gamma CDF
+runs the package's own incomplete gamma function
+(``power_analytic.lower_incomplete_gamma_regularized``), and the quadrature
+oracle its own rules (``ris_sim.integrate`` and the Gauss–Jacobi
 rules of its inner integral).
 ``main`` freezes the import-time heap (``gc.freeze``) once per process, so
 neither the collector's passes during the run nor the one at exit walk it.
@@ -164,7 +167,7 @@ def cmd_validate_power(cfg: ExperimentConfig, out_dir: Path, threads: int) -> in
     n = cfg.trials
     # the pinned serving batch of the ensembles with this seed and trial count
     samples = np.sort(montecarlo.pinned_serving_power(
-        cfg.channel_params(), cfg.link_geometry(), n, cfg.seed))
+        cfg.channel_params(), cfg.link_geometry(), n, cfg.seed, threads))
 
     fit = cfg.serving_gamma_fit()
     analytic = s0_gamma_cdf(samples, fit)
@@ -319,7 +322,11 @@ def cmd_validate_laplace(cfg: ExperimentConfig, out_dir: Path, threads: int) -> 
 
     # Monte Carlo comparison is meaningful only where the estimator is
     # conditioned and the finite window's truncated tail is below the noise.
-    median_i = float(np.median(stats.i_before))
+    # np.median's NaN check would load numpy.ma: the middle element, or the
+    # mean of the two middle ones, of a partition, as np.median takes them
+    half = stats.i_before.size // 2
+    part = np.partition(stats.i_before, [half - 1, half])
+    median_i = float(part[half] if stats.i_before.size % 2 else (part[half - 1] + part[half]) / 2)
     two_pi_lb = 2.0 * math.pi * cfg.lambda_b
 
     rows = []
@@ -363,7 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker processes for Monte Carlo ensembles (sis-sim runs serially)")
+        help="worker processes for Monte Carlo ensembles, and threads for the pinned "
+             "serving batch (sis-sim runs serially)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("topology", help="sample and export one topology")
     sub.add_parser("validate-power", help="serving-power CDF vs gamma fit")

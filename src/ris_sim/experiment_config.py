@@ -58,8 +58,9 @@ LOAD_BOUNDS = {
     # trials x n_elements hops of one serving-power batch (validate-laplace
     # draws them, for at least 1000 trials, only associated), about 60 ns
     # each: a run just under the bound took 5 minutes serially. The draw
-    # holds one row block of first and second hops (at most one row each of
-    # n_elements <= 5e6 hops, 80 MB) and O(trials) powers, bounded because
+    # holds one row block of first and second hops per drawing thread (at
+    # most one row each of n_elements <= 5e6 hops, 80 MB, on each of at most
+    # --threads and usable-CPU threads) and O(trials) powers, bounded because
     # the Monte Carlo pair-draw row caps trials' at 5e6 for every config
     "serving-hop draws": 5e9,
     # at lambda_b, where outage-sweep and validate-laplace sample (r0-sweep,

@@ -29,10 +29,12 @@ the first child of that stream (``SeedSequence.spawn``), so asking for them
 leaves every other sample unchanged.  The chunk size comes from the setup
 alone, so a trial of a full chunk has the same interference whatever the
 trial count; a partial last chunk draws fewer trials from its stream and
-differs.  Pinned serving powers are one batch over all trials from stream
-(seed, 0) (``pinned_serving_power``), drawn when ``EnsembleStats.s0`` is
-first read, one row block of hops at a time (``draw_serving_power``), so no
-trials x N array is held.
+differs.  Pinned serving powers are one batch over all trials
+(``pinned_serving_power``), drawn when ``EnsembleStats.s0`` is first read:
+row block b of hops (``draw_serving_power``) from child b of stream
+(seed, 0), so no trials x N array is held.  The blocks run on up to
+``workers`` threads, each holding one block at a time, with the same bytes
+whatever the thread count.
 
 The per-trial loop of a chunk (``_field_draws``) owns one float64 buffer of
 two slots, each as long as the chunk's largest BS x surface pair count, and
@@ -418,12 +420,45 @@ def draw_serving_power(
 
 
 def pinned_serving_power(ch: ChannelParams, link: LinkGeometry, n: int,
-                         seed: int) -> np.ndarray:
-    """``n`` serving powers over the pinned link's path loss, drawn from
-    stream (seed, 0): the batch of every pinned-mode ensemble, and the
-    samples of ``validate-power``."""
+                         seed: int, workers: int = 1) -> np.ndarray:
+    """``n`` serving powers over the pinned link's path loss: the batch of
+    every pinned-mode ensemble, and the samples of ``validate-power``.
+
+    The batch is cut into the row blocks of ``draw_serving_power``
+    (``max(1, _HOP_BLOCK // N)`` rows), and block b is one
+    ``draw_serving_power`` call on the child b of stream (seed, 0).  The
+    blocks run on ``min(workers, blocks, usable CPUs)`` threads, each
+    drawing a fixed run of blocks into one output array (numpy's draws and
+    ufuncs release the interpreter lock); below two threads they run in
+    this thread.  The output depends on the block, not on the thread, so it
+    is byte-identical whatever ``workers`` says.  Every thread has exited
+    when this returns.
+    """
     pl_direct, pl_reflected = link.pathloss(ch.c, ch.alpha)
-    return draw_serving_power(ch, pl_direct, pl_reflected, n, _stream(seed, 0))
+    rows = max(1, _HOP_BLOCK // ch.n_elements)
+    blocks = -(-n // rows)
+    out = np.empty(n)
+
+    def draw(first: int, stop: int):
+        for b in range(first, stop):
+            start = b * rows
+            out[start:start + rows] = draw_serving_power(
+                ch, pl_direct, pl_reflected, min(rows, n - start), _stream(seed, 0, (b,)))
+
+    threads = min(workers, blocks, len(os.sched_getaffinity(0)))
+    if threads < 2:
+        draw(0, blocks)
+        return out
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    # one task per thread: at N near _HOP_BLOCK every block is one row
+    with ThreadPoolExecutor(threads) as pool:
+        tasks = [pool.submit(draw, t * blocks // threads, (t + 1) * blocks // threads)
+                 for t in range(threads)]
+        for task in tasks:
+            task.result()
+    return out
 
 
 def sinr_from_powers(
@@ -521,7 +556,9 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
     the trial count; a partial last chunk draws differently.  The
     pinned-mode serving powers are one ``pinned_serving_power`` batch over
     all trials (their law does not depend on the topology), drawn on the
-    first read of ``s0``.
+    first read of ``s0`` on up to ``workers`` threads; that read comes after
+    any worker pool has shut down, and its threads have exited when it
+    returns.
 
     With ``cell_reflected`` each chunk also draws the cell-reflected movers,
     from the child stream of its own, and fills ``i_after_cell_reflected``;
@@ -541,7 +578,7 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
     # after movement, one row per moved-user term
     i_a = np.empty((1 + cell_reflected, trials))
     if setup.serving_mode == "pinned":
-        serving = functools.partial(pinned_serving_power, ch, setup.link, trials, seed)
+        serving = functools.partial(pinned_serving_power, ch, setup.link, trials, seed, workers)
     else:
         serving = np.empty(trials)
 

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import json
 import math
 import os
 import resource
@@ -582,26 +583,39 @@ print(code, loaded, "scipy.integrate" in sys.modules, "scipy" in sys.modules,
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False"
 
-    @pytest.mark.parametrize("command, trials, loaded", [
-        pytest.param("validate-power", 5000, False, id="validate-power-5000"),
-        pytest.param("validate-laplace", 1000, False, id="validate-laplace-1000")])
-    def test_special_functions_load_in_set_up(self, tmp_path, command, trials, loaded):
-        # neither command loads scipy's special functions, in set-up or
-        # after: their incomplete gamma and beta functions are the package's own
+    def test_validate_laplace_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.median would load numpy.ma for its NaN check; the median of the
+        # interference comes from a partition instead
+        script = ("import sys\nimport ris_sim.cli\ncode = ris_sim.cli.main(sys.argv[1:])\n"
+                  "print(code, 'numpy.ma' in sys.modules)\n")
+        proc = _run_script(script, ["--trials", "1000", "--out", str(tmp_path / "o"),
+                                    "validate-laplace"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
+    def test_threads_load_nothing_in_validate_power_set_up(self, tmp_path):
+        # the threads that draw the serving batch start after set-up: what
+        # is loaded when load_config returns does not depend on --threads
         script = (
-            "import sys\nimport ris_sim.cli as cli\nseen = []\n"
+            "import json, sys\nimport ris_sim.cli as cli\nseen = []\n"
             "load_config = cli.load_config\n"
             "def stamped(*args, **kwargs):\n"
             "    cfg = load_config(*args, **kwargs)\n"
-            "    seen.append('scipy.special._ufuncs' in sys.modules)\n"
+            "    seen.append(sorted(sys.modules))\n"
             "    return cfg\n"
             "cli.load_config = stamped\n"
-            "print(cli.main(sys.argv[1:]), seen)\n"
+            "print(cli.main(sys.argv[1:]), json.dumps(seen))\n"
         )
-        cfg = _write(tmp_path, "c.yaml", f"trials: {trials}\n")
-        proc = _run_script(script, ["--config", cfg, "--out", str(tmp_path / "o"), command])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"0 [{loaded}]"
+        cfg = _write(tmp_path, "c.yaml", "trials: 5000\n")
+        loaded = {}
+        for threads in ("1", "2"):
+            proc = _run_script(script, ["--config", cfg, "--threads", threads,
+                                        "--out", str(tmp_path / threads), "validate-power"])
+            assert proc.returncode == 0, proc.stderr
+            code, _, seen = proc.stdout.splitlines()[-1].partition(" ")
+            assert code == "0"
+            (loaded[threads],) = json.loads(seen)
+        assert set(loaded["2"]) - set(loaded["1"]) == set()
 
 
 class TestSisSim:
@@ -679,8 +693,9 @@ class TestValidateLaplace:
         assert all(r["monte_carlo_cell_reflected"] == r["monte_carlo"] for r in before)
         assert any(r["monte_carlo_cell_reflected"] != r["monte_carlo"] for r in after)
 
+    # outage-sweep draws the 1000 pinned powers in row blocks of 327 (N = 200)
     @pytest.mark.parametrize("command, draws", [
-        ("validate-laplace", []), ("outage-sweep", [1000])])
+        ("validate-laplace", []), ("outage-sweep", [327, 327, 327, 19])])
     def test_pinned_serving_powers_drawn_only_when_read(self, tmp_path, monkeypatch,
                                                         command, draws):
         # validate-laplace reads only the interference
@@ -710,20 +725,38 @@ class TestValidatePower:
         assert 0.0 <= float(rows[0]["empirical_cdf"]) <= float(rows[-1]["empirical_cdf"]) <= 1.0
 
     def test_byte_identical_for_same_seed(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["--trials", "5000", "--seed", "3", "--out", str(out1), "validate-power"])
-        main(["--trials", "5000", "--seed", "3", "--out", str(out2), "validate-power"])
-        a = [l for l in (out1 / "power_cdf.csv").read_bytes().splitlines() if not l.startswith(b"#")]
-        b = [l for l in (out2 / "power_cdf.csv").read_bytes().splitlines() if not l.startswith(b"#")]
-        assert a == b
+        # at any --threads: the 16 row blocks of the batch draw on up to
+        # that many threads
+        def data(out, threads):
+            argv = ["--trials", "5000", "--seed", "3", "--out", str(out),
+                    "--threads", threads, "validate-power"]
+            assert main(argv) == EXIT_OK
+            return _data_lines(out / "power_cdf.csv")
+
+        first = data(tmp_path / "a", "1")
+        assert data(tmp_path / "b", "1") == first
+        assert data(tmp_path / "c", "2") == first
+        assert data(tmp_path / "d", "3") == first
+
+    def test_samples_are_the_ensembles_pinned_batch(self, tmp_path):
+        from ris_sim import montecarlo
+
+        assert main(["--trials", "2000", "--seed", "21", "--out", str(tmp_path),
+                     "--threads", "2", "validate-power"]) == EXIT_OK
+        # 2000 samples: every sorted sample is written
+        written = [float(r["x"]) for r in _read_rows(tmp_path / "power_cdf.csv")]
+        cfg = load_config(None, overrides={"trials": 2000, "seed": 21})
+        stats = montecarlo.run_ensemble(cfg.simulation_setup(), 2000, 21)
+        assert written == np.sort(stats.s0).tolist()
 
     def test_pinned_output(self, tmp_path, capsys):
-        # the samples are the pinned serving batch of stream (21, 0)
+        # the samples are the pinned serving batch of seed 21: row block b
+        # from child b of stream (21, 0)
         code = main(["--trials", "2000", "--seed", "21", "--out", str(tmp_path), "validate-power"])
         assert code == EXIT_OK
-        assert "ks_distance: 0.031119450729737843\n" in capsys.readouterr().out
+        assert "ks_distance: 0.031458579828487154\n" in capsys.readouterr().out
         assert _data_digest(tmp_path / "power_cdf.csv") == (
-            "44a3210cd4e10aec97daa15ef26e87534bfb25f365ad9560f39ff6a2df087ffd")
+            "176db92b837e5af22350ead2b83173a739751e6aeea7d3e7c60fe773349cbb3c")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import concurrent.futures.process
 import math
 import multiprocessing
 import os
+import threading
 from concurrent.futures.process import ProcessPoolExecutor
 
 import numpy as np
@@ -413,9 +414,11 @@ class TestChunkEngine:
         stats = run_ensemble(setup, 50, seed=7, cell_reflected=True)
         assert calls == [] and stats.trials == 50
         s0 = stats.s0
+        # 50 trials are one row block: one call, on child 0 of stream (7, 0)
         assert stats.s0 is s0 and calls == [50]
         ch = setup.channel
-        want = draw(ch, *setup.link.pathloss(ch.c, ch.alpha), 50, montecarlo._stream(7, 0))
+        want = draw(ch, *setup.link.pathloss(ch.c, ch.alpha), 50,
+                    montecarlo._stream(7, 0, (0,)))
         assert s0.tobytes() == want.tobytes()
 
     def test_cell_reflected_nearest_bs_matches_associate_nearest(self):
@@ -447,6 +450,61 @@ class TestChunkEngine:
         got = montecarlo._nearest_bs_in_trial(
             np.empty((0, 2)), bs_start, np.ones((trial.size, 2)), trial)
         assert got.tolist() == [-1] * trial.size
+
+
+def _pinned_by_blocks(ch, link, n, seed):
+    """The pinned batch as one ``draw_serving_power`` call per row block,
+    block b on child b of stream (seed, 0), concatenated."""
+    pl_d, pl_r = link.pathloss(ch.c, ch.alpha)
+    rows = max(1, montecarlo._HOP_BLOCK // ch.n_elements)
+    return np.concatenate([
+        draw_serving_power(ch, pl_d, pl_r, min(rows, n - start),
+                           montecarlo._stream(seed, 0, (b,)))
+        for b, start in enumerate(range(0, n, rows))])
+
+
+class TestPinnedServingBatch:
+    @pytest.mark.parametrize("n_elements", [200, montecarlo._HOP_BLOCK + 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 64])
+    def test_equals_the_blocks_drawn_in_turn(self, four_cpus, n_elements, workers):
+        ch = ChannelParams(n_elements=n_elements)
+        link = LinkGeometry()
+        rows = max(1, montecarlo._HOP_BLOCK // n_elements)
+        for n in (1, rows, rows + 1, 3 * rows + 5):
+            got = montecarlo.pinned_serving_power(ch, link, n, 11, workers)
+            assert got.tobytes() == _pinned_by_blocks(ch, link, n, 11).tobytes()
+
+    def test_threads_exit_before_it_returns(self, small_chunks, four_cpus, monkeypatch):
+        # 5 rows per block at N = 200: 10 blocks on 2 threads
+        monkeypatch.setattr(montecarlo, "_HOP_BLOCK", 1000)
+        setup = _setup()
+        before = threading.active_count()
+        s0 = montecarlo.pinned_serving_power(setup.channel, setup.link, 50, 3, workers=2)
+        assert threading.active_count() == before
+        assert s0.tobytes() == _pinned_by_blocks(setup.channel, setup.link, 50, 3).tobytes()
+        # so a pooled ensemble afterwards still forks its workers, and its
+        # lazy pinned draw on two threads leaves none behind either
+        stats = run_ensemble(setup, 170, seed=3, workers=2)
+        assert four_cpus == [2]
+        assert stats.s0[:50].tobytes() == s0.tobytes()
+        assert threading.active_count() == before
+        _assert_no_children()
+
+    def test_failing_block_raises_after_every_thread_exits(self, four_cpus, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_HOP_BLOCK", 1000)
+        draw = montecarlo.draw_serving_power
+
+        def failing_last_block(ch, pl_d, pl_r, n, rng):
+            if n < 5:
+                raise MemoryError("block failed")
+            return draw(ch, pl_d, pl_r, n, rng)
+
+        monkeypatch.setattr(montecarlo, "draw_serving_power", failing_last_block)
+        before = threading.active_count()
+        setup = _setup()
+        with pytest.raises(MemoryError, match="block failed"):
+            montecarlo.pinned_serving_power(setup.channel, setup.link, 48, 3, workers=3)
+        assert threading.active_count() == before
 
 
 class _RecordingPool:
