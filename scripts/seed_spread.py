@@ -31,7 +31,7 @@ from ris_sim import montecarlo
 from ris_sim.experiment_config import ExperimentConfig, dbm_to_watts
 from ris_sim.interference_analytic import empirical_laplace, laplace_after, laplace_before
 from ris_sim.outage_epidemic import analytic_rates
-from ris_sim.power_analytic import s0_gamma_cdf
+from ris_sim.power_analytic import ks_distance, s0_gamma_cdf
 
 # the default seed first
 SEEDS = (12345, 1, 2, 3, 4, 5, 6, 7)
@@ -44,12 +44,7 @@ COLUMNS = ("criterion_1_ks", "criterion_2_worst_dev", "criterion_3_worst_z")
 def gate_values(cfg: ExperimentConfig, stats: montecarlo.EnsembleStats) -> tuple[float, ...]:
     """(criterion 1's KS, criterion 2's worst |dev|, criterion 3's worst |z|)
     of one ensemble."""
-    samples = np.sort(stats.s0)
-    n = samples.size
-    analytic = s0_gamma_cdf(samples, cfg.serving_gamma_fit())
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    ks = float(max(np.abs(hi - analytic).max(), np.abs(lo - analytic).max()))
+    ks = ks_distance(s0_gamma_cdf(np.sort(stats.s0), cfg.serving_gamma_fit()))
 
     dev = 0.0
     for p_dbm in POWER_GRID:

@@ -7,14 +7,14 @@ validation failure (including an overflow or a failed quadrature in the
 numeric layers).  No environment variable is read: --threads (default 1,
 at least 1) caps the worker processes that draw the per-trial field
 interference of the Monte Carlo ensembles (outage-sweep, validate-laplace;
-see ``montecarlo.run_ensemble``), and the threads that draw the pinned
-serving batch (validate-power, outage-sweep; see
-``montecarlo.pinned_serving_power``).  The other commands run serially,
+see ``montecarlo.run_ensemble``), and the threads that draw the serving
+batch, pinned or associated (validate-power, outage-sweep; see
+``montecarlo.serving_power``).  The other commands run serially,
 sis-sim's six panels as one agent run (``mobility_sim.run_abm``).  Output is
 byte-identical whatever its value.
 
 Monte Carlo ensembles feed outage-sweep and validate-laplace only;
-validate-power draws their pinned serving batch, and topology one
+validate-power draws their pinned-link serving batch, and topology one
 deployment of their field sampler.  r0-sweep, and the rates behind
 sis-sim's agents, are the analytic chain (gamma fit, transform, outage
 series, beta and mu).
@@ -70,7 +70,7 @@ from .outage_epidemic import (
     analytic_rates,
     sis_ode_solve,
 )
-from .power_analytic import s0_gamma_cdf
+from .power_analytic import ks_distance, s0_gamma_cdf
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -165,19 +165,18 @@ def cmd_validate_power(cfg: ExperimentConfig, out_dir: Path, threads: int) -> in
     """Empirical vs analytic CDF of the serving power at the representative
     link distances; fails (exit 3) when the KS distance reaches 0.05."""
     n = cfg.trials
-    # the pinned serving batch of the ensembles with this seed and trial count
-    samples = np.sort(montecarlo.pinned_serving_power(
-        cfg.channel_params(), cfg.link_geometry(), n, cfg.seed, threads))
+    ch = cfg.channel_params()
+    # the serving batch of the pinned ensembles with this seed and trial count
+    samples = np.sort(montecarlo.serving_power(
+        ch, *cfg.link_geometry().pathloss(ch.c, ch.alpha), n, cfg.seed, threads))
 
     fit = cfg.serving_gamma_fit()
     analytic = s0_gamma_cdf(samples, fit)
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    ks = float(max(np.abs(hi - analytic).max(), np.abs(lo - analytic).max()))
+    ks = ks_distance(analytic)
 
     stride = max(1, n // 2000)
     rows = [
-        (samples[i], hi[i], analytic[i])
+        (samples[i], (i + 1) / n, analytic[i])
         for i in range(0, n, stride)
     ]
     _write_csv(out_dir / "power_cdf.csv", cfg, ["x", "empirical_cdf", "analytic_cdf"], rows)
@@ -291,7 +290,7 @@ def cmd_validate_laplace(cfg: ExperimentConfig, out_dir: Path, threads: int) -> 
     them), ``monte_carlo_cell_reflected`` from the cell-reflected movers on
     the same fields and field fading, drawn from each chunk's child stream
     (see ``montecarlo``).  Before movement the two columns are equal.  The
-    pinned serving powers are never read, so never drawn.
+    serving powers, pinned or associated, are never read, so never drawn.
     """
     p = cfg.laplace_params()
     s_grid = np.geomspace(1e2, 1e9, 50)
@@ -370,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker processes for Monte Carlo ensembles, and threads for the pinned "
+        help="worker processes for Monte Carlo ensembles, and threads for their "
              "serving batch (sis-sim runs serially)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("topology", help="sample and export one topology")

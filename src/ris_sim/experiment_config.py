@@ -55,13 +55,14 @@ LOAD_BOUNDS = {
     # infected counts (240 MB), one float64 spread (80 MB), the ODE grids at
     # ten points per step (80 MB; their CSV rows are a tenth of that)
     "agent trajectory points": 1e7,
-    # trials x n_elements hops of one serving-power batch (validate-laplace
-    # draws them, for at least 1000 trials, only associated), about 60 ns
-    # each: a run just under the bound took 5 minutes serially. The draw
-    # holds one row block of first and second hops per drawing thread (at
-    # most one row each of n_elements <= 5e6 hops, 80 MB, on each of at most
-    # --threads and usable-CPU threads) and O(trials) powers, bounded because
-    # the Monte Carlo pair-draw row caps trials' at 5e6 for every config
+    # trials x n_elements hops of one serving-power batch (validate-power and
+    # outage-sweep draw it, validate-laplace never; trials' keeps its floor),
+    # about 60 ns each: a run just under the bound took 5 minutes serially.
+    # The draw holds one row block of first and second hops per drawing
+    # thread (at most one row each of n_elements <= 5e6 hops, 80 MB, on each
+    # of at most --threads and usable-CPU threads) and O(trials) powers and
+    # gains, bounded because the Monte Carlo pair-draw row caps trials' at
+    # 5e6 for every config
     "serving-hop draws": 5e9,
     # at lambda_b, where outage-sweep and validate-laplace sample (r0-sweep,
     # the only reader of the bs_density groups, samples nothing): the two

@@ -1,8 +1,8 @@
 """End-to-end empirical harness: sample a topology and fading, compute
 SINRs, and estimate outage, rates, and interference statistics as oracles
 for the analytic modules.  ``sample_fields`` draws the BSs and surface
-clusters of every command, ``topology`` included, and
-``pinned_serving_power`` every pinned serving power, ``validate-power``'s too.
+clusters of every command, ``topology`` included, and ``serving_power``
+every serving power, pinned or associated, ``validate-power``'s too.
 
 The validation default pins the serving link at representative distances
 and treats every sampled BS as an interferer with no exclusion zone, which
@@ -21,20 +21,19 @@ cell_reflected=True)`` adds it on the same fields and the same field fading
 their movers.
 
 Ensembles are sampled in chunks of trials.  A chunk draws the fields, the
-serving links and the network-field movers of all its trials in vectorized
-passes from one generator, stream (seed, chunk + 1); only the per-topology
-interference kernel and its fading draws run trial by trial, from the same
-generator where the sampling left it.  The cell-reflected movers draw from
-the first child of that stream (``SeedSequence.spawn``), so asking for them
-leaves every other sample unchanged.  The chunk size comes from the setup
-alone, so a trial of a full chunk has the same interference whatever the
-trial count; a partial last chunk draws fewer trials from its stream and
-differs.  Pinned serving powers are one batch over all trials
-(``pinned_serving_power``), drawn when ``EnsembleStats.s0`` is first read:
-row block b of hops (``draw_serving_power``) from child b of stream
-(seed, 0), so no trials x N array is held.  The blocks run on up to
-``workers`` threads, each holding one block at a time, with the same bytes
-whatever the thread count.
+associated serving links and the network-field movers of all its trials in
+vectorized passes from one generator, stream (seed, chunk + 1); only the
+per-topology interference kernel and its fading draws run trial by trial,
+from the same generator where the sampling left it.  The cell-reflected
+movers draw from the first child of that stream (``SeedSequence.spawn``), so
+asking for them leaves every other sample unchanged.  The chunk size comes
+from the setup alone, so a trial of a full chunk has the same interference
+whatever the trial count; a partial last chunk draws fewer trials from its
+stream and differs.  The serving powers of either mode are one batch over
+all trials (``serving_power``), drawn when ``EnsembleStats.s0`` is first
+read: row block b from child b of stream (seed, 0), so no trials x N array
+is held.  The blocks run on up to ``workers`` threads, each holding one
+block at a time, with the same bytes whatever the thread count.
 
 The per-trial loop of a chunk (``_field_draws``) owns one float64 buffer of
 two slots, each as long as the chunk's largest BS x surface pair count, and
@@ -81,7 +80,7 @@ __all__ = [
     "SimulationSetup",
     "EnsembleStats",
     "draw_serving_power",
-    "pinned_serving_power",
+    "serving_power",
     "pool_workers",
     "run_ensemble",
     "sample_fields",
@@ -139,16 +138,14 @@ class EnsembleStats:
     i_before: np.ndarray
     i_after: np.ndarray
     resampled: int
-    # the serving powers, or in pinned mode the call that draws them
-    serving: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
+    # the call that draws the serving powers
+    serving: Callable[[], np.ndarray] = field(repr=False)
     i_after_cell_reflected: np.ndarray | None = None
 
-    @property
+    @functools.cached_property
     def s0(self) -> np.ndarray:
-        """Serving power per trial; pinned ones are drawn on first access."""
-        if callable(self.serving):
-            self.serving = self.serving()
-        return self.serving
+        """Serving power per trial, drawn on first access."""
+        return self.serving()
 
     @property
     def trials(self) -> int:
@@ -173,8 +170,8 @@ class RateEstimate:
 # Matern parents, surfaces and network-field movers sampled per chunk: bounds
 # a chunk's memory whatever the densities
 _CHUNK_POINTS = 1 << 16
-# hops per row block of the serving-power draw, which holds one block of
-# first hops and one of second hops at a time (one row when N is larger)
+# hops per row block of ``serving_power``: each block's draw holds its first
+# and its second hops (one row when N is larger)
 _HOP_BLOCK = 1 << 16
 
 
@@ -398,52 +395,46 @@ def draw_serving_power(
     Every element is aligned onto the direct path, so the reflected term is
     the scalar sum of the N Nakagami amplitude products.  The gains are scalars
     or length-``n`` arrays (one link per draw).  The draw order is n Rayleigh
-    amplitudes, then, block by block of ``max(1, _HOP_BLOCK // N)`` rows, the
-    block's first hops and then its second hops; when no draw has a reflected
-    link (``pl_reflected == 0``) the hops are not drawn.  Only one block of
-    hops is held at a time, so the draw needs O(block + n) memory, not
-    O(n N).  For n up to one block the order is that of one batch: all n x N
-    first hops, then all second hops.
+    amplitudes, then all n x N first hops, then all second hops, which are
+    not drawn when no draw has a reflected link (``pl_reflected == 0``).
+    ``serving_power`` calls it one row block at a time.
     """
     if np.any(np.less(pl_direct, 0)) or np.any(np.less(pl_reflected, 0)):
         raise ValueError("path-loss gains must be nonnegative")
     amp = np.sqrt(pl_direct) * sample_rayleigh(rng, n)
     if np.any(np.greater(pl_reflected, 0.0)):
-        sums = np.empty(n)
-        rows = max(1, _HOP_BLOCK // ch.n_elements)
-        for start in range(0, n, rows):
-            block = sample_nakagami(ch.m1, rng, (min(rows, n - start), ch.n_elements))
-            block *= sample_nakagami(ch.m2, rng, block.shape)
-            np.sum(block, axis=1, out=sums[start:start + rows])
-        amp += np.sqrt(pl_reflected) * sums
+        hops = sample_nakagami(ch.m1, rng, (n, ch.n_elements))
+        hops *= sample_nakagami(ch.m2, rng, hops.shape)
+        amp += np.sqrt(pl_reflected) * hops.sum(axis=1)
     return amp * amp
 
 
-def pinned_serving_power(ch: ChannelParams, link: LinkGeometry, n: int,
-                         seed: int, workers: int = 1) -> np.ndarray:
-    """``n`` serving powers over the pinned link's path loss: the batch of
-    every pinned-mode ensemble, and the samples of ``validate-power``.
+def serving_power(ch: ChannelParams, pl_direct: float | np.ndarray,
+                  pl_reflected: float | np.ndarray, n: int, seed: int,
+                  workers: int = 1) -> np.ndarray:
+    """``n`` serving powers over the path-loss gains: scalars for the pinned
+    link, or length-``n`` arrays, one associated link per trial.  The batch
+    of every ensemble, and the samples of ``validate-power``.
 
-    The batch is cut into the row blocks of ``draw_serving_power``
-    (``max(1, _HOP_BLOCK // N)`` rows), and block b is one
-    ``draw_serving_power`` call on the child b of stream (seed, 0).  The
-    blocks run on ``min(workers, blocks, usable CPUs)`` threads, each
-    drawing a fixed run of blocks into one output array (numpy's draws and
-    ufuncs release the interpreter lock); below two threads they run in
-    this thread.  The output depends on the block, not on the thread, so it
-    is byte-identical whatever ``workers`` says.  Every thread has exited
-    when this returns.
+    The batch is cut into row blocks of ``max(1, _HOP_BLOCK // N)`` rows, and
+    block b is one ``draw_serving_power`` call on its slice of the gains and
+    the child b of stream (seed, 0), so no n x N array is held.  The blocks
+    run on ``min(workers, blocks, usable CPUs)`` threads, each drawing a fixed
+    run of blocks into one output array (numpy's draws and ufuncs release the
+    interpreter lock); below two threads they run in this thread.  The output
+    depends on the block, not on the thread, so it is byte-identical whatever
+    ``workers`` says.  Every thread has exited when this returns.
     """
-    pl_direct, pl_reflected = link.pathloss(ch.c, ch.alpha)
+    pl_direct, pl_reflected = np.broadcast_to(pl_direct, n), np.broadcast_to(pl_reflected, n)
     rows = max(1, _HOP_BLOCK // ch.n_elements)
     blocks = -(-n // rows)
     out = np.empty(n)
 
     def draw(first: int, stop: int):
         for b in range(first, stop):
-            start = b * rows
-            out[start:start + rows] = draw_serving_power(
-                ch, pl_direct, pl_reflected, min(rows, n - start), _stream(seed, 0, (b,)))
+            block = slice(b * rows, min((b + 1) * rows, n))
+            out[block] = draw_serving_power(ch, pl_direct[block], pl_reflected[block],
+                                            block.stop - block.start, _stream(seed, 0, (b,)))
 
     threads = min(workers, blocks, len(os.sched_getaffinity(0)))
     if threads < 2:
@@ -474,13 +465,14 @@ def _sample_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generator,
                   movers_rng: np.random.Generator | None = None):
     """Everything a chunk of ``trials`` trials samples in vectorized passes.
 
-    Returns (s0, moved, resampled, loop): the associated serving powers (None
-    in pinned mode: they do not depend on the field, and the caller draws
-    them), the moved-user interference per trial, the redrawn empty fields,
-    and the arguments of ``_field_draws``, which draws the rest of the
-    chunk from the same generator, ``rng`` last among them.  ``moved`` holds
-    the network-field term, followed, when ``movers_rng`` is given, by the
-    cell-reflected term on the same fields, drawn from ``movers_rng`` alone.
+    Returns (gains, moved, resampled, loop): the associated serving links'
+    (direct, reflected) path-loss gains per trial (None in pinned mode, whose
+    link does not depend on the field), the moved-user interference per
+    trial, the redrawn empty fields, and the arguments of ``_field_draws``,
+    which draws the rest of the chunk from the same generator, ``rng`` last
+    among them.  ``moved`` holds the network-field term, followed, when
+    ``movers_rng`` is given, by the cell-reflected term on the same fields,
+    drawn from ``movers_rng`` alone.
     """
     ch = setup.channel
     associated = setup.serving_mode == "associated"
@@ -489,7 +481,7 @@ def _sample_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generator,
     serving_ris = None
     if associated or movers_rng is not None:
         serving_ris = serving_surfaces(bs, ris, ris_parent)
-    s0 = serving = None
+    gains = serving = None
     if associated:
         # each trial's typical user at the origin
         serving = _nearest_bs_in_trial(bs, bs_start, np.zeros((trials, 2)), np.arange(trials))
@@ -498,12 +490,12 @@ def _sample_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generator,
         has = j >= 0
         pl_r = np.zeros(trials)
         pl_r[has] = ch.c * _bounce_length(bs[serving[has]], ris[j[has]]) ** (-ch.alpha)
-        s0 = draw_serving_power(ch, pl_d, pl_r, trials, rng)
+        gains = pl_d, pl_r
     moved = [_network_field_movers(setup, trials, rng)]
     if movers_rng is not None:
         moved.append(_cell_reflected_movers(setup, bs, bs_start, ris, serving_ris, movers_rng))
     ris_start = np.searchsorted(ris_parent, bs_start)
-    return s0, moved, resampled, (ch, bs, bs_start, ris, ris_start, serving, rng)
+    return gains, moved, resampled, (ch, bs, bs_start, ris, ris_start, serving, rng)
 
 
 def _field_draws(
@@ -551,14 +543,13 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
 
     The trials are cut into chunks of a size derived from the setup alone,
     and chunk c draws everything it samples from stream (seed, c + 1), so
-    the interference of a trial in a full chunk (and its serving power in
-    associated mode) depends on the seed and the trial's position, not on
-    the trial count; a partial last chunk draws differently.  The
-    pinned-mode serving powers are one ``pinned_serving_power`` batch over
-    all trials (their law does not depend on the topology), drawn on the
-    first read of ``s0`` on up to ``workers`` threads; that read comes after
-    any worker pool has shut down, and its threads have exited when it
-    returns.
+    the interference of a trial in a full chunk (and its associated serving
+    link) depends on the seed and the trial's position, not on the trial
+    count; a partial last chunk draws differently.  The serving powers,
+    pinned or associated, are one ``serving_power`` batch over all trials,
+    drawn on the first read of ``s0`` on up to ``workers`` threads; that read
+    comes after any worker pool has shut down, and its threads have exited
+    when it returns.
 
     With ``cell_reflected`` each chunk also draws the cell-reflected movers,
     from the child stream of its own, and fills ``i_after_cell_reflected``;
@@ -578,9 +569,10 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
     # after movement, one row per moved-user term
     i_a = np.empty((1 + cell_reflected, trials))
     if setup.serving_mode == "pinned":
-        serving = functools.partial(pinned_serving_power, ch, setup.link, trials, seed, workers)
+        pl_d, pl_r = setup.link.pathloss(ch.c, ch.alpha)
     else:
-        serving = np.empty(trials)
+        pl_d, pl_r = np.empty(trials), np.empty(trials)  # filled chunk by chunk
+    serving = functools.partial(serving_power, ch, pl_d, pl_r, trials, seed, workers)
 
     size = _chunk_trials(setup)
     chunks = [slice(start, min(start + size, trials)) for start in range(0, trials, size)]
@@ -592,10 +584,10 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
         nonlocal resampled
         for c, chunk in enumerate(chunks):
             movers = _stream(seed, c + 1, (0,)) if cell_reflected else None
-            chunk_s0, moved, n_resampled, loop = _sample_chunk(
+            gains, moved, n_resampled, loop = _sample_chunk(
                 setup, chunk.stop - chunk.start, _stream(seed, c + 1), movers)
-            if chunk_s0 is not None:
-                serving[chunk] = chunk_s0
+            if gains is not None:
+                pl_d[chunk], pl_r[chunk] = gains
             resampled += n_resampled
             yield chunk, moved, loop
 

@@ -29,6 +29,7 @@ __all__ = [
     "gamma_fit_from_moments",
     "s0_moments",
     "s0_gamma_cdf",
+    "ks_distance",
     "lower_incomplete_gamma_regularized",
 ]
 
@@ -136,6 +137,13 @@ def s0_gamma_cdf(x: float | np.ndarray, fit: GammaFit) -> float | np.ndarray:
     """Gamma-law CDF P(shape, x / scale), element-wise for an array ``x``
     (a float for a scalar); see ``lower_incomplete_gamma_regularized``."""
     return lower_incomplete_gamma_regularized(fit.shape, np.asarray(x, dtype=float) / fit.scale)
+
+
+def ks_distance(cdf: np.ndarray) -> float:
+    """Two-sided Kolmogorov-Smirnov distance of sorted samples from a law
+    whose CDF at them is ``cdf``: the largest gap to the empirical steps."""
+    steps = np.arange(cdf.size + 1) / cdf.size
+    return float(max(np.abs(steps[1:] - cdf).max(), np.abs(steps[:-1] - cdf).max()))
 
 
 # The series needs about 8 sqrt(a) terms next to x = a (16,100 at a = 4.44e6,

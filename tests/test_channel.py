@@ -1,8 +1,8 @@
 """Path loss, fading samplers, and the serving and interference draws built
 from them.
 
-The serving draw is ``montecarlo.draw_serving_power`` and the field
-interference is ``montecarlo._field_kernel`` plus
+The serving draw is ``montecarlo.draw_serving_power``, cut into row blocks
+by ``montecarlo.serving_power``, and the field interference is ``montecarlo._field_kernel`` plus
 ``montecarlo._draw_field_interference``; the checks here use test-local
 oracles (replayed generator streams, element-wise phase sums) for both.
 """
@@ -126,18 +126,15 @@ class TestFadingSamplers:
             sample_nakagami(0.3, _rng(), 10)
 
 
-def _replay_fading(ch, n, seed, rows=None):
-    """The serving draw's amplitudes, replayed in its documented order: the
-    Rayleigh amplitudes, then per block of ``rows`` draws (one block when
-    None) the block's first hops and then its second hops."""
-    rng = _rng(seed)
+def _replay_fading(ch, n, rng):
+    """The serving draw's amplitudes, replayed from ``rng`` in its documented
+    order: the Rayleigh amplitudes, then all first hops, then all second
+    hops."""
     g = rng.rayleigh(scale=math.sqrt(0.5), size=n)
-    h1, h2 = [], []
-    for start in range(0, n, rows or n):
-        shape = (min(rows or n, n - start), ch.n_elements)
-        h1.append(np.sqrt(rng.gamma(ch.m1, 1.0 / ch.m1, shape)))
-        h2.append(np.sqrt(rng.gamma(ch.m2, 1.0 / ch.m2, shape)))
-    return g, np.concatenate(h1), np.concatenate(h2), rng
+    shape = (n, ch.n_elements)
+    h1 = np.sqrt(rng.gamma(ch.m1, 1.0 / ch.m1, shape))
+    h2 = np.sqrt(rng.gamma(ch.m2, 1.0 / ch.m2, shape))
+    return g, h1, h2, rng
 
 
 class TestPhaseAlignment:
@@ -145,7 +142,7 @@ class TestPhaseAlignment:
         ch = ChannelParams()
         rng = _rng(4)
         s0 = draw_serving_power(ch, 1e-10, 1e-14, 3, rng)
-        g, h1, h2, ref = _replay_fading(ch, 3, 4)
+        g, h1, h2, ref = _replay_fading(ch, 3, _rng(4))
         expected = (math.sqrt(1e-10) * g + math.sqrt(1e-14) * np.sum(h1 * h2, axis=1)) ** 2
         assert s0 == pytest.approx(expected, rel=1e-12)
         assert rng.random() == ref.random()
@@ -155,7 +152,7 @@ class TestPhaseAlignment:
         # phase rounded to a 2-bit grid instead of cancelled
         ch = ChannelParams(n_elements=64)
         s0 = draw_serving_power(ch, 1e-10, 1e-14, 50, _rng(5))
-        g, h1, h2, _ = _replay_fading(ch, 50, 5)
+        g, h1, h2, _ = _replay_fading(ch, 50, _rng(5))
         residual = _rng(6).uniform(0.0, 2.0 * math.pi, h1.shape)
         step = 2.0 * math.pi / 4
         error = residual - np.round(residual / step) * step
@@ -187,50 +184,47 @@ class TestServingPower:
         assert np.mean(draws) == pytest.approx(expected, rel=0.02)
 
     def test_hop_blocks_replay_the_block_order(self):
-        # each row block draws its first hops, then its second hops; n is not
-        # a multiple of a block
+        # serving_power's row block b draws its Rayleigh amplitudes, its first
+        # hops and then its second hops from child b of stream (seed, 0), on
+        # its slice of the gains; n is not a multiple of a block
         ch = ChannelParams(m1=1.7, m2=3.0, n_elements=50)
         rows = montecarlo._HOP_BLOCK // ch.n_elements
         n = 2 * rows + rows // 3
         pl_r = np.linspace(0.0, 1e-14, n)
-        rng = _rng(8)
-        s0 = draw_serving_power(ch, 1e-10, pl_r, n, rng)
-        g, h1, h2, ref = _replay_fading(ch, n, 8, rows)
-        amp = np.sqrt(1e-10) * g + np.sqrt(pl_r) * np.sum(h1 * h2, axis=1)
-        assert s0.tobytes() == (amp * amp).tobytes()
-        assert rng.random() == ref.random()
-        # pl_reflected == 0 everywhere: no hop is drawn
-        rng = _rng(8)
-        s0 = draw_serving_power(ch, 1e-10, np.zeros(n), n, rng)
-        ref = _rng(8)
-        amp = np.sqrt(1e-10) * ref.rayleigh(scale=math.sqrt(0.5), size=n)
-        assert s0.tobytes() == (amp * amp).tobytes()
-        assert rng.random() == ref.random()
+        s0 = montecarlo.serving_power(ch, 1e-10, pl_r, n, 8, workers=1)
+        want = []
+        for b, start in enumerate(range(0, n, rows)):
+            block = slice(start, min(start + rows, n))
+            g, h1, h2, _ = _replay_fading(ch, block.stop - start, montecarlo._stream(8, 0, (b,)))
+            amp = np.sqrt(1e-10) * g + np.sqrt(pl_r[block]) * np.sum(h1 * h2, axis=1)
+            want.append(amp * amp)
+        assert len(want) == 3
+        assert s0.tobytes() == np.concatenate(want).tobytes()
 
-    @pytest.mark.parametrize("extra", [0, -1])
+    @pytest.mark.parametrize("extra", [0, -1, 1])
     def test_one_block_gives_the_one_batch_bytes(self, extra):
-        # up to one block, all first hops come before all second hops, as in
-        # one batch: small associated chunks keep their bytes
+        # all first hops come before all second hops, as in one batch, up to
+        # one block and above it: the row blocks are serving_power's alone
         ch = ChannelParams(m1=1.7, m2=3.0, n_elements=50)
         n = montecarlo._HOP_BLOCK // ch.n_elements + extra
         pl_r = np.linspace(0.0, 1e-14, n)
         rng = _rng(10)
         s0 = draw_serving_power(ch, 1e-10, pl_r, n, rng)
-        g, h1, h2, ref = _replay_fading(ch, n, 10)
+        g, h1, h2, ref = _replay_fading(ch, n, _rng(10))
         amp = np.sqrt(1e-10) * g + np.sqrt(pl_r) * np.sum(h1 * h2, axis=1)
         assert s0.tobytes() == (amp * amp).tobytes()
         assert rng.random() == ref.random()
 
     def test_memory_does_not_grow_with_draws_times_elements(self):
-        # numpy reports its buffers to tracemalloc; of 50 blocks of hops one
-        # is held at a time, beside the draw's O(n) amplitudes and sums
+        # numpy reports its buffers to tracemalloc; of serving_power's 50
+        # blocks of hops one is held at a time, beside the O(n) powers
         ch = ChannelParams()
         rows = montecarlo._HOP_BLOCK // ch.n_elements
         n = 50 * rows
         pl_d, pl_r = LinkGeometry().pathloss(ch.c, ch.alpha)
         tracemalloc.start()
         try:
-            draw_serving_power(ch, pl_d, pl_r, n, _rng(9))
+            montecarlo.serving_power(ch, pl_d, pl_r, n, 9, workers=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -694,11 +694,15 @@ class TestValidateLaplace:
         assert any(r["monte_carlo_cell_reflected"] != r["monte_carlo"] for r in after)
 
     # outage-sweep draws the 1000 pinned powers in row blocks of 327 (N = 200)
-    @pytest.mark.parametrize("command, draws", [
-        ("validate-laplace", []), ("outage-sweep", [327, 327, 327, 19])])
+    @pytest.mark.parametrize("command, draws, config", [
+        pytest.param("validate-laplace", [], None, id="validate-laplace-draws0"),
+        pytest.param("outage-sweep", [327, 327, 327, 19], None, id="outage-sweep-draws1"),
+        pytest.param("validate-laplace", [], "serving_mode: associated\n",
+                     id="validate-laplace-associated"),
+    ])
     def test_pinned_serving_powers_drawn_only_when_read(self, tmp_path, monkeypatch,
-                                                        command, draws):
-        # validate-laplace reads only the interference
+                                                        command, draws, config):
+        # validate-laplace reads only the interference, in either serving mode
         from ris_sim import montecarlo
 
         calls = []
@@ -709,7 +713,10 @@ class TestValidateLaplace:
             return draw(*args)
 
         monkeypatch.setattr(montecarlo, "draw_serving_power", counting)
-        assert main(["--trials", "1000", "--out", str(tmp_path), command]) == EXIT_OK
+        argv = ["--trials", "1000", "--out", str(tmp_path), command]
+        if config:
+            argv = ["--config", _write(tmp_path, "c.yaml", config), *argv]
+        assert main(argv) == EXIT_OK
         assert calls == draws
 
 

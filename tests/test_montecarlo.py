@@ -352,9 +352,6 @@ class TestChunkEngine:
         assert np.array_equal(one.i_before, two.i_before[:chunk])
         assert np.array_equal(one.i_after, two.i_after[:chunk])
         assert np.array_equal(one.i_after_cell_reflected, two.i_after_cell_reflected[:chunk])
-        if serving_mode == "associated":
-            # pinned serving powers are one batch over all trials
-            assert np.array_equal(one.s0, two.s0[:chunk])
         assert not np.array_equal(two.i_before[:chunk], two.i_before[chunk:])
 
     @pytest.mark.parametrize("serving_mode", ["pinned", "associated"])
@@ -367,8 +364,6 @@ class TestChunkEngine:
         more = run_ensemble(setup, 2 * chunk + 5, seed=3)
         assert np.array_equal(full.i_before, more.i_before[:2 * chunk])
         assert np.array_equal(full.i_after, more.i_after[:2 * chunk])
-        if serving_mode == "associated":
-            assert np.array_equal(full.s0, more.s0[:2 * chunk])
         fewer = run_ensemble(setup, chunk + 5, seed=3)
         assert not np.array_equal(fewer.i_before[chunk:], full.i_before[chunk:chunk + 5])
 
@@ -421,6 +416,27 @@ class TestChunkEngine:
                     montecarlo._stream(7, 0, (0,)))
         assert s0.tobytes() == want.tobytes()
 
+    def test_associated_serving_powers_drawn_on_first_read(self, small_chunks, monkeypatch):
+        # one batch on the chunks' associated links, as in pinned mode
+        calls = []
+        draw = montecarlo.draw_serving_power
+
+        def counting(*args):
+            calls.append(args[3])
+            return draw(*args)
+
+        monkeypatch.setattr(montecarlo, "draw_serving_power", counting)
+        setup = _setup(serving_mode="associated")
+        chunk = montecarlo._chunk_trials(setup)
+        trials = 2 * chunk + 5
+        stats = run_ensemble(setup, trials, seed=7)
+        assert calls == []
+        gains = np.concatenate([
+            montecarlo._sample_chunk(setup, size, montecarlo._stream(7, c + 1))[0]
+            for c, size in enumerate((chunk, chunk, 5))], axis=1)
+        want = montecarlo.serving_power(setup.channel, *gains, trials, 7)
+        assert stats.s0.tobytes() == want.tobytes() and calls == [trials, trials]
+
     def test_cell_reflected_nearest_bs_matches_associate_nearest(self):
         rng = _rng(17)
         topo = TopologyConfig(lambda_b=5e-5, window=Window("disk", radius=300.0))
@@ -452,15 +468,17 @@ class TestChunkEngine:
         assert got.tolist() == [-1] * trial.size
 
 
-def _pinned_by_blocks(ch, link, n, seed):
-    """The pinned batch as one ``draw_serving_power`` call per row block,
-    block b on child b of stream (seed, 0), concatenated."""
-    pl_d, pl_r = link.pathloss(ch.c, ch.alpha)
+def _by_blocks(ch, pl_d, pl_r, n, seed):
+    """The serving batch as one ``draw_serving_power`` call per row block,
+    block b on its slice of the gains (scalars or length-n arrays) and child b
+    of stream (seed, 0), concatenated."""
     rows = max(1, montecarlo._HOP_BLOCK // ch.n_elements)
+    part = lambda gain, block: gain if np.ndim(gain) == 0 else gain[block]
+    blocks = [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
     return np.concatenate([
-        draw_serving_power(ch, pl_d, pl_r, min(rows, n - start),
+        draw_serving_power(ch, part(pl_d, block), part(pl_r, block), block.stop - block.start,
                            montecarlo._stream(seed, 0, (b,)))
-        for b, start in enumerate(range(0, n, rows))])
+        for b, block in enumerate(blocks)])
 
 
 class TestPinnedServingBatch:
@@ -468,20 +486,26 @@ class TestPinnedServingBatch:
     @pytest.mark.parametrize("workers", [1, 2, 3, 64])
     def test_equals_the_blocks_drawn_in_turn(self, four_cpus, n_elements, workers):
         ch = ChannelParams(n_elements=n_elements)
-        link = LinkGeometry()
+        pinned = LinkGeometry().pathloss(ch.c, ch.alpha)
         rows = max(1, montecarlo._HOP_BLOCK // n_elements)
         for n in (1, rows, rows + 1, 3 * rows + 5):
-            got = montecarlo.pinned_serving_power(ch, link, n, 11, workers)
-            assert got.tobytes() == _pinned_by_blocks(ch, link, n, 11).tobytes()
+            # associated gains: one link per trial, some without a surface
+            gains = _rng(n).uniform(0.5, 2.0, (2, n)) * np.array(pinned)[:, None]
+            gains[1, ::3] = 0.0
+            for pl_d, pl_r in (pinned, gains):
+                got = montecarlo.serving_power(ch, pl_d, pl_r, n, 11, workers)
+                assert got.tobytes() == _by_blocks(ch, pl_d, pl_r, n, 11).tobytes()
 
     def test_threads_exit_before_it_returns(self, small_chunks, four_cpus, monkeypatch):
         # 5 rows per block at N = 200: 10 blocks on 2 threads
         monkeypatch.setattr(montecarlo, "_HOP_BLOCK", 1000)
         setup = _setup()
+        ch = setup.channel
+        pinned = setup.link.pathloss(ch.c, ch.alpha)
         before = threading.active_count()
-        s0 = montecarlo.pinned_serving_power(setup.channel, setup.link, 50, 3, workers=2)
+        s0 = montecarlo.serving_power(ch, *pinned, 50, 3, workers=2)
         assert threading.active_count() == before
-        assert s0.tobytes() == _pinned_by_blocks(setup.channel, setup.link, 50, 3).tobytes()
+        assert s0.tobytes() == _by_blocks(ch, *pinned, 50, 3).tobytes()
         # so a pooled ensemble afterwards still forks its workers, and its
         # lazy pinned draw on two threads leaves none behind either
         stats = run_ensemble(setup, 170, seed=3, workers=2)
@@ -502,8 +526,9 @@ class TestPinnedServingBatch:
         monkeypatch.setattr(montecarlo, "draw_serving_power", failing_last_block)
         before = threading.active_count()
         setup = _setup()
+        ch = setup.channel
         with pytest.raises(MemoryError, match="block failed"):
-            montecarlo.pinned_serving_power(setup.channel, setup.link, 48, 3, workers=3)
+            montecarlo.serving_power(ch, *setup.link.pathloss(ch.c, ch.alpha), 48, 3, workers=3)
         assert threading.active_count() == before
 
 
