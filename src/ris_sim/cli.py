@@ -19,6 +19,12 @@ deployment of their field sampler.  r0-sweep, and the rates behind
 sis-sim's agents, are the analytic chain (gamma fit, transform, outage
 series, beta and mu).
 
+A configuration is refused (exit 2, one line on stderr, no output directory
+made) when it is invalid, at load, or when the running command would pay an
+amount above its bound in ``experiment_config.LOAD_BOUNDS``, before the
+command's work (``ExperimentConfig.check_load``): each command is checked
+for the memory and work that it pays, and r0-sweep for none.
+
 Every output file starts with the resolved configuration as comment lines,
 and identical seeds produce byte-identical files.
 
@@ -312,9 +318,8 @@ def cmd_validate_laplace(cfg: ExperimentConfig, out_dir: Path, threads: int) -> 
             worst_rel = max(worst_rel, abs(closed_pgfl - oracle) / oracle)
             analytic.append((stage, s, closed_default, oracle, closed_pgfl))
 
-    mc_trials = min(max(cfg.trials, 1000), 100_000)
     stats = montecarlo.run_ensemble(
-        cfg.simulation_setup(), mc_trials, cfg.seed, threads, cell_reflected=True)
+        cfg.simulation_setup(), cfg.laplace_trials, cfg.seed, threads, cell_reflected=True)
     # the cell-reflected comparison shares the fields and their fading
     samples = {"before": (stats.i_before, stats.i_before),
                "after": (stats.i_after, stats.i_after_cell_reflected)}
@@ -394,6 +399,8 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {"seed": args.seed, "trials": args.trials, "out_dir": args.out}
         overrides = {k: v for k, v in overrides.items() if v is not None}
         cfg = load_config(args.config, overrides=overrides)
+        # the amounts this command pays, before any output directory exists
+        cfg.check_load(args.command)
         if overrides:
             _log(f"overrides: {overrides}")
     except ConfigError as exc:

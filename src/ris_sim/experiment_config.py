@@ -41,37 +41,51 @@ SWEEP_AXES = ("power_dbm", "ue_density", "frequency_ghz", "ris_elements")
 GROUP_AXES = ("bs_density", "ris_elements", None)
 
 # the bound of each quantity that ExperimentConfig.expected_load yields, in
-# the order it yields them: a config above any bound is refused at load
+# the order it yields them.  A command pays only some of the amounts (named
+# beside each row; r0-sweep pays none), and cli.main refuses a config with an
+# amount above its bound that the running command pays, before its work
 LOAD_BOUNDS = {
-    # Matern parents, surfaces or users: one topology still fits in memory
+    # Matern parents and surfaces (topology, outage-sweep, validate-laplace)
+    # or users (topology): one topology still fits in memory
     "expected points of one field": 1e7,
-    # a field of lambda_b * area cells, or the target's own cell
+    # a field of lambda_b * area cells, or the target's own cell (outage-sweep,
+    # validate-laplace)
     "expected moved users per trial": 1e7,
     "agents": 1e7,  # sis-sim agents of one run
-    # one step call's chunk of runs at the densest panel: pair-sized arrays
-    # near 160 MB each
+    # one step call's chunk of runs at the densest panel (sis-sim): pair-sized
+    # arrays near 160 MB each
     "expected agent contact pairs per step": 1e7,
-    # max(abm_ensemble_runs, 60) x (abm_steps + 1): the six panels' int32
-    # infected counts (240 MB), one float64 spread (80 MB), the ODE grids at
-    # ten points per step (80 MB; their CSV rows are a tenth of that)
+    # max(abm_ensemble_runs, 60) x (abm_steps + 1) (sis-sim): the six panels'
+    # int32 infected counts (240 MB), one float64 spread (80 MB), the ODE grids
+    # at ten points per step (80 MB; their CSV rows are a tenth of that)
     "agent trajectory points": 1e7,
-    # trials x n_elements hops of one serving-power batch (validate-power and
-    # outage-sweep draw it, validate-laplace never; trials' keeps its floor),
-    # about 60 ns each: a run just under the bound took 5 minutes serially.
-    # The draw holds one row block of first and second hops per drawing
-    # thread (at most one row each of n_elements <= 5e6 hops, 80 MB, on each
-    # of at most --threads and usable-CPU threads) and O(trials) powers and
-    # gains, bounded because the Monte Carlo pair-draw row caps trials' at
-    # 5e6 for every config
+    # max(trials, 1000) x n_elements hops of one serving-power batch
+    # (validate-power and outage-sweep draw it, validate-laplace never), about
+    # 60 ns each: a run just under the bound took 5 minutes serially.  The
+    # draw holds one row block of first and second hops per drawing thread
+    # (the floor keeps a row at n_elements <= 5e6 hops, 80 MB, on each of at
+    # most --threads and usable-CPU threads) and O(trials) powers and gains,
+    # bounded by the trials range (MAX_TRIALS)
     "serving-hop draws": 5e9,
     # at lambda_b, where outage-sweep and validate-laplace sample (r0-sweep,
     # the only reader of the bs_density groups, samples nothing): the two
     # slots of the field kernel's buffer, near 80 MB each
     "expected BS x surface pairs per trial": 1e7,
-    # a run just under either work bound took 2 to 5 minutes serially on 2 vCPUs
+    # a run just under either work bound took 2 to 5 minutes serially on 2
+    # vCPUs (pair draws: outage-sweep and validate-laplace; agent-steps:
+    # sis-sim)
     "expected Monte Carlo pair draws": 1e10,
     "expected agent-steps": 2e9,
 }
+
+# trials of any config: the O(trials) arrays of the serving batch and the
+# ensembles (powers, gains, per-trial interference) stay near 40 MB each
+MAX_TRIALS = 5_000_000
+
+# the commands that sample the Matern and surface fields, and the two of them
+# that run a Monte Carlo ensemble on those fields
+_ENSEMBLES = ("outage-sweep", "validate-laplace")
+_FIELDS = ("topology", *_ENSEMBLES)
 
 # sis-sim panels (name, user density, initially infected fraction): three
 # densities by 5/95 and 50/50 splits
@@ -214,7 +228,9 @@ class ExperimentConfig:
             raise ConfigError(f"serving_mode must be pinned or associated, got {self.serving_mode!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        for name in ("trials", "n_elements", "abm_agents", "abm_steps", "abm_ensemble_runs"):
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must lie in [1, {MAX_TRIALS}], got {self.trials}")
+        for name in ("n_elements", "abm_agents", "abm_steps", "abm_ensemble_runs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0 <= self.series_order <= 60:
@@ -233,11 +249,6 @@ class ExperimentConfig:
                     "lambda_b * pi * r_b^2 must be below 1"
                 )
             self.simulation_setup()  # its TopologyConfig is the only check on r_r
-            for keys, amount, row in self.expected_load():
-                if not amount <= LOAD_BOUNDS[row]:
-                    named = " and ".join(f"{key}={value}" for key, value in keys.items())
-                    raise ConfigError(f"{named} give {amount:.3g} {row}, "
-                                      f"above {LOAD_BOUNDS[row]:.0e}")
             groups = self.sweep.group_grid if self.sweep.group_by else (None,)
             for group_value in groups:
                 for axis_value in self.sweep.grid:
@@ -245,44 +256,76 @@ class ExperimentConfig:
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(str(exc)) from exc
 
-    def expected_load(self):
-        """``(keys, amount, row)`` per quantity of ``LOAD_BOUNDS``, lazily and
-        in its order: the keys that set the quantity, with their values."""
+    @property
+    def laplace_trials(self) -> int:
+        """Trials of validate-laplace's ensemble: at least the 1000 that its
+        Monte Carlo error bars need, and at most 1e5."""
+        return min(max(self.trials, 1000), 100_000)
+
+    def expected_load(self, command: str):
+        """``(keys, amount, row)`` per amount of ``LOAD_BOUNDS`` that
+        ``command`` pays, lazily and in its order: the keys that set the
+        amount, with their values.  An amount the command does not pay is
+        never evaluated, so a value it never reads cannot refuse it."""
         def keys(*names):
             return {name: getattr(self, name) for name in names}
-        area = self.window().area()
-        parents = (matern_parent_intensity(self.lambda_b, self.r_b)
-                   * self.window().dilate(self.r_b).area())
-        surfaces = self.lambda_r * area
         points = "expected points of one field"
-        yield keys("lambda_b", "r_b", "window_radius"), parents, points
-        yield keys("lambda_r", "window_radius"), surfaces, points
-        yield keys("lambda_u", "window_radius"), self.lambda_u * area, points
-        movers = self.lambda_u * math.pi * self.r_i**2 * max(1.0, self.lambda_b * area)
-        yield (keys("lambda_u", "r_i", "lambda_b", "window_radius"), movers,
-               "expected moved users per trial")
-        yield keys("abm_agents"), self.abm_agents, "agents"
-        abm = self.abm_config(lambda_u=max(lambda_u for _, lambda_u, _ in SIS_PANELS), x0=0)
-        yield (keys("r_i", "abm_agents", "abm_ensemble_runs"), abm.expected_step_pairs(),
-               "expected agent contact pairs per step")
-        yield (keys("abm_steps", "abm_ensemble_runs"),
-               max(self.abm_ensemble_runs, 10 * len(SIS_PANELS)) * (self.abm_steps + 1.0),
-               "agent trajectory points")
-        trials = float(max(self.trials, 1000))
-        yield keys("trials", "n_elements"), trials * self.n_elements, "serving-hop draws"
-        yield (keys("lambda_b", "lambda_r", "window_radius"), self.lambda_b * area * surfaces,
-               "expected BS x surface pairs per trial")
-        # a trial costs about 40 us, a Matern parent 0.5 us, a moved user 0.2 us
-        # and a pair 40 ns: 1000, 12, 5 and 1 pair draws at each of two stages
-        yield (keys("trials", "lambda_b", "r_b", "lambda_r", "lambda_u", "r_i", "window_radius"),
-               trials * 2 * (1000 + 12 * parents + 5 * movers + self.lambda_b * area * surfaces),
-               "expected Monte Carlo pair draws")
-        # an agent-step costs about 0.13 us, and 0.04 us (0.3 agent-steps) more
-        # per contact pair of one agent at the densest panel
-        contacts = abm.expected_step_pairs() / (abm.chunk_runs() * self.abm_agents)
-        yield (keys("r_i", "abm_agents", "abm_steps", "abm_ensemble_runs"),
-               len(SIS_PANELS) * self.abm_ensemble_runs * self.abm_steps * self.abm_agents
-               * (1 + 0.3 * contacts), "expected agent-steps")
+        if command in _FIELDS:
+            area = self.window().area()
+            parents = (matern_parent_intensity(self.lambda_b, self.r_b)
+                       * self.window().dilate(self.r_b).area())
+            surfaces = self.lambda_r * area
+            yield keys("lambda_b", "r_b", "window_radius"), parents, points
+            yield keys("lambda_r", "window_radius"), surfaces, points
+        if command == "topology":
+            yield keys("lambda_u", "window_radius"), self.lambda_u * area, points
+        if command in _ENSEMBLES:
+            movers = self.lambda_u * math.pi * self.r_i**2 * max(1.0, self.lambda_b * area)
+            yield (keys("lambda_u", "r_i", "lambda_b", "window_radius"), movers,
+                   "expected moved users per trial")
+        if command == "sis-sim":
+            yield keys("abm_agents"), self.abm_agents, "agents"
+            abm = self.abm_config(lambda_u=max(lambda_u for _, lambda_u, _ in SIS_PANELS), x0=0)
+            yield (keys("r_i", "abm_agents", "abm_ensemble_runs"), abm.expected_step_pairs(),
+                   "expected agent contact pairs per step")
+            yield (keys("abm_steps", "abm_ensemble_runs"),
+                   max(self.abm_ensemble_runs, 10 * len(SIS_PANELS)) * (self.abm_steps + 1.0),
+                   "agent trajectory points")
+        if command in ("validate-power", "outage-sweep"):
+            yield (keys("trials", "n_elements"), float(max(self.trials, 1000)) * self.n_elements,
+                   "serving-hop draws")
+        if command in _ENSEMBLES:
+            pairs = self.lambda_b * area * surfaces
+            yield (keys("lambda_b", "lambda_r", "window_radius"), pairs,
+                   "expected BS x surface pairs per trial")
+            # the trials the ensemble runs, and at least 1000, so that a short
+            # run cannot hide a large cost per trial.  A trial costs about 40 us,
+            # a Matern parent 0.5 us, a moved user 0.2 us and a pair 40 ns: 1000,
+            # 12, 5 and 1 pair draws at each of two stages
+            trials = self.laplace_trials if command == "validate-laplace" else max(self.trials, 1000)
+            yield (keys("trials", "lambda_b", "r_b", "lambda_r", "lambda_u", "r_i", "window_radius"),
+                   trials * 2.0 * (1000 + 12 * parents + 5 * movers + pairs),
+                   "expected Monte Carlo pair draws")
+        if command == "sis-sim":
+            # an agent-step costs about 0.13 us, and 0.04 us (0.3 agent-steps)
+            # more per contact pair of one agent at the densest panel
+            contacts = abm.expected_step_pairs() / (abm.chunk_runs() * self.abm_agents)
+            yield (keys("r_i", "abm_agents", "abm_steps", "abm_ensemble_runs"),
+                   len(SIS_PANELS) * self.abm_ensemble_runs * self.abm_steps * self.abm_agents
+                   * (1 + 0.3 * contacts), "expected agent-steps")
+
+    def check_load(self, command: str) -> None:
+        """ConfigError naming the keys, the amount and the row of the first
+        amount that ``command`` pays above its bound in ``LOAD_BOUNDS``."""
+        try:
+            over = next(((keys, amount, row) for keys, amount, row in self.expected_load(command)
+                         if not amount <= LOAD_BOUNDS[row]), None)
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(str(exc)) from exc
+        if over is not None:
+            keys, amount, row = over
+            named = " and ".join(f"{key}={value}" for key, value in keys.items())
+            raise ConfigError(f"{named} give {amount:.3g} {row}, above {LOAD_BOUNDS[row]:.0e}")
 
     # ---- derived parameter objects -------------------------------------
 

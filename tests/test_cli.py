@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -75,7 +76,10 @@ def _data_digest(path: Path) -> str:
     return hashlib.sha256(b"\n".join(_data_lines(path))).hexdigest()
 
 
-# (config, command, the load row that refuses it), at the CLI's 100 trials
+_SMALL_SIS = "abm_agents: 30\nabm_steps: 8\nabm_ensemble_runs: 3\n"
+
+# (config, a command that pays the row, the load row that refuses it), at
+# the CLI's 100 trials
 _BUDGET_CASES = [
     # ~3e8 users in the window
     ("window_radius: 1.0e+5\n", "topology", "expected points of one field"),
@@ -140,7 +144,7 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     def test_field_pair_budget_exits_config_under_memory_limit(self, tmp_path):
-        # ~3e8 BS x surface pairs per trial: refused at load, not allocated
+        # ~3e8 BS x surface pairs per trial: refused before the work, not allocated
         proc = _run_cli(tmp_path, "lambda_r: 3.0\n", "outage-sweep", limit_memory=True)
         assert proc.returncode == EXIT_CONFIG
         lines = proc.stderr.splitlines()
@@ -161,7 +165,7 @@ class TestExitCodes:
         assert {rows[0] for rows in named} == set(LOAD_BOUNDS)
 
     def test_contact_pair_budget_exits_config_under_memory_limit(self, tmp_path):
-        # ~8e7 agent contact pairs in one sis-sim step: refused at load
+        # ~8e7 agent contact pairs in one sis-sim step: refused before the work
         text = "r_i: 500.0\nabm_agents: 20000\nabm_steps: 1\nabm_ensemble_runs: 1\n"
         proc = _run_cli(tmp_path, text, "sis-sim", limit_memory=True)
         assert proc.returncode == EXIT_CONFIG
@@ -182,6 +186,37 @@ class TestExitCodes:
                 "validate-power"]
         assert main(argv) == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
+
+    # lambda_b = lambda_r = 1e-4: about 1e5 BS x surface pairs per trial, so
+    # the default 1e5 trials are 2.26e10 Monte Carlo pair draws, which only
+    # the two ensembles pay
+    @pytest.mark.parametrize("command, text, code", [pytest.param(*case, id=case[0]) for case in [
+        ("topology", "", EXIT_OK),
+        ("r0-sweep", "sweep:\n  axis: ue_density\n  grid: [1.0e-3, 1.0e-2]\n", EXIT_OK),
+        ("sis-sim", _SMALL_SIS, EXIT_OK),
+        ("validate-power", "trials: 50000\n", EXIT_OK),
+        ("outage-sweep", "", EXIT_CONFIG),
+        ("validate-laplace", "", EXIT_CONFIG),
+    ]])
+    def test_dense_config_refused_only_where_paid(self, tmp_path, capsys, command, text, code):
+        cfg = _write(tmp_path, "dense.yaml", "lambda_b: 1.0e-4\nlambda_r: 1.0e-4\n" + text)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), command]) == code
+        if code == EXIT_CONFIG:
+            assert capsys.readouterr().err == (
+                "configuration error: trials=100000 and lambda_b=0.0001 and r_b=50.0 and "
+                "lambda_r=0.0001 and lambda_u=0.01 and r_i=10.0 and window_radius=1000.0 "
+                "give 2.26e+10 expected Monte Carlo pair draws, above 1e+10\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        "topology", "validate-power", "outage-sweep", "sis-sim", "r0-sweep", "validate-laplace"])
+    def test_trials_above_the_range_exit_config(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert main(["--trials", "5000001", "--out", str(out), command]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: trials must lie in [1, 5000000], got 5000001\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["r0-sweep", "validate-laplace"])
     def test_numeric_failure_exits_validation(self, tmp_path, command):
@@ -293,17 +328,6 @@ class TestTopologyCommand:
         assert printed == pytest.approx(closest, rel=1e-12)
         assert printed >= 50.0  # the hard-core radius r_b
 
-    def test_byte_identical_for_same_seed(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["--seed", "5", "--out", str(out1), "topology"])
-        main(["--seed", "5", "--out", str(out2), "topology"])
-        a = (out1 / "topology.csv").read_bytes()
-        b = (out2 / "topology.csv").read_bytes()
-        # the out_dir appears in the config header; compare data lines
-        a_data = b"\n".join(l for l in a.splitlines() if not l.startswith(b"#"))
-        b_data = b"\n".join(l for l in b.splitlines() if not l.startswith(b"#"))
-        assert a_data == b_data
-
     def test_rows_match_the_summary(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["--seed", "5", "--out", str(out), "topology"]) == EXIT_OK
@@ -359,17 +383,6 @@ class TestTopologyCommand:
             assert int(r["serving_index"]) in children
             assert np.linalg.norm(ris[int(r["serving_index"])] - bs[i]) <= d.min() + 1e-12
 
-    def test_pinned_output(self, tmp_path, capsys):
-        # data lines and summary of seed 5, pinned so that a change to the
-        # field sampler or the writer shows
-        assert main(["--seed", "5", "--out", str(tmp_path), "topology"]) == EXIT_OK
-        assert capsys.readouterr().out == (
-            "base stations: 33\nsurfaces: 34\nusers: 31745\n"
-            "min BS spacing: 51.73736097107253\n")
-        assert _data_digest(tmp_path / "topology.csv") == (
-            "3faaa2907b528274421d1c0f1c873134332cf1e75faaf017bf3dacdd75f1cf21")
-
-
 class TestOutageSweep:
     def test_columns_and_ordering(self, tmp_path):
         out = tmp_path / "o"
@@ -387,7 +400,6 @@ class TestOutageSweep:
         for r in rows:
             assert float(r["P_o_prime_analytic"]) >= float(r["P_o_analytic"]) - 1e-12
 
-
     def test_byte_identical_across_repeats_and_threads(self, tmp_path):
         def data(out, *extra):
             argv = ["--trials", "600", "--seed", "4", "--out", str(out), *extra, "outage-sweep"]
@@ -397,7 +409,6 @@ class TestOutageSweep:
         first = data(tmp_path / "a", "--threads", "1")
         assert data(tmp_path / "b", "--threads", "1") == first
         assert data(tmp_path / "c", "--threads", "2") == first
-
 
 
 def _two_cpus(monkeypatch):
@@ -577,7 +588,7 @@ print(code, loaded, "scipy.integrate" in sys.modules, "scipy" in sys.modules,
             "import sys\nimport ris_sim.cli\ncode = ris_sim.cli.main(sys.argv[1:])\n"
             "print(code, 'concurrent.futures' in sys.modules)\n"
         )
-        cfg = _write(tmp_path, "c.yaml", "abm_agents: 30\nabm_steps: 8\nabm_ensemble_runs: 3\n")
+        cfg = _write(tmp_path, "c.yaml", _SMALL_SIS)
         proc = _run_script(script, ["--config", cfg, "--threads", "2",
                                     "--out", str(tmp_path / "o"), "sis-sim"])
         assert proc.returncode == 0, proc.stderr
@@ -619,10 +630,8 @@ print(code, loaded, "scipy.integrate" in sys.modules, "scipy" in sys.modules,
 
 
 class TestSisSim:
-    SMALL = "abm_agents: 30\nabm_steps: 8\nabm_ensemble_runs: 3\n"
-
     def test_small_run(self, tmp_path):
-        cfg = _write(tmp_path, "sis.yaml", self.SMALL)
+        cfg = _write(tmp_path, "sis.yaml", _SMALL_SIS)
         out = tmp_path / "o"
         assert main(["--config", cfg, "--out", str(out), "sis-sim"]) == EXIT_OK
         rows = _read_rows(out / "sis_abm.csv")
@@ -641,19 +650,6 @@ class TestSisSim:
         rows = _read_rows(tmp_path / "o" / "sis_abm.csv")
         assert len(rows) == 12
         assert all(float(r["mean_S"]) + float(r["mean_X"]) == 200000.0 for r in rows)
-
-    def test_byte_identical_across_repeats_and_threads(self, tmp_path):
-        cfg = _write(tmp_path, "sis.yaml", self.SMALL)
-
-        def data(out, threads):
-            argv = ["--config", cfg, "--seed", "4", "--out", str(out),
-                    "--threads", threads, "sis-sim"]
-            assert main(argv) == EXIT_OK
-            return [_data_lines(out / name) for name in ("sis_abm.csv", "sis_ode.csv")]
-
-        first = data(tmp_path / "a", "1")
-        assert data(tmp_path / "b", "1") == first
-        assert data(tmp_path / "c", "2") == first
 
     def test_figure_5_matches_tracked_results(self, tmp_path):
         # the full Figure-5 config: 6 panels x 100 runs x 100 agents x 200 steps
@@ -731,20 +727,6 @@ class TestValidatePower:
         assert {"x", "empirical_cdf", "analytic_cdf"} <= set(rows[0])
         assert 0.0 <= float(rows[0]["empirical_cdf"]) <= float(rows[-1]["empirical_cdf"]) <= 1.0
 
-    def test_byte_identical_for_same_seed(self, tmp_path):
-        # at any --threads: the 16 row blocks of the batch draw on up to
-        # that many threads
-        def data(out, threads):
-            argv = ["--trials", "5000", "--seed", "3", "--out", str(out),
-                    "--threads", threads, "validate-power"]
-            assert main(argv) == EXIT_OK
-            return _data_lines(out / "power_cdf.csv")
-
-        first = data(tmp_path / "a", "1")
-        assert data(tmp_path / "b", "1") == first
-        assert data(tmp_path / "c", "2") == first
-        assert data(tmp_path / "d", "3") == first
-
     def test_samples_are_the_ensembles_pinned_batch(self, tmp_path):
         from ris_sim import montecarlo
 
@@ -764,6 +746,152 @@ class TestValidatePower:
         assert "ks_distance: 0.031458579828487154\n" in capsys.readouterr().out
         assert _data_digest(tmp_path / "power_cdf.csv") == (
             "176db92b837e5af22350ead2b83173a739751e6aeea7d3e7c60fe773349cbb3c")
+
+
+# ---------------------------------------------------------------------------
+# Command contracts: every command's output bytes, in both serving modes
+# ---------------------------------------------------------------------------
+
+class _Contract(NamedTuple):
+    """One command on one config: the data digest of each CSV it writes,
+    its stdout, and the modules (with their submodules) it leaves unloaded."""
+    command: str
+    config: str
+    digests: dict
+    stdout: str
+    unloaded: tuple = (
+        # no scipy module (validate-power's gamma CDF and the quadrature
+        # oracle run the package's own rules, Matern thinning and the agent
+        # contacts a numpy cell list); numpy.f2py comes behind scipy.special;
+        # concurrent.futures (and logging behind it) only with a worker pool
+        # or serving threads; numpy.ma with np.median's NaN check
+        "scipy", "numpy.f2py", "concurrent.futures", "numpy.ma")
+
+
+_LAPLACE_STDOUT = ("pgfl vs quadrature worst relative error: 5.916e-07\n"
+                   "affine form at s=0 (axiom says 1): 0.9907128641466655\n")
+_SIS_STDOUT = (
+    "panel a: lambda_u=0.001 x0=2 beta=0.01557 mu=0.01401 final_X=2.00\n"
+    "panel b: lambda_u=0.005 x0=2 beta=0.02177 mu=0.01392 final_X=2.33\n"
+    "panel c: lambda_u=0.01 x0=2 beta=0.02963 mu=0.01381 final_X=2.33\n"
+    "panel d: lambda_u=0.001 x0=15 beta=0.01557 mu=0.01401 final_X=13.33\n"
+    "panel e: lambda_u=0.005 x0=15 beta=0.02177 mu=0.01392 final_X=14.33\n"
+    "panel f: lambda_u=0.01 x0=15 beta=0.02963 mu=0.01381 final_X=16.33\n")
+
+# One row per command and serving mode.  The Monte Carlo rows run 1600
+# trials, 5 chunks of 394, so that two workers start.  A change that moves a
+# stream updates its row, from the fresh values a mismatch prints.
+_CONTRACTS = [
+    pytest.param(_Contract(
+        "topology", "seed: 5\n",
+        {"topology.csv": "3faaa2907b528274421d1c0f1c873134332cf1e75faaf017bf3dacdd75f1cf21"},
+        "base stations: 33\nsurfaces: 34\nusers: 31745\nmin BS spacing: 51.73736097107253\n",
+        # what scipy.spatial brings for the nearest-neighbour queries
+        # (scipy.sparse, scipy.linalg, scipy.special and those above), and
+        # nothing of the quadrature or optimization stack
+        ("scipy.integrate", "scipy.optimize", "scipy.stats", "scipy.interpolate")),
+        id="topology"),
+    # the pinned serving batch of seed 21: row block b from child b of
+    # stream (21, 0), 7 blocks of 327
+    pytest.param(_Contract(
+        "validate-power", "seed: 21\ntrials: 2000\n",
+        {"power_cdf.csv": "176db92b837e5af22350ead2b83173a739751e6aeea7d3e7c60fe773349cbb3c"},
+        "gamma fit shape=6.184639768344331 scale=6.067898436265701e-11\n"
+        "ks_distance: 0.031458579828487154\n"),
+        id="validate-power"),
+    pytest.param(_Contract(
+        "outage-sweep", "seed: 4\ntrials: 1600\n",
+        {"outage_sweep.csv": "6814f0be56442e9cd5fb83114677d9689cf390f59969d265ed186934c483df4a"},
+        ""),
+        id="outage-sweep-pinned"),
+    pytest.param(_Contract(
+        "outage-sweep", "seed: 4\ntrials: 1600\nserving_mode: associated\n",
+        {"outage_sweep.csv": "50c2372526dbd918ab4c6462c593b4b11b9ce80b0f04e1c2abe87c1b2637e7f4"},
+        ""),
+        id="outage-sweep-associated"),
+    pytest.param(_Contract(
+        "validate-laplace", "seed: 4\ntrials: 1600\n",
+        {"laplace_validation.csv":
+         "35c9991516bceac3342b7b6be8e07578b4b8c8f71e271df3160eb8fa8ba3f061"},
+        _LAPLACE_STDOUT),
+        id="validate-laplace-pinned"),
+    pytest.param(_Contract(
+        "validate-laplace", "seed: 4\ntrials: 1600\nserving_mode: associated\n",
+        {"laplace_validation.csv":
+         "827d0123fc999c438bf5f211f46ba0e2d9c8979e79e9f57dc6962672231aa382"},
+        _LAPLACE_STDOUT),
+        id="validate-laplace-associated"),
+    pytest.param(_Contract(
+        "sis-sim", "seed: 4\n" + _SMALL_SIS,
+        {"sis_abm.csv": "2cf776f1de062e603b9a3166c255b4226fc68c564735c05b03c41ea45be0de40",
+         "sis_ode.csv": "69581f82a07ad9cd25a02ddcbf2145fc29361bb19dd4fdf0c3772f93d3bb09de"},
+        _SIS_STDOUT),
+        id="sis-sim"),
+    pytest.param(_Contract(
+        "r0-sweep", "sweep:\n  axis: ue_density\n  grid: [1.0e-3, 1.0e-2]\n",
+        {"r0_sweep.csv": "247b8aea6c4555a5cde2bc164d4a3970e12327f910f270e99690a34f29e739a5"},
+        ""),
+        id="r0-sweep"),
+]
+
+# the commands that can start a worker pool or serving threads
+_POOLED = ("validate-power", "outage-sweep", "validate-laplace")
+
+
+def _check_contract(row: _Contract, out: Path, stdout: str) -> None:
+    fresh = ({p.name: _data_digest(p) for p in out.glob("*.csv")}, stdout)
+    assert fresh == (row.digests, row.stdout), f"fresh digests and stdout: {fresh!r}"
+
+
+class TestContracts:
+    # the last stdout line: exit code, whether main froze the heap, modules
+    SCRIPT = """
+import gc, json, sys
+import ris_sim.cli
+code = ris_sim.cli.main(sys.argv[1:])
+print(json.dumps([code, gc.get_freeze_count() > 0, sorted(sys.modules)]))
+"""
+
+    @pytest.mark.parametrize("row", _CONTRACTS)
+    def test_fresh_interpreter(self, tmp_path, row):
+        # --threads 1 for the commands that start a pool or threads above
+        # it, --threads 2 for those that start none at any value
+        threads = "1" if row.command in _POOLED else "2"
+        out = tmp_path / "o"
+        proc = _run_script(self.SCRIPT, ["--config", _write(tmp_path, "c.yaml", row.config),
+                                         "--threads", threads, "--out", str(out), row.command])
+        assert proc.returncode == 0, proc.stderr
+        *printed, last = proc.stdout.splitlines(keepends=True)
+        code, frozen, modules = json.loads(last)
+        assert code == EXIT_OK, proc.stderr
+        _check_contract(row, out, "".join(printed))
+        assert frozen
+        assert [m for m in modules
+                if any(m == u or m.startswith(u + ".") for u in row.unloaded)] == []
+
+    @pytest.mark.parametrize("row", _CONTRACTS)
+    def test_every_thread_count(self, tmp_path, capsys, monkeypatch, row):
+        from ris_sim import interference_analytic, montecarlo
+
+        cfg = _write(tmp_path, "c.yaml", row.config)
+        if row.command in ("outage-sweep", "validate-laplace"):
+            # at least two chunks per worker, so that two workers start
+            loaded = load_config(cfg)
+            trials = loaded.laplace_trials if row.command == "validate-laplace" else loaded.trials
+            assert -(-trials // montecarlo._chunk_trials(loaded.simulation_setup())) >= 4
+        # the first run evaluates the quadrature oracle afresh, the next
+        # reuses its memo
+        interference_analytic._reflected_cluster_exponent.cache_clear()
+        # validate-power's 7 row blocks split unevenly over 2 and 3 threads
+        for threads in ("1", "2", "3") if row.command == "validate-power" else ("1", "2"):
+            # two usable CPUs whatever the host has, three for --threads 3,
+            # so that each run starts as many workers or threads as it asks
+            cpus = set(range(max(2, int(threads))))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            out = tmp_path / threads
+            assert main(["--config", cfg, "--threads", threads, "--out", str(out),
+                         row.command]) == EXIT_OK
+            _check_contract(row, out, capsys.readouterr().out)
 
 
 # ---------------------------------------------------------------------------
@@ -887,8 +1015,9 @@ class TestExitCodeFuzz:
         # traceback reaches stderr
         if command == "sis-sim" and text not in _ODD_DOCUMENTS:
             # the agent runs are kept short, as _run_cli keeps the trials
-            # few; the fuzz checks these keys' values through the other
-            # commands, which refuse the same values at load
+            # few.  sis-sim alone pays the agent rows, so the fuzz never
+            # reaches a refusal of these two keys' values: the agent
+            # trajectory and agent-step cases of _BUDGET_CASES do
             text += "abm_steps: 2\nabm_ensemble_runs: 2\n"
         with tempfile.TemporaryDirectory() as tmp:
             proc = _run_cli(Path(tmp), text, command, limit_memory=True)

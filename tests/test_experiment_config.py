@@ -18,6 +18,8 @@ from ris_sim.experiment_config import (
     with_overrides,
 )
 
+COMMANDS = ("topology", "validate-power", "outage-sweep", "sis-sim", "r0-sweep", "validate-laplace")
+
 
 class TestLoading:
     def test_defaults(self):
@@ -59,8 +61,10 @@ class TestLoading:
         ids=lambda p: p.stem,
     )
     def test_shipped_config_loads(self, path):
-        # every load-time budget leaves the shipped configs alone
-        assert load_config(path).seed >= 0
+        # every command's load bounds leave the shipped configs alone
+        cfg = load_config(path)
+        for command in COMMANDS:
+            cfg.check_load(command)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -111,48 +115,67 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(text=text)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "alpha: .nan\n",
-            "window_radius: .inf\n",
-            "r_b: 1.0e+300\n",  # overflows the hard-core check
-            "seed: -1\n",
-            "abm_steps: 0\n",
-            "out_dir: 5\n",
-            "lambda_r: -1.0\n",  # rejected by the derived topology
-            "window_radius: 1.0e+5\n",  # ~3e8 expected users
-            "lambda_r: 3.0\n",  # ~3e8 BS x surface pairs per trial
-            "r_i: 1.0e+5\n",  # ~1e10 moved users per trial
-            # 1e10 serving-hop draws: about 10 minutes at 60 ns per hop
-            "n_elements: 100000\ntrials: 100000\n",
-            # ~8e7 agent contact pairs per step at the densest sis-sim panel
-            "r_i: 500.0\nabm_agents: 20000\nabm_steps: 1\nabm_ensemble_runs: 1\n",
-            "abm_agents: 100000000\nr_i: 1.0e-3\n",  # 1e8 agents, few contacts
-            # 1e10 agent trajectory points (an 80 GB array of infected counts)
-            "abm_steps: 100000000\nabm_ensemble_runs: 100\nabm_agents: 10\n",
-            # ~2e11 Monte Carlo pair draws: about 0.8 h at 53 us per trial
-            "n_elements: 1\nlambda_r: 1.0e-9\ntrials: 50000000\n",
-            "n_elements: 1\ntrials: 50000000\n",  # about 1.8 h at 132 us per trial
-            "r_i: 1000.0\n",  # ~1e6 moved users per trial, 1e5 trials: about 4.5 h
-            # 3.6e10 agent-steps: hours at ~5e6 agent-steps per second
-            "abm_agents: 600\nabm_steps: 166000\nabm_ensemble_runs: 60\n",
-            # 1.4e9 agent-steps, each with ~57 contact pairs at the densest panel:
-            # about an hour at 4e5 agent-steps per second
-            "r_i: 60.0\nabm_agents: 2000\nabm_steps: 2000\nabm_ensemble_runs: 60\n",
-            "lambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
-            # Monte Carlo pair draws at lambda_b and 1e5 trials; the groups add none
-            "  group_by: bs_density\n  group_grid: [1.0e-5, 1.2e-4]\n",
-            "sweep:\n  axis: ue_density\n  grid: [-1.0, 1.0e-3]\n",
-            "sweep:\n  axis: frequency_ghz\n  grid: [0.0, 1.0]\n",
-            "gain_tx: -1.0\nsweep:\n  axis: frequency_ghz\n  grid: [1.0]\n",
-            "sweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
-            "  group_by: bs_density\n  group_grid: [-1.0]\n",
-        ],
-    )
-    def test_rejected_at_load(self, text):
-        with pytest.raises(ConfigError):
-            load_config(text=text)
+    # a validity case (no command) is refused by load_config itself; a load
+    # case loads, and the command that pays its amount refuses it before
+    # its work, as cli.main checks it right after loading
+    @pytest.mark.parametrize("text,command", [pytest.param(*case, id=case[0]) for case in [
+        ("alpha: .nan\n", None),
+        ("window_radius: .inf\n", None),
+        ("r_b: 1.0e+300\n", None),  # overflows the hard-core check
+        ("seed: -1\n", None),
+        ("abm_steps: 0\n", None),
+        ("out_dir: 5\n", None),
+        ("lambda_r: -1.0\n", None),  # rejected by the derived topology
+        ("window_radius: 1.0e+5\n", "topology"),  # ~3e8 expected users
+        ("lambda_r: 3.0\n", "outage-sweep"),  # ~3e8 BS x surface pairs per trial
+        ("r_i: 1.0e+5\n", "validate-laplace"),  # ~1e10 moved users per trial
+        # 1e10 serving-hop draws: about 10 minutes at 60 ns per hop
+        ("n_elements: 100000\ntrials: 100000\n", "validate-power"),
+        # ~8e7 agent contact pairs per step at the densest sis-sim panel
+        ("r_i: 500.0\nabm_agents: 20000\nabm_steps: 1\nabm_ensemble_runs: 1\n", "sis-sim"),
+        ("abm_agents: 100000000\nr_i: 1.0e-3\n", "sis-sim"),  # 1e8 agents, few contacts
+        # 1e10 agent trajectory points (an 80 GB array of infected counts)
+        ("abm_steps: 100000000\nabm_ensemble_runs: 100\nabm_agents: 10\n", "sis-sim"),
+        # trials outside [1, 5e6]
+        ("trials: 0\n", None),
+        ("trials: 5000001\n", None),
+        ("n_elements: 1\nlambda_r: 1.0e-9\ntrials: 50000000\n", None),
+        ("n_elements: 1\ntrials: 50000000\n", None),
+        # ~2e10 Monte Carlo pair draws: about 0.3 h at 53 us per trial
+        ("n_elements: 1\nlambda_r: 1.0e-9\ntrials: 5000000\n", "outage-sweep"),
+        ("n_elements: 1\ntrials: 5000000\n", "outage-sweep"),  # about 0.4 h at 132 us per trial
+        ("r_i: 1000.0\n", "outage-sweep"),  # ~1e6 moved users per trial, 1e5 trials: about 4.5 h
+        # 3.6e10 agent-steps: hours at ~5e6 agent-steps per second
+        ("abm_agents: 600\nabm_steps: 166000\nabm_ensemble_runs: 60\n", "sis-sim"),
+        # 1.4e9 agent-steps, each with ~57 contact pairs at the densest panel:
+        # about an hour at 4e5 agent-steps per second
+        ("r_i: 60.0\nabm_agents: 2000\nabm_steps: 2000\nabm_ensemble_runs: 60\n", "sis-sim"),
+        ("lambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
+         # Monte Carlo pair draws at lambda_b and 1e5 trials; the groups add none
+         "  group_by: bs_density\n  group_grid: [1.0e-5, 1.2e-4]\n", "validate-laplace"),
+        ("sweep:\n  axis: ue_density\n  grid: [-1.0, 1.0e-3]\n", None),
+        ("sweep:\n  axis: frequency_ghz\n  grid: [0.0, 1.0]\n", None),
+        ("gain_tx: -1.0\nsweep:\n  axis: frequency_ghz\n  grid: [1.0]\n", None),
+        ("sweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
+         "  group_by: bs_density\n  group_grid: [-1.0]\n", None),
+    ]])
+    def test_rejected_at_load(self, text, command):
+        if command is None:
+            with pytest.raises(ConfigError):
+                load_config(text=text)
+        else:
+            cfg = load_config(text=text)
+            with pytest.raises(ConfigError, match=", above "):
+                cfg.check_load(command)
+
+    def test_laplace_pair_draws_count_the_trials_it_runs(self):
+        # validate-laplace runs 1e5 trials at most, whatever trials says
+        text = "trials: 5000000\nlambda_r: 2.0e-4\n"
+        cfg = load_config(text=text)
+        assert cfg.laplace_trials == 100_000
+        cfg.check_load("validate-laplace")
+        with pytest.raises(ConfigError, match="Monte Carlo pair draws"):
+            cfg.check_load("outage-sweep")
 
     # 1000 trials keep the base's Monte Carlo work under its bound
     PAIR_BASE = "trials: 1000\nlambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
@@ -160,12 +183,16 @@ class TestValidation:
     def test_pair_budget_ignores_bs_groups(self):
         # only r0-sweep reads the groups, and it samples no pair
         text = self.PAIR_BASE + "  group_by: bs_density\n  group_grid: [1.2e-4]\n"
-        assert load_config(text=text).sweep.group_grid == (1.2e-4,)
+        cfg = load_config(text=text)
+        for command in COMMANDS:
+            cfg.check_load(command)
 
     def test_pair_budget_at_lambda_b(self):
-        assert load_config(text=self.PAIR_BASE).lambda_r == 3.0e-2
-        with pytest.raises(ConfigError, match="lambda_b=0.00012 .* pairs"):
-            load_config(text=self.PAIR_BASE + "lambda_b: 1.2e-4\n")
+        load_config(text=self.PAIR_BASE).check_load("validate-laplace")
+        cfg = load_config(text=self.PAIR_BASE + "lambda_b: 1.2e-4\n")
+        for command in ("outage-sweep", "validate-laplace"):
+            with pytest.raises(ConfigError, match="lambda_b=0.00012 .* pairs"):
+                cfg.check_load(command)
 
     @pytest.mark.parametrize(
         "text,row",
@@ -181,8 +208,10 @@ class TestValidation:
         ],
     )
     def test_just_under_a_work_bound_loads(self, text, row):
-        load = load_config(text=text).expected_load()
-        amount = max(amount for _, amount, name in load if name == row)
+        # the largest amount of the row that any command pays
+        cfg = load_config(text=text)
+        amount = max(amount for command in COMMANDS
+                     for _, amount, name in cfg.expected_load(command) if name == row)
         assert 0.9 * LOAD_BOUNDS[row] < amount <= LOAD_BOUNDS[row]
 
     def test_series_order_range(self):
