@@ -39,6 +39,8 @@ SEEDS = (12345, 1, 2, 3, 4, 5, 6, 7)
 POWER_GRID = (-20.0, -10.0, -5.0, 0.0, 10.0, 20.0, 30.0)
 BRACKET_S = np.geomspace(1e3, 2e6, 8)
 COLUMNS = ("criterion_1_ks", "criterion_2_worst_dev", "criterion_3_worst_z")
+# the fewest samples empirical_laplace takes an error bar from
+MIN_TRIALS = 1000
 
 
 def gate_values(cfg: ExperimentConfig, stats: montecarlo.EnsembleStats) -> tuple[float, ...]:
@@ -72,7 +74,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=len(SEEDS),
                         help=f"how many of the fixed seeds to run (1 to {len(SEEDS)})")
     parser.add_argument("--trials", type=int, default=None,
-                        help="trials per seed (default: the default config's)")
+                        help=f"trials per seed, at least {MIN_TRIALS} "
+                             "(default: the default config's)")
     parser.add_argument("--threads", type=int, default=len(os.sched_getaffinity(0)),
                         help="workers of each ensemble (default: the usable CPUs)")
     args = parser.parse_args(argv)
@@ -80,6 +83,8 @@ def main(argv=None) -> int:
         parser.error(f"--seeds must be 1 to {len(SEEDS)}")
     if args.threads < 1:
         parser.error("--threads must be at least 1")
+    if args.trials is not None and args.trials < MIN_TRIALS:
+        parser.error(f"--trials must be at least {MIN_TRIALS}")
     base = ExperimentConfig()
     trials = base.trials if args.trials is None else args.trials
 

@@ -208,7 +208,6 @@ class ExperimentConfig:
     d_max: float = 1000.0
     r_i: float = 10.0
     reflected_form: str = "affine"
-    series_order: int = 0  # 0 = round the fitted gamma shape
     serving_mode: str = "pinned"
 
     # agent-based simulation
@@ -233,11 +232,6 @@ class ExperimentConfig:
         for name in ("n_elements", "abm_agents", "abm_steps", "abm_ensemble_runs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 0 <= self.series_order <= 60:
-            raise ConfigError(
-                f"series_order must lie in [0, 60] (factorial conditioning), "
-                f"got {self.series_order}"
-            )
         # every parameter object a command builds, at every sweep point, so
         # that a bad value fails here and not inside a command
         try:
@@ -392,7 +386,6 @@ class ExperimentConfig:
             power_w=dbm_to_watts(self.power_dbm if power_dbm is None else power_dbm),
             sigma2_w=self.sigma2_w,
             laplace=self.laplace_params(**laplace_overrides),
-            series_order=self.series_order,
         )
 
     def sweep_outage_params(self, axis_value: float, group_value: float | None) -> OutageParams:

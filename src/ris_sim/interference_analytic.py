@@ -114,7 +114,7 @@ def _csc_2pi_over_alpha(alpha: float) -> float:
 
 
 def transform_exponent_coeffs(
-    p: LaplaceParams, stage: str, form: str = "affine"
+    p: LaplaceParams, stage: str, form: str
 ) -> tuple[float, float, float]:
     """Coefficients (q_pow, q_lin, q_const) such that the transform equals
     exp(-(q_pow * s**(2/alpha) + q_lin * s + q_const)).
@@ -167,12 +167,12 @@ def _closed_form(s: float, p: LaplaceParams, stage: str, form: str) -> float:
     return math.exp(-(q_pow * s ** (2.0 / p.alpha) + q_lin * s + q_const))
 
 
-def laplace_before(s: float, p: LaplaceParams, form: str = "affine") -> float:
+def laplace_before(s: float, p: LaplaceParams, form: str) -> float:
     """Interference transform with only the fixed infrastructure active."""
     return _closed_form(s, p, "before", form)
 
 
-def laplace_after(s: float, p: LaplaceParams, form: str = "affine") -> float:
+def laplace_after(s: float, p: LaplaceParams, form: str) -> float:
     """Transform once near mobile users contribute; adds the
     lambda_b*lambda_u*pi*r_i**2 factor on top of laplace_before."""
     return _closed_form(s, p, "after", form)

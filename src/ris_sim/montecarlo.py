@@ -611,8 +611,9 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
-    # forked, not spawned: a spawned worker imports numpy and scipy afresh,
-    # about 0.6 s, which is more than a small ensemble's whole loop
+    # forked, not spawned: a spawned worker starts an interpreter and
+    # imports numpy and this module afresh, 0.19-0.32 s on 2 vCPUs against
+    # 6 ms for a fork, which is more than a small ensemble's whole loop
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         pending = deque()

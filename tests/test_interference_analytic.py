@@ -35,7 +35,7 @@ class TestParams:
 
     def test_negative_s_rejected(self):
         with pytest.raises(ValueError):
-            laplace_before(-1.0, P)
+            laplace_before(-1.0, P, "affine")
 
 
 class TestClosedForms:

@@ -83,11 +83,14 @@ class TestOutageSeries:
             assert _outage(p, "before", form) == pytest.approx(0.0, abs=1e-14)
 
     def test_series_order_bounds(self):
-        with pytest.raises(ValueError):
-            OutageParams(
-                fit=GammaFit(6.0, 1e-10), threshold=1e-2, power_w=1e-3,
-                sigma2_w=1e-12, laplace=LaplaceParams(), series_order=61,
+        # the rounded shape, clamped to [1, 60]
+        for shape, order in ((0.2, 1), (0.49, 1), (0.51, 1), (1.51, 2), (59.6, 60),
+                             (60.49, 60), (60.51, 60), (74.5, 60), (500.0, 60)):
+            p = OutageParams(
+                fit=GammaFit(shape, 1e-10), threshold=1e-2, power_w=1e-3,
+                sigma2_w=1e-12, laplace=LaplaceParams(),
             )
+            assert p.series_order == order, shape
 
     def test_series_order_defaults_to_rounded_shape(self):
         p = OutageParams(

@@ -1,9 +1,12 @@
 """scripts/seed_spread.py at two seeds and a small trial count: the output
-format only, since at this size the gate values mean nothing."""
+format only, since at this size the gate values mean nothing; and its
+argument checks."""
 
 import importlib.util
 import re
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "seed_spread.py"
 
@@ -29,3 +32,17 @@ def test_two_seeds_print_one_row_each_then_worst_and_median(capsys):
     rows = [[float(v) for v in line.split()[1:]] for line in lines[2:]]
     assert rows[2] == [max(a, b) for a, b in zip(rows[0], rows[1])]
 
+
+def test_too_few_trials_exit_usage_before_any_ensemble(capsys, monkeypatch):
+    # empirical_laplace takes no error bar from fewer than 1000 samples
+    script = _load_script()
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("ensemble run before the arguments were checked")
+
+    monkeypatch.setattr(script.montecarlo, "run_ensemble", no_ensemble)
+    for trials in ("0", "999"):
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--seeds", "1", "--trials", trials])
+        assert exc.value.code == 2
+        assert "--trials must be at least 1000" in capsys.readouterr().err

@@ -21,7 +21,7 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_sim.experiment_config import ConfigError, ExperimentConfig
+from ris_sim.experiment_config import ExperimentConfig
 from ris_sim.interference_analytic import LaplaceParams, transform_exponent_coeffs
 from ris_sim.outage_epidemic import Jet, OutageParams, outage_transform_jet
 from ris_sim.power_analytic import (
@@ -223,10 +223,11 @@ class TestJet:
         assert np.abs(jet.coef - expected).max() < 1e-15
 
     def test_order_zero_is_plain_value(self):
-        # a one-term series: the transform jet is the transform value at s = 1
+        # a one-term series (fitted shape 1.2): the transform jet is the
+        # transform value at s = 1
         params = OutageParams(
-            fit=GammaFit(6.0, 1e-10), threshold=1e-2, power_w=1e-3,
-            sigma2_w=1e-12, laplace=LaplaceParams(), series_order=1,
+            fit=GammaFit(1.2, 1e-10), threshold=1e-2, power_w=1e-3,
+            sigma2_w=1e-12, laplace=LaplaceParams(),
         )
         q_pow, q_lin, q_const = transform_exponent_coeffs(params.laplace, "before", "affine")
         arg = params.threshold / params.fit.scale
@@ -238,13 +239,14 @@ class TestJet:
 
     @pytest.mark.parametrize("alpha", [3.0, 3.7])
     def test_outage_series_matches_mpmath_taylor(self, alpha):
-        # every coefficient of the order-8 jet, i.e. every binomial factor of
-        # the s^(2/alpha) series, against mpmath's expansion of the folded
-        # transform exp(-E(s)) around s = 1; the interference-limited link
-        # makes the s^(2/alpha) term a sizeable part of each coefficient
+        # every coefficient of the order-8 jet (fitted shape 9.3, so a
+        # 9-term series), i.e. every binomial factor of the s^(2/alpha)
+        # series, against mpmath's expansion of the folded transform exp(-E(s))
+        # around s = 1; the interference-limited link makes the s^(2/alpha)
+        # term a sizeable part of each coefficient
         params = OutageParams(
             fit=GammaFit(9.3, 6e-11), threshold=1e-2, power_w=1e-3,
-            sigma2_w=1e-12, laplace=LaplaceParams(alpha=alpha), series_order=9,
+            sigma2_w=1e-12, laplace=LaplaceParams(alpha=alpha),
         )
         for stage in ("before", "after"):
             for form in ("affine", "pgfl"):
@@ -289,11 +291,11 @@ class TestJet:
             assert jet.derivative(order) == pytest.approx(float(fd), rel=1e-5)
 
     def test_rejects_large_order(self):
-        # the outage jet's order is capped at 60 (factorial conditioning)
-        with pytest.raises(ValueError):
-            OutageParams(
-                fit=GammaFit(6.0, 1e-10), threshold=1e-2, power_w=1e-3,
-                sigma2_w=1e-12, laplace=LaplaceParams(), series_order=61,
+        # the outage series has 60 terms at most (factorial conditioning),
+        # and one at least, whatever the fitted shape
+        for shape, terms in ((0.3, 1), (60.6, 60), (1e4, 60)):
+            params = OutageParams(
+                fit=GammaFit(shape, 1e-10), threshold=1e-2, power_w=1e-3,
+                sigma2_w=1e-12, laplace=LaplaceParams(),
             )
-        with pytest.raises(ConfigError):
-            ExperimentConfig(series_order=61)
+            assert outage_transform_jet(params, "before", "affine").coef.size == terms
