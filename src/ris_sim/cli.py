@@ -119,6 +119,17 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> No
     _log(f"wrote {path}")
 
 
+def _analytic_rates(params: list, form: str) -> list:
+    """``analytic_rates`` at each point; one stderr line names the largest
+    fitted gamma shape when a point's series order is capped below it."""
+    capped = [(p.fit.shape, p.series_order) for p in params
+              if p.series_order < round(p.fit.shape)]
+    if capped:
+        shape, order = max(capped)
+        _log(f"outage series capped at order {order}: largest fitted gamma shape {shape:.2f}")
+    return [analytic_rates(p, form) for p in params]
+
+
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -199,11 +210,12 @@ def cmd_outage_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     if cfg.sweep.axis != "power_dbm":
         _log("error: outage-sweep requires sweep axis power_dbm")
         return EXIT_CONFIG
-    setup = cfg.simulation_setup()
-    stats = montecarlo.run_ensemble(setup, cfg.trials, cfg.seed, threads)
+    # the analytic series first: a failing one exits before the ensemble
+    rates = _analytic_rates([cfg.outage_params(power_dbm=p_dbm) for p_dbm in cfg.sweep.grid],
+                            cfg.reflected_form)
+    stats = montecarlo.run_ensemble(cfg.simulation_setup(), cfg.trials, cfg.seed, threads)
     rows = []
-    for p_dbm in cfg.sweep.grid:
-        res = analytic_rates(cfg.outage_params(power_dbm=p_dbm), cfg.reflected_form)
+    for p_dbm, res in zip(cfg.sweep.grid, rates):
         est = montecarlo.outage_from_ensemble(
             stats, dbm_to_watts(p_dbm), cfg.sigma2_w, cfg.sinr_threshold
         )
@@ -230,10 +242,11 @@ def cmd_sis_sim(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     The six agent ensembles share their seed and sizes, so one ``run_abm``
     call advances them together on one set of draws (see ``mobility_sim``);
     it runs serially whatever ``threads`` says."""
+    rates = _analytic_rates([cfg.outage_params(lambda_u=lam_u) for _, lam_u, _ in SIS_PANELS],
+                            cfg.reflected_form)
     panels = []
-    for name, lam_u, infected_frac in SIS_PANELS:
+    for (name, lam_u, infected_frac), res in zip(SIS_PANELS, rates):
         x0 = round(infected_frac * cfg.abm_agents)
-        res = analytic_rates(cfg.outage_params(lambda_u=lam_u), cfg.reflected_form)
         abm = cfg.abm_config(lambda_u=lam_u, x0=x0, beta=res.beta, mu=res.mu)
         panels.append((name, lam_u, x0, res, abm))
     trajectories = run_abm([abm for *_, abm in panels])
@@ -266,11 +279,9 @@ def cmd_r0_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     if cfg.sweep.axis == "power_dbm":
         _log("error: r0-sweep axis must be ue_density, frequency_ghz, or ris_elements")
         return EXIT_CONFIG
-    groups = list(cfg.sweep.group_grid) if cfg.sweep.group_by else [None]
-    points = [(a, g) for g in groups for a in cfg.sweep.grid]
+    points = cfg.sweep.points()
     # a few milliseconds of analytic work in all: no workers
-    results = [analytic_rates(cfg.sweep_outage_params(*p), cfg.reflected_form)
-               for p in points]
+    results = _analytic_rates([cfg.sweep_outage_params(*p) for p in points], cfg.reflected_form)
     rows = [
         (cfg.sweep.axis, axis_value, "" if group_value is None else group_value,
          res.p_o, res.p_o_prime, res.beta, res.mu, res.r0)

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("power_dbm", "ue_density", "frequency_ghz", "ris_elements")
-GROUP_AXES = ("bs_density", "ris_elements", None)
+GROUP_AXES = ("bs_density", None)
 
 # the bound of each quantity that ExperimentConfig.expected_load yields, in
 # the order it yields them.  A command pays only some of the amounts (named
@@ -114,16 +114,19 @@ def _finite(v) -> bool:
         return False
 
 
+# the kind of value each checked field annotation holds (a grid holds reals)
+_CHECKED_TYPES = {"int": numbers.Integral, "float": numbers.Real, "tuple": numbers.Real,
+                  "str": str}
+
+
 def _check_numbers(config) -> None:
     """ConfigError naming the first int, float, grid or string field that
     holds something else, or a float or grid field that is not finite.
     PyYAML reads an exponent without a sign (``1.0e6``) as a string, and
     ``.nan`` or ``.inf`` as floats, which would otherwise fail deep inside a
     command."""
-    kinds = {"int": numbers.Integral, "float": numbers.Real, "tuple": numbers.Real,
-             "str": str}
     for f in fields(config):
-        kind = kinds.get(f.type)
+        kind = _CHECKED_TYPES.get(f.type)
         if kind is None:
             continue
         value = getattr(config, f.name)
@@ -137,20 +140,12 @@ def _check_numbers(config) -> None:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep axis per experiment, with an optional grouping axis.
-
-    ``r_i_scales_with_wavelength`` applies only to frequency sweeps: the
-    interference radius shrinks proportionally to the carrier wavelength
-    from its value at ``reference_frequency_ghz``, reflecting the narrower
-    interference exposure region at higher bands.
-    """
+    """One sweep axis per experiment, with an optional grouping axis."""
 
     axis: str = "power_dbm"
     grid: tuple = (-20.0, -10.0, -5.0, 0.0, 10.0, 20.0, 30.0)
     group_by: str | None = None
     group_grid: tuple = ()
-    r_i_scales_with_wavelength: bool = False
-    reference_frequency_ghz: float = 1.0
 
     def __post_init__(self):
         _check_numbers(self)
@@ -164,8 +159,12 @@ class SweepConfig:
             raise ConfigError("sweep grid must be sorted ascending")
         if self.group_by is not None and len(self.group_grid) == 0:
             raise ConfigError("group_by set but group_grid empty")
-        if self.reference_frequency_ghz <= 0:
-            raise ConfigError("reference_frequency_ghz must be positive")
+
+    def points(self) -> list[tuple[float, float | None]]:
+        """(axis value, group value) of every sweep point, group-major; the
+        group value is None without ``group_by``."""
+        groups = self.group_grid if self.group_by else (None,)
+        return [(a, g) for g in groups for a in self.grid]
 
 
 @dataclass(frozen=True)
@@ -243,10 +242,8 @@ class ExperimentConfig:
                     "lambda_b * pi * r_b^2 must be below 1"
                 )
             self.simulation_setup()  # its TopologyConfig is the only check on r_r
-            groups = self.sweep.group_grid if self.sweep.group_by else (None,)
-            for group_value in groups:
-                for axis_value in self.sweep.grid:
-                    self.sweep_outage_params(axis_value, group_value)
+            for point in self.sweep.points():
+                self.sweep_outage_params(*point)
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -389,29 +386,23 @@ class ExperimentConfig:
         )
 
     def sweep_outage_params(self, axis_value: float, group_value: float | None) -> OutageParams:
-        """Outage parameters at one point of the sweep grid (and of the group
-        grid when ``sweep.group_by`` is set)."""
-        laplace_overrides = {}
-        power_dbm = self.power_dbm
-        if self.sweep.group_by == "bs_density" and group_value is not None:
-            laplace_overrides["lambda_b"] = group_value
-        if self.sweep.group_by == "ris_elements" and group_value is not None:
-            laplace_overrides["n_elements"] = int(group_value)
-
+        """Outage parameters at one point of ``sweep.points()``.  A frequency
+        sweep derives the path gain from each carrier, and shrinks the
+        interference radius with the wavelength: ``r_i`` is its value at
+        1 GHz."""
+        # the one group axis is bs_density
+        overrides = {} if group_value is None else {"lambda_b": group_value}
         axis = self.sweep.axis
         if axis == "ue_density":
-            laplace_overrides["lambda_u"] = axis_value
+            overrides["lambda_u"] = axis_value
         elif axis == "ris_elements":
-            laplace_overrides["n_elements"] = int(axis_value)
+            overrides["n_elements"] = int(axis_value)
         elif axis == "frequency_ghz":
-            laplace_overrides["c"] = pathloss_constant(axis_value * 1e9, self.gain_tx, self.gain_rx)
-            if self.sweep.r_i_scales_with_wavelength:
-                laplace_overrides["r_i"] = (
-                    self.r_i * self.sweep.reference_frequency_ghz / axis_value
-                )
-        elif axis == "power_dbm":
-            power_dbm = axis_value
-        return self.outage_params(power_dbm=power_dbm, **laplace_overrides)
+            overrides["c"] = pathloss_constant(axis_value * 1e9, self.gain_tx, self.gain_rx)
+            overrides["r_i"] = self.r_i / axis_value
+        else:
+            overrides["power_dbm"] = axis_value
+        return self.outage_params(**overrides)
 
     def simulation_setup(self) -> SimulationSetup:
         return SimulationSetup(
@@ -466,11 +457,8 @@ def _from_dict(data: dict) -> ExperimentConfig:
             sweep_unknown = set(sw) - sweep_known
             if sweep_unknown:
                 raise ConfigError(f"unknown sweep keys: {sorted(map(str, sweep_unknown))}")
-            if "grid" in sw:
-                sw = dict(sw, grid=tuple(sw["grid"]))
-            if "group_grid" in sw and sw["group_grid"] is not None:
-                sw = dict(sw, group_grid=tuple(sw["group_grid"]))
-            kwargs["sweep"] = SweepConfig(**sw)
+            grids = {k: tuple(sw[k]) for k in ("grid", "group_grid") if sw.get(k) is not None}
+            kwargs["sweep"] = SweepConfig(**dict(sw, **grids))
         return ExperimentConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc

@@ -143,13 +143,6 @@ class TestExitCodes:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_field_pair_budget_exits_config_under_memory_limit(self, tmp_path):
-        # ~3e8 BS x surface pairs per trial: refused before the work, not allocated
-        proc = _run_cli(tmp_path, "lambda_r: 3.0\n", "outage-sweep", limit_memory=True)
-        assert proc.returncode == EXIT_CONFIG
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and "pairs per trial" in lines[0]
-
     @pytest.mark.parametrize("text,command,reason", _BUDGET_CASES)
     def test_draw_budgets_exit_config_under_memory_limit(self, tmp_path, text, command, reason):
         proc = _run_cli(tmp_path, text, command, limit_memory=True)
@@ -157,20 +150,30 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and f"{reason}, above" in lines[0]
 
+    # a frequency sweep always shrinks r_i with the wavelength from its value
+    # at 1 GHz, and bs_density is the one group axis: these settings are
+    # refused by name, a quoted bool included
+    @pytest.mark.parametrize("text, named", [
+        ("  r_i_scales_with_wavelength: true\n", "r_i_scales_with_wavelength"),
+        ('  r_i_scales_with_wavelength: "false"\n', "r_i_scales_with_wavelength"),
+        ("  reference_frequency_ghz: 1.0\n", "reference_frequency_ghz"),
+        ("  group_by: ris_elements\n  group_grid: [100.0]\n", "ris_elements"),
+    ])
+    def test_unsupported_sweep_settings_exit_config(self, tmp_path, capsys, text, named):
+        sweep = "sweep:\n  axis: frequency_ghz\n  grid: [1.0, 3.0]\n" + text
+        out = tmp_path / "o"
+        assert main(["--config", _write(tmp_path, "c.yaml", sweep), "--out", str(out),
+                     "r0-sweep"]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("configuration error: ") and named in line
+        assert not out.exists()
+
     def test_every_load_bound_has_a_refusing_case(self):
         # each case names one row, and each row has a case
         named = [[row for row in LOAD_BOUNDS if row.endswith(reason)]
                  for *_, reason in _BUDGET_CASES]
         assert all(len(rows) == 1 for rows in named)
         assert {rows[0] for rows in named} == set(LOAD_BOUNDS)
-
-    def test_contact_pair_budget_exits_config_under_memory_limit(self, tmp_path):
-        # ~8e7 agent contact pairs in one sis-sim step: refused before the work
-        text = "r_i: 500.0\nabm_agents: 20000\nabm_steps: 1\nabm_ensemble_runs: 1\n"
-        proc = _run_cli(tmp_path, text, "sis-sim", limit_memory=True)
-        assert proc.returncode == EXIT_CONFIG
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and "contact pairs per step" in lines[0]
 
     def test_overrides_apply_before_the_check(self, tmp_path):
         # 300000 trials of 20000 elements in the file exceed the serving-hop
@@ -520,67 +523,37 @@ class TestR0Sweep:
         assert len(rows) == 2
         assert float(rows[1]["r0"]) > float(rows[0]["r0"])
 
+    # 1000 elements fit a gamma shape of 74.51 at the default link, summed at
+    # the capped order 60
+    @pytest.mark.parametrize("sweep, capped", [
+        pytest.param("  axis: ris_elements\n  grid: [1000]\n",
+                     ["outage series capped at order 60: largest fitted gamma shape 74.51"],
+                     id="elements-1000"),
+        pytest.param("  axis: ris_elements\n  grid: [100, 886]\n", [], id="elements-886"),
+        pytest.param("  axis: ue_density\n  grid: [1.0e-3, 1.0e-2]\n", [], id="default-link"),
+    ])
+    def test_capped_series_order_is_reported(self, tmp_path, capsys, sweep, capped):
+        out = tmp_path / "o"
+        cfg = _write(tmp_path, "c.yaml", f"out_dir: {out}\nsweep:\n{sweep}")
+        assert main(["--config", cfg, "r0-sweep"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == capped + [f"wrote {out / 'r0_sweep.csv'}"]
+
+    @pytest.mark.parametrize("fig", ["fig6", "fig7", "fig8", "fig9", "fig10"])
+    def test_figure_matches_tracked_results(self, tmp_path, fig):
+        # the full figure config: every sweep axis, the frequency sweeps'
+        # wavelength-scaled radius and the bs_density groups included
+        root = Path(__file__).resolve().parents[1]
+        (cfg,) = (root / "configs").glob(f"{fig}_*.yaml")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "r0-sweep"]) == EXIT_OK
+        assert _data_lines(out / "r0_sweep.csv") == _data_lines(
+            root / "results" / fig / "r0_sweep.csv")
+
 
 class TestStartUp:
-    # run in a fresh interpreter: the test session has imported everything
-    SCRIPT = """
-import gc, sys
-import ris_sim.cli
-code = ris_sim.cli.main(sys.argv[1:])
-loaded = [m for m in ("scipy.optimize", "scipy.sparse", "scipy.linalg",
-                      "scipy.spatial._ckdtree") if m in sys.modules]
-print(code, loaded, "scipy.integrate" in sys.modules, "scipy" in sys.modules,
-      gc.get_freeze_count() > 0)
-"""
-
-    def test_r0_sweep_loads_no_quadrature_or_tree(self, tmp_path):
-        cfg = Path(__file__).resolve().parents[1] / "configs" / "fig6_r0_vs_ue_density.yaml"
-        proc = _run_script(self.SCRIPT, ["--config", str(cfg), "--trials", "1000",
-                                         "--out", str(tmp_path / "o"), "r0-sweep"])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 [] False False True"
-
-    # every module of the scipy package, scipy itself included
-    SCIPY = "[m for m in sys.modules if m.partition('.')[0] == 'scipy']"
-
-    def test_import_loads_no_scipy_module(self):
-        proc = _run_script(f"import sys\nimport ris_sim.cli\nprint({self.SCIPY})\n", [])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
-
-    def test_validate_laplace_loads_no_quadpack_stack(self, tmp_path):
-        # the oracle's own rules need neither scipy.integrate (with the
-        # optimize, sparse and linalg packages its import brings along) nor
-        # scipy.special's incomplete beta function, so no scipy module loads
-        script = ("import sys\nimport ris_sim.cli\ncode = ris_sim.cli.main(sys.argv[1:])\n"
-                  f"print(code, {self.SCIPY})\n")
-        proc = _run_script(script, ["--trials", "1000", "--out", str(tmp_path / "o"),
-                                    "validate-laplace"])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
-
-    def test_sis_sim_starts_no_pool_at_two_threads(self, tmp_path):
-        # the six panels advance in one agent run, whatever --threads says
-        script = (
-            "import sys\nimport ris_sim.cli\ncode = ris_sim.cli.main(sys.argv[1:])\n"
-            "print(code, 'concurrent.futures' in sys.modules)\n"
-        )
-        cfg = _write(tmp_path, "c.yaml", _SMALL_SIS)
-        proc = _run_script(script, ["--config", cfg, "--threads", "2",
-                                    "--out", str(tmp_path / "o"), "sis-sim"])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False"
-
-    def test_validate_laplace_leaves_numpy_ma_unloaded(self, tmp_path):
-        # np.median would load numpy.ma for its NaN check; the median of the
-        # interference comes from a partition instead
-        script = ("import sys\nimport ris_sim.cli\ncode = ris_sim.cli.main(sys.argv[1:])\n"
-                  "print(code, 'numpy.ma' in sys.modules)\n")
-        proc = _run_script(script, ["--trials", "1000", "--out", str(tmp_path / "o"),
-                                    "validate-laplace"])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False"
-
+    # what each command loads is checked by TestContracts::test_fresh_interpreter
     def test_threads_load_nothing_in_validate_power_set_up(self, tmp_path):
         # the threads that draw the serving batch start after set-up: what
         # is loaded when load_config returns does not depend on --threads
@@ -957,10 +930,10 @@ def _config_texts(draw):
             lines.append(f"{key}: {draw(tokens(keys[key], wild))}")
     if draw(st.integers(0, 3)):
         axes = ["ue_density", "frequency_ghz", "ris_elements"]
-        groups = ["null", "bs_density", "ris_elements"]
+        groups = ["null", "bs_density"]
         if wild:
             axes += ["power_dbm", "bogus"]
-            groups += ["bogus"]
+            groups += ["ris_elements", "bogus"]
         axis = draw(st.sampled_from(axes))
         group_by = draw(st.sampled_from(groups))
         lines.append("sweep:")
@@ -969,9 +942,6 @@ def _config_texts(draw):
         lines.append(f"  group_by: {group_by}")
         if group_by != "null" or wild and draw(st.booleans()):
             lines.append(f"  group_grid: {draw(_grids(_AXIS_TYPICAL[group_by], wild))}")
-        if draw(st.booleans()):
-            lines.append("  r_i_scales_with_wavelength: true")
-            lines.append(f"  reference_frequency_ghz: {draw(_float_tokens(1.0, wild))}")
     return "\n".join(lines) + "\n"
 
 

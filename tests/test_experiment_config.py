@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ris_sim.experiment_config import (
+    _CHECKED_TYPES,
     LOAD_BOUNDS,
     ConfigError,
     ExperimentConfig,
@@ -87,6 +88,14 @@ class TestValidation:
     def test_group_needs_grid(self):
         with pytest.raises(ConfigError):
             SweepConfig(axis="ue_density", grid=(1e-3,), group_by="bs_density")
+
+    def test_every_field_type_is_checked(self):
+        # each field is checked by _check_numbers, or by membership (group_by
+        # in GROUP_AXES; sweep is built from its mapping): a field of another
+        # type, a bool say, would load whatever YAML value it is given
+        known = set(_CHECKED_TYPES) | {"str | None", "SweepConfig"}
+        for config in (ExperimentConfig, SweepConfig):
+            assert [f.name for f in fields(config) if f.type not in known] == []
 
     def test_reflected_form_checked(self):
         with pytest.raises(ConfigError):
