@@ -5,11 +5,11 @@ Commands: topology | validate-power | outage-sweep | sis-sim | r0-sweep |
 validate-laplace.  Exit codes: 0 success, 2 configuration error, 3 numeric
 validation failure (including an overflow or a failed quadrature in the
 numeric layers).  No environment variable is read: --threads (default 1,
-at least 1) caps the worker processes that draw the per-trial field
-interference of the Monte Carlo ensembles (outage-sweep, validate-laplace;
-see ``montecarlo.run_ensemble``), and the threads that draw the serving
-batch, pinned or associated (validate-power, outage-sweep; see
-``montecarlo.serving_power``).  The other commands run serially,
+at least 1) caps the processes, this one included, that run the Monte Carlo
+ensembles (outage-sweep, validate-laplace; each process runs whole chunks,
+sampling and per-trial loop; see ``montecarlo.run_ensemble``), and the
+threads that draw the serving batch, pinned or associated (validate-power,
+outage-sweep; see ``montecarlo.serving_power``).  The other commands run serially,
 sis-sim's six panels as one agent run (``mobility_sim.run_abm``).  Output is
 byte-identical whatever its value.
 
@@ -385,8 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker processes for Monte Carlo ensembles, and threads for their "
-             "serving batch (sis-sim runs serially)")
+        help="processes for Monte Carlo ensembles (this one included), and threads "
+             "for their serving batch (sis-sim runs serially)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("topology", help="sample and export one topology")
     sub.add_parser("validate-power", help="serving-power CDF vs gamma fit")

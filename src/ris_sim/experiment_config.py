@@ -159,11 +159,15 @@ class SweepConfig:
             raise ConfigError("sweep grid must be sorted ascending")
         if self.group_by is not None and len(self.group_grid) == 0:
             raise ConfigError("group_by set but group_grid empty")
+        if self.group_by is None and len(self.group_grid) > 0:
+            raise ConfigError("group_grid set but group_by not")
+        if self.axis == "ris_elements" and not all(float(v).is_integer() for v in self.grid):
+            raise ConfigError(f"ris_elements grid values must be whole numbers, got {list(self.grid)}")
 
     def points(self) -> list[tuple[float, float | None]]:
         """(axis value, group value) of every sweep point, group-major; the
         group value is None without ``group_by``."""
-        groups = self.group_grid if self.group_by else (None,)
+        groups = self.group_grid or (None,)
         return [(a, g) for g in groups for a in self.grid]
 
 

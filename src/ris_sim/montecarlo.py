@@ -45,11 +45,11 @@ against 917 minor faults for the loop of a 150-trial ensemble).  Each step
 rounds as the unbuffered call does, so the results are identical to calling
 ``_field_kernel`` and ``_draw_field_interference`` without a buffer.
 
-All sampling runs in the calling process.  With ``run_ensemble(...,
-workers=n)`` and enough chunks (``pool_workers``), each chunk's per-trial
-loop runs in a fork-started worker process while the caller samples the
-next chunk; the generator travels with the loop, so the samples are
-byte-identical whatever the worker count.
+Every process of an ensemble runs whole chunks (``_run_chunk``: a chunk's
+sampling, then its per-trial loop).  With ``run_ensemble(..., workers=n)``
+the calling process runs chunks 0, n, 2n, ... and n - 1 fork-started worker
+processes the others, one task per chunk; each chunk draws from its own
+streams, so the samples are byte-identical whatever the worker count.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ import functools
 import math
 import os
 import threading
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -81,7 +80,6 @@ __all__ = [
     "EnsembleStats",
     "draw_serving_power",
     "serving_power",
-    "pool_workers",
     "run_ensemble",
     "sample_fields",
     "sinr_from_powers",
@@ -465,14 +463,14 @@ def _sample_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generator,
                   movers_rng: np.random.Generator | None = None):
     """Everything a chunk of ``trials`` trials samples in vectorized passes.
 
-    Returns (gains, moved, resampled, loop): the associated serving links'
+    Returns (gains, moved, resampled, fields): the associated serving links'
     (direct, reflected) path-loss gains per trial (None in pinned mode, whose
     link does not depend on the field), the moved-user interference per
-    trial, the redrawn empty fields, and the arguments of ``_field_draws``,
-    which draws the rest of the chunk from the same generator, ``rng`` last
-    among them.  ``moved`` holds the network-field term, followed, when
-    ``movers_rng`` is given, by the cell-reflected term on the same fields,
-    drawn from ``movers_rng`` alone.
+    trial, the redrawn empty fields, and the chunk's fields as
+    ``_field_draws`` takes them, (bs, bs_start, ris, ris_start, serving).
+    ``moved`` holds the network-field term, followed, when ``movers_rng`` is
+    given, by the cell-reflected term on the same fields, drawn from
+    ``movers_rng`` alone.
     """
     ch = setup.channel
     associated = setup.serving_mode == "associated"
@@ -495,7 +493,7 @@ def _sample_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generator,
     if movers_rng is not None:
         moved.append(_cell_reflected_movers(setup, bs, bs_start, ris, serving_ris, movers_rng))
     ris_start = np.searchsorted(ris_parent, bs_start)
-    return gains, moved, resampled, (ch, bs, bs_start, ris, ris_start, serving, rng)
+    return gains, moved, resampled, (bs, bs_start, ris, ris_start, serving)
 
 
 def _field_draws(
@@ -530,11 +528,20 @@ def _field_draws(
     return before, after
 
 
-def pool_workers(threads: int, chunks: int, cpus: int) -> int:
-    """Worker processes for an ensemble of ``chunks`` chunks: at most
-    ``threads``, at most one per two chunks, at most one per usable CPU.
-    Below 2 the ensemble runs in the calling process."""
-    return min(threads, chunks // 2, cpus)
+def _run_chunk(setup: SimulationSetup, trials: int, seed: int, cell_reflected: bool, c: int):
+    """Chunk ``c`` of an ensemble of ``trials`` trials, whole: its sampling
+    from stream (seed, c + 1) (the cell-reflected movers from its first
+    child), then its per-trial loop from that generator where the sampling
+    left it.  Returns (the chunk's slice of the trials, i_before, i_after
+    with one row per moved-user term, associated gains or None, resampled).
+    """
+    size = _chunk_trials(setup)
+    chunk = slice(c * size, min((c + 1) * size, trials))
+    rng = _stream(seed, c + 1)
+    movers = _stream(seed, c + 1, (0,)) if cell_reflected else None
+    gains, moved, resampled, fields = _sample_chunk(setup, chunk.stop - chunk.start, rng, movers)
+    before, field_after = _field_draws(setup.channel, *fields, rng)
+    return chunk, before, [term + field_after for term in moved], gains, resampled
 
 
 def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
@@ -555,10 +562,12 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
     from the child stream of its own, and fills ``i_after_cell_reflected``;
     every other sample is the same as without.
 
-    With ``workers`` above 1 (capped by ``pool_workers``) each chunk's
-    per-trial loop runs in a fork-started worker process, handed the chunk's
-    generator where the sampling left it, while this process samples the
-    next chunk; the output is byte-identical to ``workers=1``.
+    The chunks run on n = min(``workers``, chunks, usable CPUs) processes,
+    this one included, each running whole chunks (``_run_chunk``): this
+    process runs chunks 0, n, 2n, ... and n - 1 fork-started workers the
+    others, one task per chunk.  Below two processes, or while another
+    thread is alive, every chunk runs here.  The output is byte-identical
+    whatever ``workers`` says.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -574,63 +583,47 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
         pl_d, pl_r = np.empty(trials), np.empty(trials)  # filled chunk by chunk
     serving = functools.partial(serving_power, ch, pl_d, pl_r, trials, seed, workers)
 
-    size = _chunk_trials(setup)
-    chunks = [slice(start, min(start + size, trials)) for start in range(0, trials, size)]
+    chunks = -(-trials // _chunk_trials(setup))
+    run = functools.partial(_run_chunk, setup, trials, seed, cell_reflected)
     resampled = 0
 
-    def sampled():
-        """(trials, moved-user terms, ``_field_draws`` arguments) of each
-        chunk in turn."""
+    def store(chunk: slice, before: np.ndarray, after: list, gains, n_resampled: int):
         nonlocal resampled
-        for c, chunk in enumerate(chunks):
-            movers = _stream(seed, c + 1, (0,)) if cell_reflected else None
-            gains, moved, n_resampled, loop = _sample_chunk(
-                setup, chunk.stop - chunk.start, _stream(seed, c + 1), movers)
-            if gains is not None:
-                pl_d[chunk], pl_r[chunk] = gains
-            resampled += n_resampled
-            yield chunk, moved, loop
+        i_b[chunk], i_a[:, chunk] = before, after
+        if gains is not None:
+            pl_d[chunk], pl_r[chunk] = gains
+        resampled += n_resampled
 
-    def store(chunk: slice, moved: list[np.ndarray], drawn: tuple[np.ndarray, np.ndarray]):
-        i_b[chunk], field_after = drawn
-        for row, term in zip(i_a, moved):
-            row[chunk] = term + field_after
-
-    def stats() -> EnsembleStats:
-        return EnsembleStats(i_b, i_a[0], resampled, serving,
-                             i_a[1] if cell_reflected else None)
-
-    workers = pool_workers(workers, len(chunks), len(os.sched_getaffinity(0)))
+    processes = min(workers, chunks, len(os.sched_getaffinity(0)))
+    pool = None
     # a forked worker is a copy of this process, and a lock another thread
     # held at the fork would stay held in it: fork only a single thread
-    if workers < 2 or threading.active_count() > 1:
-        for chunk, moved, loop in sampled():
-            store(chunk, moved, _field_draws(*loop))
-        return stats()
+    if processes > 1 and threading.active_count() == 1:
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
 
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    # forked, not spawned: a spawned worker starts an interpreter and
-    # imports numpy and this module afresh, 0.19-0.32 s on 2 vCPUs against
-    # 6 ms for a fork, which is more than a small ensemble's whole loop
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        # forked, not spawned: a spawned worker starts an interpreter and
+        # imports numpy and this module afresh, 0.19-0.32 s on 2 vCPUs
+        # against 6 ms for a fork, which is more than a small ensemble's
+        # whole loop
+        pool = ProcessPoolExecutor(processes - 1, mp_context=multiprocessing.get_context("fork"))
+    else:
+        processes = 1
     try:
-        pending = deque()
-        for chunk, moved, loop in sampled():
-            pending.append((chunk, moved, pool.submit(_field_draws, *loop)))
-            # a chunk per worker in flight, plus the one sampled while they
-            # draw, bounds the chunks held in memory
-            if len(pending) > workers:
-                chunk, moved, future = pending.popleft()
-                store(chunk, moved, future.result())
-        for chunk, moved, future in pending:
-            store(chunk, moved, future.result())
+        # the workers fork at the first submit and run their chunks while
+        # this process runs chunks 0, n, 2n, ...
+        tasks = [pool.submit(run, c) for c in range(chunks) if c % processes]
+        for c in range(0, chunks, processes):
+            store(*run(c))
+        for task in tasks:
+            store(*task.result())
     finally:
         # on a failure here or in a worker no queued chunk starts, and every
         # worker has exited before the exception propagates
-        pool.shutdown(wait=True, cancel_futures=True)
-    return stats()
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+    return EnsembleStats(i_b, i_a[0], resampled, serving,
+                         i_a[1] if cell_reflected else None)
 
 
 def _outage_masks(

@@ -167,6 +167,10 @@ class TestValidation:
         ("gain_tx: -1.0\nsweep:\n  axis: frequency_ghz\n  grid: [1.0]\n", None),
         ("sweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
          "  group_by: bs_density\n  group_grid: [-1.0]\n", None),
+        # a group_grid without group_by would be dropped
+        ("sweep:\n  axis: ue_density\n  grid: [1.0e-3]\n  group_grid: [1.0e-5, 1.0e-4]\n", None),
+        # an element count that int() would truncate
+        ("sweep:\n  axis: ris_elements\n  grid: [200.9, 201.0]\n", None),
     ]])
     def test_rejected_at_load(self, text, command):
         if command is None:

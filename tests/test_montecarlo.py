@@ -509,7 +509,7 @@ class TestPinnedServingBatch:
         # so a pooled ensemble afterwards still forks its workers, and its
         # lazy pinned draw on two threads leaves none behind either
         stats = run_ensemble(setup, 170, seed=3, workers=2)
-        assert four_cpus == [2]
+        assert four_cpus == [1]
         assert stats.s0[:50].tobytes() == s0.tobytes()
         assert threading.active_count() == before
         _assert_no_children()
@@ -558,17 +558,6 @@ def _assert_no_children():
 
 
 class TestWorkerPool:
-    @pytest.mark.parametrize("threads,chunks,cpus,want", [
-        (1, 100, 8, 1),   # one thread: no pool
-        (4, 100, 8, 4),
-        (4, 5, 8, 2),     # two chunks per worker at least
-        (2, 3, 8, 1),     # oracle-sized ensembles stay serial
-        (8, 100, 2, 2),   # no more workers than usable CPUs
-        (2, 1, 8, 0),
-    ])
-    def test_pool_workers_cap(self, threads, chunks, cpus, want):
-        assert montecarlo.pool_workers(threads, chunks, cpus) == want
-
     @pytest.mark.parametrize("serving_mode", ["pinned", "associated"])
     @pytest.mark.parametrize("moved_mode", ["network_field", "cell_reflected"])
     def test_byte_identical_across_workers(self, small_chunks, four_cpus, serving_mode,
@@ -585,7 +574,8 @@ class TestWorkerPool:
             for name in names:
                 assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
             assert got.resampled == ref.resampled
-        assert four_cpus == [2, 3]
+        # the caller is one of the processes: pools of 1 and 2 workers
+        assert four_cpus == [1, 2]
         _assert_no_children()
 
     def test_byte_identical_across_workers_with_resampling(self, small_chunks, four_cpus):
@@ -600,7 +590,26 @@ class TestWorkerPool:
             for name in ("s0", "i_before", "i_after"):
                 assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
             assert got.resampled == ref.resampled
-        assert four_cpus == [2, 3]
+        assert four_cpus == [1, 2]
+
+    def test_caller_samples_every_second_chunk(self, small_chunks, four_cpus, monkeypatch):
+        # the wrapper counts in this process only: each forked worker calls
+        # its own copy
+        sample_chunk = montecarlo._sample_chunk
+        sampled = []
+
+        def counting(setup, trials, rng, *rest):
+            sampled.append(rng.bit_generator.seed_seq.entropy[1] - 1)  # stream (seed, c + 1)
+            return sample_chunk(setup, trials, rng, *rest)
+
+        monkeypatch.setattr(montecarlo, "_sample_chunk", counting)
+        setup = _setup()
+        chunks = -(-170 // montecarlo._chunk_trials(setup))
+        assert chunks >= 6
+        run_ensemble(setup, 170, seed=1, workers=2)
+        assert four_cpus == [1]
+        assert sampled == list(range(0, chunks, 2))
+        _assert_no_children()
 
     def test_sampling_failure_leaves_no_workers(self, small_chunks, four_cpus, monkeypatch):
         sample_chunk = montecarlo._sample_chunk
@@ -615,18 +624,24 @@ class TestWorkerPool:
         monkeypatch.setattr(montecarlo, "_sample_chunk", failing_fourth_chunk)
         with pytest.raises(RuntimeError, match="1000 attempts"):
             run_ensemble(_setup(), 170, seed=1, workers=2)
-        assert four_cpus == [2]
+        assert four_cpus == [1]
         _assert_no_children()
 
     def test_worker_failure_leaves_no_workers(self, small_chunks, four_cpus, monkeypatch):
-        def failing_draw(kernel, rng, *rest):
-            raise RuntimeError("draw failed in a worker")
+        caller = os.getpid()
+        draw = montecarlo._draw_field_interference
 
-        # the workers are forked after the patch, so they draw with it
+        def failing_draw(kernel, rng, *rest):
+            if os.getpid() != caller:
+                raise RuntimeError("draw failed in a worker")
+            return draw(kernel, rng, *rest)
+
+        # the workers are forked after the patch, so they draw with it, and
+        # this process draws its own chunks as before
         monkeypatch.setattr(montecarlo, "_draw_field_interference", failing_draw)
         with pytest.raises(RuntimeError, match="draw failed in a worker"):
             run_ensemble(_setup(), 170, seed=1, workers=2)
-        assert four_cpus == [2]
+        assert four_cpus == [1]
         _assert_no_children()
 
     def test_workers_below_one_refused(self):
