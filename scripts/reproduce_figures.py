@@ -11,7 +11,7 @@ this process's peak RSS so far (``ru_maxrss``; it never falls, so a command
 that raises it is the one that set it, and forked Monte Carlo workers are
 not counted).
 The Monte Carlo commands take 2-10 s each at the configs' 1e5 trials on two
-CPUs; pass --quick for a 2e4-trial smoke pass.
+CPUs.
 
 With --check nothing under results/ is written: every command runs into a
 temporary directory, and each CSV is compared with the tracked file, both
@@ -20,10 +20,7 @@ its data lines (those not starting with #) and its config header lines
 ``# config_digest:`` hashes every other key, so it is compared too.
 For each differing file the differing columns are printed with their
 largest relative difference (or the number of differing cells for text
-columns), and the differing header keys by name; the exit code is 1.  The
-tracked results come from a full pass at the configs' trials, so --check
-refuses --quick: it prints one line to stderr and exits 2 before running
-anything.
+columns), and the differing header keys by name; the exit code is 1.
 """
 
 import argparse
@@ -56,13 +53,11 @@ RUNS = [
 ]
 
 
-def _run_all(out_root: str, quick: bool) -> int:
+def _run_all(out_root: str) -> int:
     threads = str(len(os.sched_getaffinity(0)))
     for out, config, command in RUNS:
         argv = ["--config", str(CONFIGS / config), "--out", f"{out_root}/{out}",
                 "--threads", threads, command]
-        if quick:
-            argv = ["--trials", "20000"] + argv
         print(f"== ris-sim {' '.join(argv)}", flush=True)
         start = time.perf_counter()
         code = cli_main(argv)
@@ -157,18 +152,13 @@ def _compare(fresh_root: Path) -> dict[str, list[str]]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="2e4 trials instead of 1e5")
     parser.add_argument("--check", action="store_true",
                         help="run into a temporary directory and compare with results/")
     args = parser.parse_args(argv)
-    if args.check and args.quick:
-        print("--check compares with results/, written at the configs' trials: "
-              "drop --quick", file=sys.stderr)
-        return 2
     if not args.check:
-        return _run_all("results", args.quick)
+        return _run_all("results")
     with tempfile.TemporaryDirectory(prefix="ris-sim-check-") as tmp:
-        code = _run_all(tmp, args.quick)
+        code = _run_all(tmp)
         if code != 0:
             return code
         differ = _compare(Path(tmp))

@@ -49,12 +49,12 @@ class ChannelParams:
             raise ValueError("n_elements must be a positive integer")
 
 
-def pathloss_constant(frequency: float, gain_tx: float = 1.0, gain_rx: float = 1.0) -> float:
-    """Free-space gain at 1 m: (wavelength * sqrt(Gt*Gr) / 4 pi)^2."""
+def pathloss_constant(frequency: float) -> float:
+    """Free-space gain at 1 m between unit-gain antennas: (wavelength / 4 pi)^2."""
     if not frequency > 0:
         raise ValueError(f"frequency must be positive, got {frequency}")
     wavelength = SPEED_OF_LIGHT / frequency
-    return (wavelength * math.sqrt(gain_tx * gain_rx) / (4.0 * math.pi)) ** 2
+    return (wavelength / (4.0 * math.pi)) ** 2
 
 
 def sample_rayleigh(rng: np.random.Generator, size=None):

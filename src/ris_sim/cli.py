@@ -207,8 +207,9 @@ def cmd_validate_power(cfg: ExperimentConfig, out_dir: Path, threads: int) -> in
 
 def cmd_outage_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     """Analytic and empirical outage before/after movement over the power grid."""
-    if cfg.sweep.axis != "power_dbm":
-        _log("error: outage-sweep requires sweep axis power_dbm")
+    # the power grid runs at lambda_b alone
+    if cfg.sweep.axis != "power_dbm" or cfg.sweep.group_grid:
+        _log("error: outage-sweep requires sweep axis power_dbm and no group_grid")
         return EXIT_CONFIG
     # the analytic series first: a failing one exits before the ensemble
     rates = _analytic_rates([cfg.outage_params(power_dbm=p_dbm) for p_dbm in cfg.sweep.grid],

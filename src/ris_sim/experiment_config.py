@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("power_dbm", "ue_density", "frequency_ghz", "ris_elements")
-GROUP_AXES = ("bs_density", None)
 
 # the bound of each quantity that ExperimentConfig.expected_load yields, in
 # the order it yields them.  A command pays only some of the amounts (named
@@ -68,8 +67,8 @@ LOAD_BOUNDS = {
     # bounded by the trials range (MAX_TRIALS)
     "serving-hop draws": 5e9,
     # at lambda_b, where outage-sweep and validate-laplace sample (r0-sweep,
-    # the only reader of the bs_density groups, samples nothing): the two
-    # slots of the field kernel's buffer, near 80 MB each
+    # the only reader of the group_grid BS densities, samples nothing): the
+    # two slots of the field kernel's buffer, near 80 MB each
     "expected BS x surface pairs per trial": 1e7,
     # a run just under either work bound took 2 to 5 minutes serially on 2
     # vCPUs (pair draws: outage-sweep and validate-laplace; agent-steps:
@@ -140,33 +139,28 @@ def _check_numbers(config) -> None:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep axis per experiment, with an optional grouping axis."""
+    """One sweep axis per experiment.  ``group_grid`` lists the BS densities
+    (``lambda_b``) at which r0-sweep repeats the whole grid; empty, it runs
+    the grid once at ``lambda_b``."""
 
     axis: str = "power_dbm"
     grid: tuple = (-20.0, -10.0, -5.0, 0.0, 10.0, 20.0, 30.0)
-    group_by: str | None = None
     group_grid: tuple = ()
 
     def __post_init__(self):
         _check_numbers(self)
         if self.axis not in SWEEP_AXES:
             raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        if self.group_by not in GROUP_AXES:
-            raise ConfigError(f"group_by must be one of {GROUP_AXES}, got {self.group_by!r}")
         if len(self.grid) == 0:
             raise ConfigError("sweep grid must be nonempty")
         if list(self.grid) != sorted(self.grid):
             raise ConfigError("sweep grid must be sorted ascending")
-        if self.group_by is not None and len(self.group_grid) == 0:
-            raise ConfigError("group_by set but group_grid empty")
-        if self.group_by is None and len(self.group_grid) > 0:
-            raise ConfigError("group_grid set but group_by not")
         if self.axis == "ris_elements" and not all(float(v).is_integer() for v in self.grid):
             raise ConfigError(f"ris_elements grid values must be whole numbers, got {list(self.grid)}")
 
     def points(self) -> list[tuple[float, float | None]]:
-        """(axis value, group value) of every sweep point, group-major; the
-        group value is None without ``group_by``."""
+        """(axis value, BS density) of every sweep point, group-major; the
+        BS density is None without a ``group_grid``."""
         groups = self.group_grid or (None,)
         return [(a, g) for g in groups for a in self.grid]
 
@@ -189,9 +183,6 @@ class ExperimentConfig:
 
     # radio parameters (powers in dBm); the path gain is pathloss_const,
     # except on a frequency sweep, which derives it from each grid carrier
-    # and the antenna gains
-    gain_tx: float = 1.0
-    gain_rx: float = 1.0
     pathloss_const: float = 6.3326e-5
     alpha: float = 3.0
     m1: float = 2.0
@@ -245,9 +236,16 @@ class ExperimentConfig:
                     f"lambda_b={self.lambda_b} unreachable for r_b={self.r_b}: "
                     "lambda_b * pi * r_b^2 must be below 1"
                 )
-            self.simulation_setup()  # its TopologyConfig is the only check on r_r
+            self.simulation_setup()
+            # a cluster wider than the window is not a deployment, nor one
+            # under a millimetre, whose surfaces can round onto their BS
+            if not 1e-3 <= self.r_r <= self.window_radius:
+                raise ConfigError(
+                    f"r_r must lie in [1e-3, window_radius={self.window_radius}], got {self.r_r}"
+                )
             for point in self.sweep.points():
                 self.sweep_outage_params(*point)
+            self.outage_params()  # sis-sim's panels, at power_dbm itself
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -394,7 +392,6 @@ class ExperimentConfig:
         sweep derives the path gain from each carrier, and shrinks the
         interference radius with the wavelength: ``r_i`` is its value at
         1 GHz."""
-        # the one group axis is bs_density
         overrides = {} if group_value is None else {"lambda_b": group_value}
         axis = self.sweep.axis
         if axis == "ue_density":
@@ -402,7 +399,7 @@ class ExperimentConfig:
         elif axis == "ris_elements":
             overrides["n_elements"] = int(axis_value)
         elif axis == "frequency_ghz":
-            overrides["c"] = pathloss_constant(axis_value * 1e9, self.gain_tx, self.gain_rx)
+            overrides["c"] = pathloss_constant(axis_value * 1e9)
             overrides["r_i"] = self.r_i / axis_value
         else:
             overrides["power_dbm"] = axis_value

@@ -323,7 +323,9 @@ def _cluster_inner(p: LaplaceParams, k: float):
                       - tail(x2[above], d_max * v[above]))
         inside = below | across | above
         r = root_k / v[inside]
-        out[inside] = r * r * out[inside] / alpha
+        with np.errstate(over="ignore"):
+            # inf is the kernel's limit, where the outer integrand is v
+            out[inside] = r * r * out[inside] / alpha
         return out[()]
 
     return inner

@@ -459,43 +459,6 @@ def sinr_from_powers(
     return power_w * np.asarray(s0) / (power_w * np.asarray(interference) + sigma2_w)
 
 
-def _sample_chunk(setup: SimulationSetup, trials: int, rng: np.random.Generator,
-                  movers_rng: np.random.Generator | None = None):
-    """Everything a chunk of ``trials`` trials samples in vectorized passes.
-
-    Returns (gains, moved, resampled, fields): the associated serving links'
-    (direct, reflected) path-loss gains per trial (None in pinned mode, whose
-    link does not depend on the field), the moved-user interference per
-    trial, the redrawn empty fields, and the chunk's fields as
-    ``_field_draws`` takes them, (bs, bs_start, ris, ris_start, serving).
-    ``moved`` holds the network-field term, followed, when ``movers_rng`` is
-    given, by the cell-reflected term on the same fields, drawn from
-    ``movers_rng`` alone.
-    """
-    ch = setup.channel
-    associated = setup.serving_mode == "associated"
-    bs, bs_start, ris, ris_parent, resampled = sample_fields(
-        setup.topology, rng, trials, nonempty=associated)
-    serving_ris = None
-    if associated or movers_rng is not None:
-        serving_ris = serving_surfaces(bs, ris, ris_parent)
-    gains = serving = None
-    if associated:
-        # each trial's typical user at the origin
-        serving = _nearest_bs_in_trial(bs, bs_start, np.zeros((trials, 2)), np.arange(trials))
-        pl_d = ch.c * np.hypot(bs[serving, 0], bs[serving, 1]) ** (-ch.alpha)
-        j = serving_ris[serving]
-        has = j >= 0
-        pl_r = np.zeros(trials)
-        pl_r[has] = ch.c * _bounce_length(bs[serving[has]], ris[j[has]]) ** (-ch.alpha)
-        gains = pl_d, pl_r
-    moved = [_network_field_movers(setup, trials, rng)]
-    if movers_rng is not None:
-        moved.append(_cell_reflected_movers(setup, bs, bs_start, ris, serving_ris, movers_rng))
-    ris_start = np.searchsorted(ris_parent, bs_start)
-    return gains, moved, resampled, (bs, bs_start, ris, ris_start, serving)
-
-
 def _field_draws(
     ch: ChannelParams,
     bs: np.ndarray,
@@ -529,18 +492,45 @@ def _field_draws(
 
 
 def _run_chunk(setup: SimulationSetup, trials: int, seed: int, cell_reflected: bool, c: int):
-    """Chunk ``c`` of an ensemble of ``trials`` trials, whole: its sampling
-    from stream (seed, c + 1) (the cell-reflected movers from its first
-    child), then its per-trial loop from that generator where the sampling
-    left it.  Returns (the chunk's slice of the trials, i_before, i_after
-    with one row per moved-user term, associated gains or None, resampled).
+    """Chunk ``c`` of an ensemble of ``trials`` trials, whole: its fields,
+    associated serving links and moved users in vectorized passes from
+    stream (seed, c + 1) (the cell-reflected movers from its first child),
+    then its per-trial loop from that generator where the sampling left it.
+
+    Returns (the chunk's slice of the trials, i_before, i_after with one row
+    per moved-user term, the associated serving links' (direct, reflected)
+    path-loss gains per trial or None, the redrawn empty fields).  The
+    gains are None in pinned mode, whose link does not depend on the field.
+    ``i_after`` holds the network-field term, then, with ``cell_reflected``,
+    the cell-reflected term on the same fields and field fading.
     """
     size = _chunk_trials(setup)
     chunk = slice(c * size, min((c + 1) * size, trials))
+    n = chunk.stop - chunk.start
     rng = _stream(seed, c + 1)
-    movers = _stream(seed, c + 1, (0,)) if cell_reflected else None
-    gains, moved, resampled, fields = _sample_chunk(setup, chunk.stop - chunk.start, rng, movers)
-    before, field_after = _field_draws(setup.channel, *fields, rng)
+    ch = setup.channel
+    associated = setup.serving_mode == "associated"
+    bs, bs_start, ris, ris_parent, resampled = sample_fields(
+        setup.topology, rng, n, nonempty=associated)
+    serving_ris = None
+    if associated or cell_reflected:
+        serving_ris = serving_surfaces(bs, ris, ris_parent)
+    gains = serving = None
+    if associated:
+        # each trial's typical user at the origin
+        serving = _nearest_bs_in_trial(bs, bs_start, np.zeros((n, 2)), np.arange(n))
+        pl_d = ch.c * np.hypot(bs[serving, 0], bs[serving, 1]) ** (-ch.alpha)
+        j = serving_ris[serving]
+        has = j >= 0
+        pl_r = np.zeros(n)
+        pl_r[has] = ch.c * _bounce_length(bs[serving[has]], ris[j[has]]) ** (-ch.alpha)
+        gains = pl_d, pl_r
+    moved = [_network_field_movers(setup, n, rng)]
+    if cell_reflected:
+        moved.append(_cell_reflected_movers(setup, bs, bs_start, ris, serving_ris,
+                                            _stream(seed, c + 1, (0,))))
+    ris_start = np.searchsorted(ris_parent, bs_start)
+    before, field_after = _field_draws(ch, bs, bs_start, ris, ris_start, serving, rng)
     return chunk, before, [term + field_after for term in moved], gains, resampled
 
 

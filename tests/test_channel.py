@@ -49,15 +49,6 @@ class TestPathloss:
     def test_doubling_frequency_quarters(self):
         assert pathloss_constant(6e9) == pytest.approx(pathloss_constant(3e9) / 4, rel=1e-12)
 
-    def test_gain_scaling(self):
-        # C scales with the gain product: Gt*Gr = 4 quadruples it
-        assert pathloss_constant(3e9, 2.0, 2.0) == pytest.approx(
-            4.0 * pathloss_constant(3e9), rel=1e-12
-        )
-        assert pathloss_constant(3e9, 4.0, 4.0) == pytest.approx(
-            16.0 * pathloss_constant(3e9), rel=1e-12
-        )
-
     def test_invalid_frequency(self):
         with pytest.raises(ValueError):
             pathloss_constant(0.0)

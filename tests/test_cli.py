@@ -9,12 +9,13 @@ import resource
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ris_sim
@@ -122,12 +123,14 @@ class TestExitCodes:
             ("lambda_b: 1.0e-3\nr_b: 50\n", "outage-sweep"),
             ("lambda_b: 1.0e-3\nr_b: 50\n", "topology"),
             ("n_elements: 0\n", "outage-sweep"),
+            ("power_dbm: -1.0e+8\n", "sis-sim"),  # 0 W
             ("series_order: 61\n", "outage-sweep"),
             # PyYAML reads an exponent without a sign as a string
             ("sinr_threshold: 1.0e6\n", "outage-sweep"),
             # keys no command reads
             ("abm_x0: 5\n", "sis-sim"),
             ("frequency_ghz: 28.0\n", "validate-power"),
+            ("gain_tx: 1.0\n", "validate-power"),
         ],
     )
     def test_impossible_parameters_exit_config(self, tmp_path, text, command):
@@ -136,7 +139,8 @@ class TestExitCodes:
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("text", ["lambda_b: 0.0\n", "window_radius: 1.0e-3\n"])
+    # a 1 mm window holds clusters of at most its own radius
+    @pytest.mark.parametrize("text", ["lambda_b: 0.0\n", "window_radius: 1.0e-3\nr_r: 1.0e-3\n"])
     def test_validate_laplace_without_base_stations(self, tmp_path, text):
         # whole chunks without a BS, their moved users served by none
         proc = _run_cli(tmp_path, text, "validate-laplace")
@@ -151,14 +155,13 @@ class TestExitCodes:
         assert len(lines) == 1 and f"{reason}, above" in lines[0]
 
     # a frequency sweep always shrinks r_i with the wavelength from its value
-    # at 1 GHz, bs_density is the one group axis, and a group grid needs it:
-    # these settings are refused by name, a quoted bool included
+    # at 1 GHz, and the group grid always lists BS densities: these settings
+    # are refused by name as unknown sweep keys, a quoted bool included
     @pytest.mark.parametrize("text, named", [
         ("  r_i_scales_with_wavelength: true\n", "r_i_scales_with_wavelength"),
         ('  r_i_scales_with_wavelength: "false"\n', "r_i_scales_with_wavelength"),
         ("  reference_frequency_ghz: 1.0\n", "reference_frequency_ghz"),
-        ("  group_by: ris_elements\n  group_grid: [100.0]\n", "ris_elements"),
-        ("  group_grid: [1.0e-5, 1.0e-4]\n", "group_grid"),
+        ("  group_by: ris_elements\n  group_grid: [100.0]\n", "group_by"),
     ])
     def test_unsupported_sweep_settings_exit_config(self, tmp_path, capsys, text, named):
         sweep = "sweep:\n  axis: frequency_ghz\n  grid: [1.0, 3.0]\n" + text
@@ -166,7 +169,7 @@ class TestExitCodes:
         assert main(["--config", _write(tmp_path, "c.yaml", sweep), "--out", str(out),
                      "r0-sweep"]) == EXIT_CONFIG
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("configuration error: ") and named in line
+        assert line == f"configuration error: unknown sweep keys: ['{named}']"
         assert not out.exists()
 
     def test_every_load_bound_has_a_refusing_case(self):
@@ -406,6 +409,15 @@ class TestOutageSweep:
         for r in rows:
             assert float(r["P_o_prime_analytic"]) >= float(r["P_o_analytic"]) - 1e-12
 
+    def test_bs_density_groups_refused(self, tmp_path, capsys):
+        # the power grid runs at lambda_b alone, so the groups would be dropped
+        out = tmp_path / "o"
+        text = (f"out_dir: {out}\nsweep:\n  axis: power_dbm\n  grid: [-5.0, 0.0]\n"
+                "  group_grid: [1.0e-5, 1.0e-4]\n")
+        assert main(["--config", _write(tmp_path, "c.yaml", text), "outage-sweep"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: outage-sweep requires sweep axis power_dbm and no group_grid"]
+        assert not out.exists()
 
 
 class TestMonteCarloWorkers:
@@ -569,6 +581,17 @@ class TestSisSim:
 
 
 class TestValidateLaplace:
+    def test_far_cluster_edge_fails_without_a_warning(self, tmp_path, capsys):
+        # at d_max = 1e160 the cluster kernel's scale overflows to inf, its
+        # limit: the closed form misses the oracle, and no warning is raised
+        cfg = _write(tmp_path, "c.yaml", "d_max: 1.0e+160\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", cfg, "--trials", "10", "--out", str(tmp_path / "o"),
+                         "validate-laplace"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "validation FAILED: pgfl closed form deviates from quadrature by >= 1e-6")
+
     def test_cell_reflected_column_shares_the_fields(self, tmp_path):
         assert main(["--trials", "1000", "--seed", "4", "--out", str(tmp_path),
                      "validate-laplace"]) == EXIT_OK
@@ -784,8 +807,7 @@ print(json.dumps([code, gc.get_freeze_count() > 0, sorted(sys.modules)]))
 # the numeric keys of configs/schema.md, each with a typical value
 _FLOAT_KEYS = {
     "lambda_b": 1e-5, "lambda_r": 1e-5, "lambda_u": 1e-2, "r_b": 50.0, "r_r": 10.0,
-    "window_radius": 1000.0, "gain_tx": 1.0, "gain_rx": 1.0,
-    "pathloss_const": 6.3326e-5, "alpha": 3.0, "m1": 2.0, "m2": 2.0,
+    "window_radius": 1000.0, "pathloss_const": 6.3326e-5, "alpha": 3.0, "m1": 2.0, "m2": 2.0,
     "power_dbm": -5.0, "noise_dbm": -90.0, "sinr_threshold": 1e-2,
     "d_direct": 100.0, "d_bs_ris": 30.0, "d_ris_ue": 80.0,
     "d_min": 1.0, "d_max": 1000.0, "r_i": 10.0,
@@ -832,10 +854,10 @@ def _int_tokens(typical: int, wild: bool = True):
     )
 
 
-# a typical grid value of each sweep and group axis
+# a typical grid value of each sweep axis, and of the group grid's BS densities
 _AXIS_TYPICAL = {
     "ue_density": 1e-3, "frequency_ghz": 3.0, "ris_elements": 200.0, "power_dbm": -5.0,
-    "bs_density": 1e-5, "bogus": 1.0, "null": 1.0,
+    "bs_density": 1e-5, "bogus": 1.0,
 }
 
 
@@ -863,18 +885,14 @@ def _config_texts(draw):
             lines.append(f"{key}: {draw(tokens(keys[key], wild))}")
     if draw(st.integers(0, 3)):
         axes = ["ue_density", "frequency_ghz", "ris_elements"]
-        groups = ["null", "bs_density"]
         if wild:
             axes += ["power_dbm", "bogus"]
-            groups += ["ris_elements", "bogus"]
         axis = draw(st.sampled_from(axes))
-        group_by = draw(st.sampled_from(groups))
         lines.append("sweep:")
         lines.append(f"  axis: {axis}")
         lines.append(f"  grid: {draw(_grids(_AXIS_TYPICAL[axis], wild))}")
-        lines.append(f"  group_by: {group_by}")
-        if group_by != "null" or wild and draw(st.booleans()):
-            lines.append(f"  group_grid: {draw(_grids(_AXIS_TYPICAL[group_by], wild))}")
+        if draw(st.booleans()):
+            lines.append(f"  group_grid: {draw(_grids(_AXIS_TYPICAL['bs_density'], wild))}")
     return "\n".join(lines) + "\n"
 
 
@@ -882,6 +900,12 @@ class TestExitCodeFuzz:
     @settings(max_examples=100, deadline=None)
     @given(text=_config_texts(), command=st.sampled_from(
         ["topology", "r0-sweep", "validate-power", "outage-sweep"]))
+    # cluster radii whose pair lengths overflowed or rounded to 0, each on a
+    # command whose numpy warning it raised
+    @example(text="r_r: 1.0e+300\n", command="topology")
+    @example(text="r_r: 1.0e+300\n", command="outage-sweep")
+    @example(text="r_r: 1.0e-300\n", command="outage-sweep")
+    @example(text="r_r: 1.0e-30\n", command="outage-sweep")
     def test_exit_code_is_0_2_or_3(self, text, command):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = _write(Path(tmp), "fuzz.yaml", text)

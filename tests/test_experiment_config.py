@@ -85,15 +85,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SweepConfig(axis="ue_density", grid=())
 
-    def test_group_needs_grid(self):
-        with pytest.raises(ConfigError):
-            SweepConfig(axis="ue_density", grid=(1e-3,), group_by="bs_density")
-
     def test_every_field_type_is_checked(self):
-        # each field is checked by _check_numbers, or by membership (group_by
-        # in GROUP_AXES; sweep is built from its mapping): a field of another
-        # type, a bool say, would load whatever YAML value it is given
-        known = set(_CHECKED_TYPES) | {"str | None", "SweepConfig"}
+        # each field is checked by _check_numbers (sweep is built from its
+        # mapping): a field of another type, a bool say, would load whatever
+        # YAML value it is given
+        known = set(_CHECKED_TYPES) | {"SweepConfig"}
         for config in (ExperimentConfig, SweepConfig):
             assert [f.name for f in fields(config) if f.type not in known] == []
 
@@ -131,6 +127,11 @@ class TestValidation:
         ("alpha: .nan\n", None),
         ("window_radius: .inf\n", None),
         ("r_b: 1.0e+300\n", None),  # overflows the hard-core check
+        ("power_dbm: -1.0e+8\n", None),  # 0 W, the transmit power of sis-sim's panels
+        # clusters wider than the window, or under a millimetre
+        ("r_r: 1.0e+300\n", None),
+        ("r_r: 1.0e-300\n", None),
+        ("r_r: 1.0e-30\n", None),
         ("seed: -1\n", None),
         ("abm_steps: 0\n", None),
         ("out_dir: 5\n", None),
@@ -161,14 +162,12 @@ class TestValidation:
         ("r_i: 60.0\nabm_agents: 2000\nabm_steps: 2000\nabm_ensemble_runs: 60\n", "sis-sim"),
         ("lambda_r: 3.0e-2\nsweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
          # Monte Carlo pair draws at lambda_b and 1e5 trials; the groups add none
-         "  group_by: bs_density\n  group_grid: [1.0e-5, 1.2e-4]\n", "validate-laplace"),
+         "  group_grid: [1.0e-5, 1.2e-4]\n", "validate-laplace"),
         ("sweep:\n  axis: ue_density\n  grid: [-1.0, 1.0e-3]\n", None),
         ("sweep:\n  axis: frequency_ghz\n  grid: [0.0, 1.0]\n", None),
+        # a removed key is unknown
         ("gain_tx: -1.0\nsweep:\n  axis: frequency_ghz\n  grid: [1.0]\n", None),
-        ("sweep:\n  axis: ue_density\n  grid: [1.0e-3]\n"
-         "  group_by: bs_density\n  group_grid: [-1.0]\n", None),
-        # a group_grid without group_by would be dropped
-        ("sweep:\n  axis: ue_density\n  grid: [1.0e-3]\n  group_grid: [1.0e-5, 1.0e-4]\n", None),
+        ("sweep:\n  axis: ue_density\n  grid: [1.0e-3]\n  group_grid: [-1.0]\n", None),
         # an element count that int() would truncate
         ("sweep:\n  axis: ris_elements\n  grid: [200.9, 201.0]\n", None),
     ]])
@@ -195,7 +194,7 @@ class TestValidation:
 
     def test_pair_budget_ignores_bs_groups(self):
         # only r0-sweep reads the groups, and it samples no pair
-        text = self.PAIR_BASE + "  group_by: bs_density\n  group_grid: [1.2e-4]\n"
+        text = self.PAIR_BASE + "  group_grid: [1.2e-4]\n"
         cfg = load_config(text=text)
         for command in COMMANDS:
             cfg.check_load(command)

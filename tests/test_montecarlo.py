@@ -1,6 +1,7 @@
 """Monte Carlo harness: trial structure, paired estimators, reproducibility."""
 
 import concurrent.futures.process
+import functools
 import math
 import multiprocessing
 import os
@@ -431,9 +432,8 @@ class TestChunkEngine:
         trials = 2 * chunk + 5
         stats = run_ensemble(setup, trials, seed=7)
         assert calls == []
-        gains = np.concatenate([
-            montecarlo._sample_chunk(setup, size, montecarlo._stream(7, c + 1))[0]
-            for c, size in enumerate((chunk, chunk, 5))], axis=1)
+        gains = np.concatenate([montecarlo._run_chunk(setup, trials, 7, False, c)[3]
+                                for c in range(3)], axis=1)
         want = montecarlo.serving_power(setup.channel, *gains, trials, 7)
         assert stats.s0.tobytes() == want.tobytes() and calls == [trials, trials]
 
@@ -594,15 +594,17 @@ class TestWorkerPool:
 
     def test_caller_samples_every_second_chunk(self, small_chunks, four_cpus, monkeypatch):
         # the wrapper counts in this process only: each forked worker calls
-        # its own copy
-        sample_chunk = montecarlo._sample_chunk
+        # its own copy.  It carries _run_chunk's name, so that the pool
+        # pickles it by reference as it does the unpatched function
+        run_chunk = montecarlo._run_chunk
         sampled = []
 
-        def counting(setup, trials, rng, *rest):
-            sampled.append(rng.bit_generator.seed_seq.entropy[1] - 1)  # stream (seed, c + 1)
-            return sample_chunk(setup, trials, rng, *rest)
+        @functools.wraps(run_chunk)
+        def counting(*args):
+            sampled.append(args[-1])  # the chunk index
+            return run_chunk(*args)
 
-        monkeypatch.setattr(montecarlo, "_sample_chunk", counting)
+        monkeypatch.setattr(montecarlo, "_run_chunk", counting)
         setup = _setup()
         chunks = -(-170 // montecarlo._chunk_trials(setup))
         assert chunks >= 6
@@ -612,16 +614,17 @@ class TestWorkerPool:
         _assert_no_children()
 
     def test_sampling_failure_leaves_no_workers(self, small_chunks, four_cpus, monkeypatch):
-        sample_chunk = montecarlo._sample_chunk
+        run_chunk = montecarlo._run_chunk
         calls = []
 
+        @functools.wraps(run_chunk)
         def failing_fourth_chunk(*args):
             calls.append(None)
             if len(calls) == 4:
                 raise RuntimeError("failed to sample a nonempty BS field after 1000 attempts")
-            return sample_chunk(*args)
+            return run_chunk(*args)
 
-        monkeypatch.setattr(montecarlo, "_sample_chunk", failing_fourth_chunk)
+        monkeypatch.setattr(montecarlo, "_run_chunk", failing_fourth_chunk)
         with pytest.raises(RuntimeError, match="1000 attempts"):
             run_ensemble(_setup(), 170, seed=1, workers=2)
         assert four_cpus == [1]
