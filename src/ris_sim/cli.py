@@ -28,11 +28,12 @@ for the memory and work that it pays, and r0-sweep for none.
 Every output file starts with the resolved configuration as comment lines,
 and identical seeds produce byte-identical files.
 
-Start-up loads only what the command needs: ``scipy.spatial`` by topology
-alone (its nearest-neighbour queries), and ``concurrent.futures`` only to
-start the ensembles' worker processes or the serving batch's threads, after
-set-up.  No other command loads a scipy module: validate-power's gamma CDF
-runs the package's own incomplete gamma function
+The package runs on numpy and PyYAML alone, and start-up loads only what the
+command needs: ``concurrent.futures`` only to start the ensembles' worker
+processes or the serving batch's threads, after set-up.  topology's nearest
+BSs are blocked all-pairs distances, and its BS spacing the cell list of
+Matern thinning (``geometry.close_pairs``); validate-power's gamma CDF runs
+the package's own incomplete gamma function
 (``power_analytic.lower_incomplete_gamma_regularized``), and the quadrature
 oracle its own rules (``ris_sim.integrate`` and the Gauss–Jacobi
 rules of its inner integral).
@@ -62,7 +63,7 @@ from .experiment_config import (
     dump_config,
     load_config,
 )
-from .geometry import sample_hppp, serving_surfaces
+from .geometry import close_pairs, sample_hppp, serving_surfaces
 from .interference_analytic import (
     empirical_laplace,
     laplace_after,
@@ -113,7 +114,8 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> No
         fh.write(_config_header(cfg))
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            # numpy scalars print as their Python values do
+            fh.write(",".join(map(str, row)) + "\n")
 
     _write_atomic(path, write)
     _log(f"wrote {path}")
@@ -130,12 +132,39 @@ def _analytic_rates(params: list, form: str) -> list:
     return [analytic_rates(p, form) for p in params]
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    return str(v)
+def _nearest_bs(ue: np.ndarray, bs: np.ndarray) -> np.ndarray:
+    """Index of each user's nearest BS (ties to the lowest index), or -1
+    for every user when there is no BS: all squared distances, in blocks of
+    users of at most 2**20 distances."""
+    if bs.shape[0] == 0:
+        return np.full(ue.shape[0], -1)
+    nearest = np.empty(ue.shape[0], dtype=np.intp)
+    step = max(1, 2**20 // bs.shape[0])
+    for k in range(0, ue.shape[0], step):
+        dx = ue[k:k + step, 0, None] - bs[:, 0]
+        dy = ue[k:k + step, 1, None] - bs[:, 1]
+        nearest[k:k + step] = np.argmin(dx * dx + dy * dy, axis=1)
+    return nearest
+
+
+def _min_spacing(bs: np.ndarray, radius: float) -> float:
+    """Smallest distance between two BSs in the disk of ``radius`` (inf for
+    fewer than two): the closest of the close pairs within 2R / (sqrt(B) - 1),
+    since B points d apart have disjoint disks of radius d/2 inside the disk
+    of radius R + d/2, and within the BSs' bounding-box diagonal, whose
+    square, unlike the window's diameter's, cannot overflow.  The distance is
+    doubled only when rounding leaves no pair."""
+    b = bs.shape[0]
+    if b < 2:
+        return math.inf
+    r = min(2.0 * radius / (math.sqrt(b) - 1.0), math.hypot(*np.ptp(bs, axis=0)))
+    while True:
+        i, j = close_pairs(bs, np.zeros(b, dtype=np.intp), r)
+        if i.size:
+            break
+        r *= 2.0
+    dx, dy = bs[i, 0] - bs[j, 0], bs[i, 1] - bs[j, 1]
+    return float(np.sqrt(dx * dx + dy * dy).min())
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +183,8 @@ def cmd_topology(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     bs, _, ris, ris_parent, _ = montecarlo.sample_fields(topo, rng, 1)
     ue = sample_hppp(topo.lambda_u, topo.window, rng)
     serving_ris = serving_surfaces(bs, ris, ris_parent)
-    serving_bs = np.full(ue.shape[0], -1)
-    min_spacing = math.inf
-    if bs.shape[0] > 0:
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(bs)
-        serving_bs = tree.query(ue)[1]
-        # distance to each BS's nearest other BS, inf for a lone BS
-        min_spacing = float(tree.query(bs, k=2)[0][:, 1].min())
+    serving_bs = _nearest_bs(ue, bs)
+    min_spacing = _min_spacing(bs, topo.window.radius)
     # -1 (no cluster child, no BS) is written as an empty field
     rows = itertools.chain(
         (("bs", i, *p, "", "" if j < 0 else j) for i, (p, j) in enumerate(zip(bs, serving_ris))),

@@ -47,6 +47,11 @@ LOAD_BOUNDS = {
     # Matern parents and surfaces (topology, outage-sweep, validate-laplace)
     # or users (topology): one topology still fits in memory
     "expected points of one field": 1e7,
+    # topology's users, Matern parents and surfaces, each counted at about 5
+    # us (mostly its CSV row) as 1000 user x BS distances of about 5 ns: runs
+    # just under the bound, each led by one of the four terms, took 3.5 to
+    # 4.8 s on 2 vCPUs
+    "expected topology distances": 1e9,
     # a field of lambda_b * area cells, or the target's own cell (outage-sweep,
     # validate-laplace)
     "expected moved users per trial": 1e7,
@@ -271,7 +276,11 @@ class ExperimentConfig:
             yield keys("lambda_b", "r_b", "window_radius"), parents, points
             yield keys("lambda_r", "window_radius"), surfaces, points
         if command == "topology":
-            yield keys("lambda_u", "window_radius"), self.lambda_u * area, points
+            users = self.lambda_u * area
+            yield keys("lambda_u", "window_radius"), users, points
+            yield (keys("lambda_u", "lambda_b", "r_b", "lambda_r", "window_radius"),
+                   1000 * (users + parents + surfaces) + users * self.lambda_b * area,
+                   "expected topology distances")
         if command in _ENSEMBLES:
             movers = self.lambda_u * math.pi * self.r_i**2 * max(1.0, self.lambda_b * area)
             yield (keys("lambda_u", "r_i", "lambda_b", "window_radius"), movers,

@@ -41,14 +41,15 @@ def _limit_address_space():
 
 def _run_cli(tmp_path: Path, config_text: str, command: str, *,
              limit_memory: bool = False) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter, so a traceback would reach stderr;
+    """The CLI in a fresh interpreter, so a traceback would reach stderr, with
+    numpy's warnings raised as errors, as the suite raises them in process;
     ``limit_memory`` caps its address space at ``ADDRESS_SPACE``."""
     cfg = _write(tmp_path, "bad.yaml", config_text)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
-        [sys.executable, "-m", "ris_sim.cli", "--config", cfg, "--trials", "100",
-         "--out", str(tmp_path / "o"), command],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ris_sim.cli",
+         "--config", cfg, "--trials", "100", "--out", str(tmp_path / "o"), command],
         capture_output=True, text=True, env=env, timeout=120,
         preexec_fn=_limit_address_space if limit_memory else None,
     )
@@ -84,6 +85,10 @@ _SMALL_SIS = "abm_agents: 30\nabm_steps: 8\nabm_ensemble_runs: 3\n"
 _BUDGET_CASES = [
     # ~3e8 users in the window
     ("window_radius: 1.0e+5\n", "topology", "expected points of one field"),
+    # 9.4e6 BSs for 31,416 users: 124 s and 1.2 GB with a k-d tree
+    ("lambda_b: 3.0\nr_b: 1.0e-100\n", "topology", "topology distances"),
+    # 9.4e6 users and their CSV rows: 85 s and 468 MB
+    ("lambda_u: 3.0\n", "topology", "topology distances"),
     # ~1e10 network-field movers per trial
     ("r_i: 1.0e+5\n", "outage-sweep", "moved users per trial"),
     ("abm_agents: 100000000\nr_i: 1.0e-3\n", "sis-sim", "agents"),
@@ -392,6 +397,49 @@ class TestTopologyCommand:
             assert int(r["serving_index"]) in children
             assert np.linalg.norm(ris[int(r["serving_index"])] - bs[i]) <= d.min() + 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_bs", [1, 7, 3000])
+    def test_nearest_bs_is_the_ensembles_search(self, seed, n_bs):
+        # users beyond the BSs' hull included; 3000 BSs split 1000 users into
+        # blocks of 349 and a remainder
+        from ris_sim.cli import _nearest_bs
+        from ris_sim.geometry import Window
+        from ris_sim.montecarlo import _nearest_bs_in_trial
+
+        rng = np.random.default_rng(seed)
+        bs = Window("disk", radius=100.0).sample_uniform(n_bs, rng)
+        for n_ue in (1000, 0):
+            ue = Window("disk", radius=300.0).sample_uniform(n_ue, rng)
+            expected = _nearest_bs_in_trial(bs, np.array([0, n_bs]), ue, np.zeros(n_ue, dtype=int))
+            assert _nearest_bs(ue, bs).tolist() == expected.tolist()
+
+    def test_nearest_bs_ties_and_no_bs(self):
+        from ris_sim.cli import _nearest_bs
+
+        # the origin is 1 from the last three BSs: the lowest index of them wins
+        bs = np.array([[5.0, 5.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        ue = np.array([[0.0, 0.0], [0.0, -2.0], [9.0, 9.0]])
+        assert _nearest_bs(ue, bs).tolist() == [1, 3, 0]
+        assert _nearest_bs(ue, np.empty((0, 2))).tolist() == [-1, -1, -1]
+
+    @pytest.mark.parametrize("n_bs,radius", [(2, 1.0), (3, 1.0), (50, 1e-2), (500, 1e3), (2000, 1e5)])
+    def test_min_spacing_is_the_brute_force_minimum(self, n_bs, radius):
+        from ris_sim.cli import _min_spacing
+        from ris_sim.geometry import Window
+
+        rng = np.random.default_rng(n_bs)
+        for _ in range(5):
+            bs = Window("disk", radius=radius).sample_uniform(n_bs, rng)
+            i, j = np.triu_indices(n_bs, 1)
+            dx, dy = bs[i, 0] - bs[j, 0], bs[i, 1] - bs[j, 1]
+            assert _min_spacing(bs, radius) == np.sqrt(dx * dx + dy * dy).min()
+        # two BSs a diameter apart, and fewer than two
+        assert _min_spacing(np.array([[-radius, 0.0], [radius, 0.0]]), radius) == 2.0 * radius
+        # in the widest window the load admits, whose squared diameter overflows
+        assert _min_spacing(np.array([[0.0, 0.0], [1e153, 0.0]]), 7e153) == 1e153
+        assert _min_spacing(bs[:1], radius) == _min_spacing(bs[:0], radius) == math.inf
+
+
 class TestOutageSweep:
     def test_columns_and_ordering(self, tmp_path):
         out = tmp_path / "o"
@@ -666,8 +714,9 @@ class _Contract(NamedTuple):
     stdout: str
     unloaded: tuple = (
         # no scipy module (validate-power's gamma CDF and the quadrature
-        # oracle run the package's own rules, Matern thinning and the agent
-        # contacts a numpy cell list); numpy.f2py comes behind scipy.special;
+        # oracle run the package's own rules, Matern thinning, topology's BS
+        # spacing and the agent contacts a numpy cell list, and topology's
+        # nearest BSs all distances); numpy.f2py comes behind scipy.special;
         # concurrent.futures (and logging behind it) only with a worker pool
         # or serving threads; numpy.ma with np.median's NaN check
         "scipy", "numpy.f2py", "concurrent.futures", "numpy.ma")
@@ -691,11 +740,7 @@ _CONTRACTS = [
     pytest.param(_Contract(
         "topology", "seed: 5\n",
         {"topology.csv": "3faaa2907b528274421d1c0f1c873134332cf1e75faaf017bf3dacdd75f1cf21"},
-        "base stations: 33\nsurfaces: 34\nusers: 31745\nmin BS spacing: 51.73736097107253\n",
-        # what scipy.spatial brings for the nearest-neighbour queries
-        # (scipy.sparse, scipy.linalg, scipy.special and those above), and
-        # nothing of the quadrature or optimization stack
-        ("scipy.integrate", "scipy.optimize", "scipy.stats", "scipy.interpolate")),
+        "base stations: 33\nsurfaces: 34\nusers: 31745\nmin BS spacing: 51.73736097107253\n"),
         id="topology"),
     # the pinned serving batch of seed 21: row block b from child b of
     # stream (21, 0), 7 blocks of 327

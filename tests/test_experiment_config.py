@@ -217,6 +217,8 @@ class TestValidation:
              "expected agent-steps"),
             # 4.9e9 serving hops (validate-power): 302 s serially on 2 vCPUs
             ("trials: 100000\nn_elements: 49000\n", "serving-hop draws"),
+            # 9.4e5 users: 4.3 s on 2 vCPUs
+            ("lambda_u: 3.0e-1\n", "expected topology distances"),
         ],
     )
     def test_just_under_a_work_bound_loads(self, text, row):
