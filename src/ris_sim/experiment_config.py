@@ -73,7 +73,8 @@ LOAD_BOUNDS = {
     "serving-hop draws": 5e9,
     # at lambda_b, where outage-sweep and validate-laplace sample (r0-sweep,
     # the only reader of the group_grid BS densities, samples nothing): the
-    # two slots of the field kernel's buffer, near 80 MB each
+    # two slots of the per-trial loop's buffer (montecarlo._field_draws),
+    # near 80 MB each
     "expected BS x surface pairs per trial": 1e7,
     # a run just under either work bound took 2 to 5 minutes serially on 2
     # vCPUs (pair draws: outage-sweep and validate-laplace; agent-steps:
@@ -240,6 +241,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"lambda_b={self.lambda_b} unreachable for r_b={self.r_b}: "
                     "lambda_b * pi * r_b^2 must be below 1"
+                )
+            # the Matern thinning's cell list (geometry.close_pairs) squares
+            # the dilated window's span, which overflows above about 1.6e153:
+            # below this bound that square and every squared distance stay
+            # finite, with three decades to spare
+            if not self.window_radius + self.r_b <= 1e150:
+                raise ConfigError(
+                    f"window_radius={self.window_radius} and r_b={self.r_b}: "
+                    "window_radius + r_b must be at most 1e150"
                 )
             self.simulation_setup()
             # a cluster wider than the window is not a deployment, nor one

@@ -2,9 +2,9 @@
 from them.
 
 The serving draw is ``montecarlo.draw_serving_power``, cut into row blocks
-by ``montecarlo.serving_power``, and the field interference is ``montecarlo._field_kernel`` plus
-``montecarlo._draw_field_interference``; the checks here use test-local
-oracles (replayed generator streams, element-wise phase sums) for both.
+by ``montecarlo.serving_power``, and the field interference is drawn by
+``montecarlo._field_draws``; the checks here use test-local oracles
+(replayed generator streams, element-wise phase sums) for both.
 """
 
 import math
@@ -22,8 +22,6 @@ from ris_sim.channel import (
 from ris_sim import montecarlo
 from ris_sim.montecarlo import (
     LinkGeometry,
-    _draw_field_interference,
-    _field_kernel,
     draw_serving_power,
 )
 
@@ -34,11 +32,27 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def _direct_means(distances, c):
-    """Interference direct means (alpha = 3) of BSs placed on the x axis."""
-    bs = np.column_stack((np.asarray(distances, dtype=float), np.zeros(len(distances))))
-    direct, _ = _field_kernel(bs, NO_SURFACES, ChannelParams(c=c, alpha=3.0))
-    return direct
+def _chunk_draws(bs, ris, ch, rng, serving=None, repeats=1):
+    """(i_before, i_after) as rows, one column per trial, of a chunk of
+    ``repeats`` trials that each hold ``bs`` and ``ris``, ``serving``
+    indexing each trial's serving BS in ``bs``."""
+    return np.array(montecarlo._field_draws(
+        ch, np.tile(bs, (repeats, 1)), np.arange(repeats + 1) * bs.shape[0],
+        np.tile(ris, (repeats, 1)), np.arange(repeats + 1) * ris.shape[0],
+        None if serving is None else serving + np.arange(repeats) * bs.shape[0], rng))
+
+
+# the first exponential of stream _rng(): the first draw of a one-trial chunk
+# with one interferer from that stream is the interferer's mean times it
+FIRST_EXPONENTIAL = _rng().exponential()
+
+
+def _direct_draws(distances, c):
+    """First draws (alpha = 3) of one-trial chunks, one per BS on the x axis,
+    each from stream _rng(): each BS's direct mean times FIRST_EXPONENTIAL."""
+    ch = ChannelParams(c=c, alpha=3.0)
+    return np.array([_chunk_draws(np.array([[d, 0.0]]), NO_SURFACES, ch, _rng())[0, 0]
+                     for d in distances])
 
 
 class TestPathloss:
@@ -56,15 +70,16 @@ class TestPathloss:
     def test_direct_reference_distance(self):
         pl_d, _ = LinkGeometry(d_direct=1.0).pathloss(6.3326e-5, 3.0)
         assert pl_d == 6.3326e-5
-        assert _direct_means([1.0], 6.3326e-5)[0] == 6.3326e-5
+        assert _direct_draws([1.0], 6.3326e-5)[0] == 6.3326e-5 * FIRST_EXPONENTIAL
 
     def test_direct_value(self):
         pl_d, _ = LinkGeometry(d_direct=100.0).pathloss(6.3326e-5, 3.0)
         assert pl_d == pytest.approx(6.3326e-11, rel=1e-12)
-        assert _direct_means([100.0], 6.3326e-5)[0] == pytest.approx(6.3326e-11, rel=1e-12)
+        assert _direct_draws([100.0], 6.3326e-5)[0] == pytest.approx(
+            6.3326e-11 * FIRST_EXPONENTIAL, rel=1e-12)
 
     def test_direct_power_law(self):
-        near, far = _direct_means([10.0, 20.0], 1.0)
+        near, far = _direct_draws([10.0, 20.0], 1.0)
         assert far == pytest.approx(near / 8.0, rel=1e-12)
 
     def test_reflected_product(self):
@@ -75,14 +90,21 @@ class TestPathloss:
         a = LinkGeometry(d_bs_ris=7.0, d_ris_ue=3.0).pathloss(1.0, 3.0)[1]
         b = LinkGeometry(d_bs_ris=3.0, d_ris_ue=7.0).pathloss(1.0, 3.0)[1]
         assert a == b
-        # the interference pair means: BS-surface and surface-receiver swapped
+        # the interference pair means: BS-surface and surface-receiver
+        # swapped, read back from draws of the same stream, the direct term
+        # (the same BS) taken out
         ch = ChannelParams(c=1.0, n_elements=1)
-        _, pairs_a = _field_kernel(np.array([[10.0, 0.0]]), np.array([[3.0, 0.0]]), ch)
-        _, pairs_b = _field_kernel(np.array([[10.0, 0.0]]), np.array([[7.0, 0.0]]), ch)
-        assert pairs_a[0, 0] == pairs_b[0, 0]
+        bs = np.array([[10.0, 0.0]])
+        e = _rng().exponential(size=4)
+        for surface in ([3.0, 0.0], [7.0, 0.0]):
+            draws = _chunk_draws(bs, np.array([surface]), ch, _rng())[:, 0]
+            pairs = (draws - 10.0**-3 * e[0::2]) / e[1::2]
+            assert pairs == pytest.approx([21.0**-3] * 2, rel=1e-12)
+        assert (_chunk_draws(bs, np.array([[3.0, 0.0]]), ch, _rng()).tolist()
+                == _chunk_draws(bs, np.array([[7.0, 0.0]]), ch, _rng()).tolist())
 
     def test_monotone_in_distance(self):
-        vals = _direct_means(np.linspace(1.0, 100.0, 25), 1.0)
+        vals = _direct_draws(np.linspace(1.0, 100.0, 25), 1.0)
         assert np.all(np.diff(vals) < 0)
 
     def test_domain_errors(self):
@@ -242,43 +264,46 @@ ONE_SURFACE = np.array([[320.0, 0.0]])
 
 class TestInterferenceRealization:
     def test_empty_field_zero(self):
-        kernel = _field_kernel(NO_SURFACES, NO_SURFACES, ChannelParams())
         rng = _rng()
-        assert _draw_field_interference(kernel, rng) == 0.0
+        assert _chunk_draws(NO_SURFACES, NO_SURFACES, ChannelParams(), rng).tolist() == [[0.0]] * 2
         assert rng.random() == _rng().random()
 
     def test_single_bs_mean(self):
+        # 50,000 trials draw the 100,000 values in stream order, each its
+        # BS's mean times one exponential
         ch = ChannelParams()
-        kernel = _field_kernel(np.array([[250.0, 0.0]]), NO_SURFACES, ch)
-        rng = _rng(7)
-        vals = [_draw_field_interference(kernel, rng) for _ in range(100_000)]
+        vals = _chunk_draws(np.array([[250.0, 0.0]]), NO_SURFACES, ch, _rng(7),
+                            repeats=50_000).T.ravel()
+        assert vals[:4] == pytest.approx(ch.c * 250.0**-3 * _rng(7).exponential(size=4),
+                                         rel=1e-12)
         assert np.mean(vals) == pytest.approx(ch.c * 250.0**-3, rel=0.01)
 
     def test_reflected_mean_exact_mode(self):
         # Monte Carlo of the element-wise misaligned sums as the oracle for
-        # the per-surface mean power N c^2 (d_ij d_jk)^(-alpha)
+        # the per-surface mean power N c^2 (d_ij d_jk)^(-alpha), read back
+        # from one draw over the stream's exponentials (direct, then pair)
         ch = ChannelParams()
-        _, pairs = _field_kernel(ONE_BS, ONE_SURFACE, ch)
+        before = _chunk_draws(ONE_BS, ONE_SURFACE, ch, _rng(8))[0, 0]
+        e_direct, e_pair = _rng(8).exponential(size=2)
+        pair = (before - ch.c * 300.0**-3 * e_direct) / e_pair
         rng = _rng(8)
         unit = [
             _misaligned_reflection_power(ch.n_elements, ch.m1, ch.m2, rng)
             for _ in range(20_000)
         ]
         oracle = np.mean(unit) * ch.c**2 * (20.0 * 320.0) ** -3
-        assert pairs.shape == (1, 1)
-        assert pairs[0, 0] == pytest.approx(oracle, rel=0.02)
+        assert pair == pytest.approx(oracle, rel=0.02)
 
     def test_exponential_mode_same_mean(self):
         ch = ChannelParams()
-        kernel = _field_kernel(ONE_BS, ONE_SURFACE, ch)
-        rng = _rng(9)
-        vals = [_draw_field_interference(kernel, rng) for _ in range(100_000)]
+        vals = _chunk_draws(ONE_BS, ONE_SURFACE, ch, _rng(9), repeats=50_000).T.ravel()
         expected = ch.c * 300.0**-3 + ch.n_elements * ch.c**2 * (20.0 * 320.0) ** -3
         assert np.mean(vals) == pytest.approx(expected, rel=0.02)
 
     def test_serving_exclusion(self):
         ch = ChannelParams(n_elements=1)
-        kernel = _field_kernel(ONE_BS, ONE_SURFACE, ch, exclude=0)
-        # the only BS is excluded; the surface term needs an interfering BS
-        assert kernel[0].size == 0 and kernel[1] is None
-        assert _draw_field_interference(kernel, _rng(10)) == 0.0
+        rng = _rng(10)
+        # the only BS serves; the surface term needs an interfering BS, so
+        # nothing is drawn
+        assert _chunk_draws(ONE_BS, ONE_SURFACE, ch, rng, serving=0).tolist() == [[0.0]] * 2
+        assert rng.random() == _rng(10).random()

@@ -397,6 +397,27 @@ class TestTopologyCommand:
             assert int(r["serving_index"]) in children
             assert np.linalg.norm(ris[int(r["serving_index"])] - bs[i]) <= d.min() + 1e-12
 
+    # about 3 points of each field, whatever the window
+    @staticmethod
+    def _sparse(window_radius):
+        density = 3.0 / (math.pi * window_radius**2)
+        return f"window_radius: {window_radius:.1e}\n" + "".join(
+            f"{key}: {density:.1e}\n" for key in ("lambda_b", "lambda_r", "lambda_u"))
+
+    def test_window_beyond_the_cell_list_bound_exits_config(self, tmp_path):
+        # the Matern cell list's widening divided by zero here (exit 3)
+        proc = _run_cli(tmp_path, self._sparse(7.0e153), "topology")
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.splitlines() == [
+            "configuration error: window_radius=7e+153 and r_b=50.0: "
+            "window_radius + r_b must be at most 1e150"]
+        assert not (tmp_path / "o").exists()
+
+    def test_window_at_the_bound_runs(self, tmp_path):
+        proc = _run_cli(tmp_path, self._sparse(1.0e150), "topology")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "base stations: " in proc.stdout
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n_bs", [1, 7, 3000])
     def test_nearest_bs_is_the_ensembles_search(self, seed, n_bs):
@@ -435,7 +456,7 @@ class TestTopologyCommand:
             assert _min_spacing(bs, radius) == np.sqrt(dx * dx + dy * dy).min()
         # two BSs a diameter apart, and fewer than two
         assert _min_spacing(np.array([[-radius, 0.0], [radius, 0.0]]), radius) == 2.0 * radius
-        # in the widest window the load admits, whose squared diameter overflows
+        # in a window whose squared diameter overflows
         assert _min_spacing(np.array([[0.0, 0.0], [1e153, 0.0]]), 7e153) == 1e153
         assert _min_spacing(bs[:1], radius) == _min_spacing(bs[:0], radius) == math.inf
 
@@ -485,15 +506,15 @@ import ris_sim.cli
 from ris_sim import montecarlo
 
 caller = os.getpid()
-draw = montecarlo._draw_field_interference
+draw = montecarlo._field_draws
 
-def failing_draw(kernel, rng, *rest):
+def failing_draw(*args):
     if os.getpid() != caller:
         raise RuntimeError("draw failed in a worker")
-    return draw(kernel, rng, *rest)
+    return draw(*args)
 
 os.sched_getaffinity = lambda pid: {0, 1}
-montecarlo._draw_field_interference = failing_draw
+montecarlo._field_draws = failing_draw
 code = ris_sim.cli.main(sys.argv[1:])
 print(code, len(multiprocessing.active_children()))
 """

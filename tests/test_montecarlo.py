@@ -25,8 +25,6 @@ from ris_sim.geometry import (
 from ris_sim.montecarlo import (
     LinkGeometry,
     SimulationSetup,
-    _draw_field_interference,
-    _field_kernel,
     draw_serving_power,
     outage_from_ensemble,
     rates_from_ensemble,
@@ -135,58 +133,66 @@ class TestSimulateTrial:
         assert run_ensemble(_setup(), 20, seed=4).i_after_cell_reflected is None
 
 
+def _one_trial(bs, ris, ch, rng, serving=None):
+    """Both draws, before and after movement, of a one-trial chunk."""
+    drawn = montecarlo._field_draws(ch, bs, np.array([0, bs.shape[0]]), ris,
+                                    np.array([0, ris.shape[0]]),
+                                    None if serving is None else np.array([serving]), rng)
+    return [float(stage[0]) for stage in drawn]
+
+
 class TestFieldKernel:
     def test_two_draws_match_recomputed_reference(self):
         ch = ChannelParams()
         topo = TopologyConfig(lambda_b=5e-5, lambda_r=1e-4, window=Window("disk", radius=500.0))
         for seed in range(20):
             bs, _, ris, _, _ = sample_fields(topo, _rng(100 + seed), 1)
-            for exclude in (None, seed % bs.shape[0]):
-                kernel = _field_kernel(bs, ris, ch, exclude)
+            for serving in (None, seed % bs.shape[0]):
                 rng, ref_rng = _rng(seed), _rng(seed)
-                got = [_draw_field_interference(kernel, rng) for _ in range(2)]
-                want = [_reference_field_interference(bs, ris, ch, ref_rng, exclude)
+                got = _one_trial(bs, ris, ch, rng, serving)
+                want = [_reference_field_interference(bs, ris, ch, ref_rng, serving)
                         for _ in range(2)]
                 assert got == want
                 assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize(
-        "bs,ris,exclude",
+        "bs,ris,serving",
         [
             (np.zeros((0, 2)), np.zeros((0, 2)), None),
             (np.array([[30.0, 40.0]]), np.array([[35.0, 40.0]]), 0),
             (np.array([[30.0, 40.0], [-60.0, 80.0]]), np.zeros((0, 2)), None),
         ],
     )
-    def test_degenerate_fields_match_reference(self, bs, ris, exclude):
+    def test_degenerate_fields_match_reference(self, bs, ris, serving):
         ch = ChannelParams()
         rng, ref_rng = _rng(3), _rng(3)
-        got = _draw_field_interference(_field_kernel(bs, ris, ch, exclude), rng)
-        assert got == _reference_field_interference(bs, ris, ch, ref_rng, exclude)
+        got = _one_trial(bs, ris, ch, rng, serving)
+        assert got == [_reference_field_interference(bs, ris, ch, ref_rng, serving)
+                       for _ in range(2)]
         assert rng.random() == ref_rng.random()
 
     def test_chunk_buffer_matches_fresh_arrays(self):
-        # (BSs, surfaces) per trial: the largest in the middle, a trial with
-        # no BS and one with no surfaces
-        sizes = [(3, 4), (0, 0), (8, 9), (4, 0), (2, 5)]
+        # (BSs, surfaces, serving BS) per trial: the largest in the middle, a
+        # trial with no BS (in pinned mode only: an associated trial has its
+        # serving BS), one whose only BS serves and one with no surfaces
+        sizes = [(3, 4, 2), (0, 0, None), (1, 3, 0), (8, 9, 5), (4, 0, 1), (2, 5, 0)]
         gen = _rng(21)
-        bs = gen.uniform(-400.0, 400.0, (sum(b for b, _ in sizes), 2))
-        ris = gen.uniform(-400.0, 400.0, (sum(r for _, r in sizes), 2))
-        bs_start = np.concatenate(([0], np.cumsum([b for b, _ in sizes])))
-        ris_start = np.concatenate(([0], np.cumsum([r for _, r in sizes])))
-        # associated mode: each trial's serving BS is left out of its kernel
-        serving = bs_start[:-1] + np.array([2, 0, 5, 1, 0])
         ch = ChannelParams()
-        rng, ref_rng = _rng(8), _rng(8)
-        drawn = montecarlo._field_draws(ch, bs, bs_start, ris, ris_start, serving, rng)
-        want = np.empty((2, len(sizes)))
-        for t in range(len(sizes)):
-            kernel = _field_kernel(bs[bs_start[t]:bs_start[t + 1]],
-                                   ris[ris_start[t]:ris_start[t + 1]], ch,
-                                   serving[t] - bs_start[t])
-            want[:, t] = [_draw_field_interference(kernel, ref_rng) for _ in range(2)]
-        assert [a.tobytes() for a in drawn] == [row.tobytes() for row in want]
-        assert rng.random() == ref_rng.random()
+        for associated in (False, True):
+            trials = [(gen.uniform(-400.0, 400.0, (b, 2)), gen.uniform(-400.0, 400.0, (r, 2)),
+                       s if associated else None)
+                      for b, r, s in sizes if not (associated and s is None)]
+            bs_start, ris_start = (np.cumsum([0] + [len(trial[i]) for trial in trials])
+                                   for i in (0, 1))
+            serving = bs_start[:-1] + [s for *_, s in trials] if associated else None
+            rng, ref_rng = _rng(8), _rng(8)
+            drawn = montecarlo._field_draws(
+                ch, np.concatenate([b for b, _, _ in trials]), bs_start,
+                np.concatenate([r for _, r, _ in trials]), ris_start, serving, rng)
+            want = [[_reference_field_interference(b, r, ch, ref_rng, s) for _ in range(2)]
+                    for b, r, s in trials]
+            assert [a.tobytes() for a in drawn] == [row.tobytes() for row in np.array(want).T]
+            assert rng.random() == ref_rng.random()
 
 
 class TestEnsemble:
@@ -265,9 +271,8 @@ def _reference_trial(setup, rng, moved_mode):
             d = float(np.linalg.norm(bs[exclude] - ris[j])) * float(np.hypot(*ris[j]))
             pl_r = ch.c * d ** (-ch.alpha)
     s0 = float(draw_serving_power(ch, pl_d, pl_r, 1, rng)[0])
-    kernel = _field_kernel(bs, ris, ch, exclude=exclude)
-    i_before = _draw_field_interference(kernel, rng)
-    i_after = _draw_field_interference(kernel, rng)
+    i_before, i_after = (_reference_field_interference(bs, ris, ch, rng, exclude)
+                         for _ in range(2))
     if moved_mode == "network_field":
         density = cfg.lambda_b * cfg.lambda_u * math.pi * setup.r_i**2
         pts = cfg.window.sample_uniform(rng.poisson(density * cfg.window.area()), rng)
@@ -632,16 +637,16 @@ class TestWorkerPool:
 
     def test_worker_failure_leaves_no_workers(self, small_chunks, four_cpus, monkeypatch):
         caller = os.getpid()
-        draw = montecarlo._draw_field_interference
+        draw = montecarlo._field_draws
 
-        def failing_draw(kernel, rng, *rest):
+        def failing_draw(*args):
             if os.getpid() != caller:
                 raise RuntimeError("draw failed in a worker")
-            return draw(kernel, rng, *rest)
+            return draw(*args)
 
         # the workers are forked after the patch, so they draw with it, and
         # this process draws its own chunks as before
-        monkeypatch.setattr(montecarlo, "_draw_field_interference", failing_draw)
+        monkeypatch.setattr(montecarlo, "_field_draws", failing_draw)
         with pytest.raises(RuntimeError, match="draw failed in a worker"):
             run_ensemble(_setup(), 170, seed=1, workers=2)
         assert four_cpus == [1]
