@@ -6,12 +6,15 @@ validate-laplace.  Exit codes: 0 success, 2 configuration error, 3 numeric
 validation failure (including an overflow or a failed quadrature in the
 numeric layers).  No environment variable is read: --threads (default 1,
 at least 1) caps the processes, this one included, that run the Monte Carlo
-ensembles (outage-sweep, validate-laplace; each process runs whole chunks,
-sampling and per-trial loop; see ``montecarlo.run_ensemble``), and the
-threads that draw the serving batch, pinned or associated (validate-power,
-outage-sweep; see ``montecarlo.serving_power``).  The other commands run serially,
-sis-sim's six panels as one agent run (``mobility_sim.run_abm``).  Output is
-byte-identical whatever its value.
+ensembles (outage-sweep, validate-laplace; each process runs its whole
+static share of chunks, sampling and per-trial loop, and each forked worker
+sends its results back down one pipe; see ``montecarlo.run_ensemble``), and
+the threads, this one included, that draw the serving batch, pinned or
+associated (validate-power, outage-sweep; see ``montecarlo.serving_power``).
+A worker's exception is re-raised here as it was raised, and a worker that
+dies by a signal or exits nonzero raises ``RuntimeError`` (exit 3).  The
+other commands run serially, sis-sim's six panels as one agent run
+(``mobility_sim.run_abm``).  Output is byte-identical whatever its value.
 
 Monte Carlo ensembles feed outage-sweep and validate-laplace only;
 validate-power draws their pinned-link serving batch, and topology one
@@ -23,14 +26,16 @@ A configuration is refused (exit 2, one line on stderr, no output directory
 made) when it is invalid, at load, or when the running command would pay an
 amount above its bound in ``experiment_config.LOAD_BOUNDS``, before the
 command's work (``ExperimentConfig.check_load``): each command is checked
-for the memory and work that it pays, and r0-sweep for none.
+for the memory and work that it pays, and r0-sweep for none.  The ensembles
+also refuse an ``r_r`` so small against the window that a surface could
+round onto its BS (``experiment_config.MIN_R_R_FRACTION``).
 
 Every output file starts with the resolved configuration as comment lines,
 and identical seeds produce byte-identical files.
 
 The package runs on numpy and PyYAML alone, and start-up loads only what the
-command needs: ``concurrent.futures`` only to start the ensembles' worker
-processes or the serving batch's threads, after set-up.  topology's nearest
+command needs; no command loads ``concurrent.futures``, ``multiprocessing``
+or ``logging``, at any --threads.  topology's nearest
 BSs are blocked all-pairs distances, and its BS spacing the cell list of
 Matern thinning (``geometry.close_pairs``); validate-power's gamma CDF runs
 the package's own incomplete gamma function

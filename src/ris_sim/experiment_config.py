@@ -92,6 +92,13 @@ MAX_TRIALS = 5_000_000
 _ENSEMBLES = ("outage-sweep", "validate-laplace")
 _FIELDS = ("topology", *_ENSEMBLES)
 
+# the smallest r_r, as a fraction of window_radius + r_b, on which the
+# ensembles run: a field coordinate carries a rounding error near 1e-16 of
+# that span, so a BS-surface distance of r_r keeps a relative error near
+# 1e-10, where a far smaller r_r rounds a surface onto its BS and its pair
+# power divides by zero
+MIN_R_R_FRACTION = 1e-6
+
 # sis-sim panels (name, user density, initially infected fraction): three
 # densities by 5/95 and 50/50 splits
 SIS_PANELS = (
@@ -328,7 +335,15 @@ class ExperimentConfig:
 
     def check_load(self, command: str) -> None:
         """ConfigError naming the keys, the amount and the row of the first
-        amount that ``command`` pays above its bound in ``LOAD_BOUNDS``."""
+        amount that ``command`` pays above its bound in ``LOAD_BOUNDS``, or,
+        on the ensemble commands, an ``r_r`` below ``MIN_R_R_FRACTION`` of
+        ``window_radius + r_b``."""
+        span = self.window_radius + self.r_b
+        if command in _ENSEMBLES and not self.r_r >= MIN_R_R_FRACTION * span:
+            raise ConfigError(
+                f"r_r={self.r_r} with window_radius={self.window_radius} and r_b={self.r_b}: "
+                f"r_r must be at least {MIN_R_R_FRACTION:g} of window_radius + r_b, "
+                "or a surface can round onto its BS")
         try:
             over = next(((keys, amount, row) for keys, amount, row in self.expected_load(command)
                          if not amount <= LOAD_BOUNDS[row]), None)

@@ -32,8 +32,9 @@ whatever the trial count; a partial last chunk draws fewer trials from its
 stream and differs.  The serving powers of either mode are one batch over
 all trials (``serving_power``), drawn when ``EnsembleStats.s0`` is first
 read: row block b from child b of stream (seed, 0), so no trials x N array
-is held.  The blocks run on up to ``workers`` threads, each holding one
-block at a time, with the same bytes whatever the thread count.
+is held.  The blocks run on up to ``workers`` plain threads, this one
+included, each drawing a fixed run of blocks and holding one block at a
+time, with the same bytes whatever the thread count.
 
 The per-trial loop of a chunk is one function, ``_field_draws``.  It takes
 the direct means and surface distances of the whole chunk in one pass, and
@@ -48,9 +49,12 @@ against 5,547 with the two slots allocated afresh for each trial.
 
 Every process of an ensemble runs whole chunks (``_run_chunk``: a chunk's
 sampling, then its per-trial loop).  With ``run_ensemble(..., workers=n)``
-the calling process runs chunks 0, n, 2n, ... and n - 1 fork-started worker
-processes the others, one task per chunk; each chunk draws from its own
-streams, so the samples are byte-identical whatever the worker count.
+the calling process runs chunks 0, n, 2n, ... and each of n - 1 worker
+processes, forked once with its whole static share (worker w: chunks w,
+w + n, w + 2n, ...), sends its results back pickled down one pipe; each
+chunk draws from its own streams, so the samples are byte-identical
+whatever the worker count.  No executor runs between them, and no module
+of ``multiprocessing`` or ``concurrent.futures`` is loaded.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import pickle
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -336,39 +341,44 @@ def serving_power(ch: ChannelParams, pl_direct: float | np.ndarray,
     link, or length-``n`` arrays, one associated link per trial.  The batch
     of every ensemble, and the samples of ``validate-power``.
 
-    The batch is cut into row blocks of ``max(1, _HOP_BLOCK // N)`` rows, and
-    block b is one ``draw_serving_power`` call on its slice of the gains and
-    the child b of stream (seed, 0), so no n x N array is held.  The blocks
-    run on ``min(workers, blocks, usable CPUs)`` threads, each drawing a fixed
-    run of blocks into one output array (numpy's draws and ufuncs release the
-    interpreter lock); below two threads they run in this thread.  The output
-    depends on the block, not on the thread, so it is byte-identical whatever
-    ``workers`` says.  Every thread has exited when this returns.
+    The batch is cut into B row blocks of ``max(1, _HOP_BLOCK // N)`` rows,
+    and block b is one ``draw_serving_power`` call on its slice of the gains
+    and the child b of stream (seed, 0), so no n x N array is held.  The
+    blocks run on T = ``min(workers, B, usable CPUs)`` threads, this one
+    included, into one output array (numpy's draws and ufuncs release the
+    interpreter lock): thread t draws the fixed run of blocks from t B / T up
+    to (t + 1) B / T, and this thread draws run 0 itself.  The output depends
+    on the block, not on the thread, so it is byte-identical whatever
+    ``workers`` says.  A failed run stops there, and the first failure is
+    re-raised once every thread has been joined: every thread has exited
+    when this returns or raises.
     """
     pl_direct, pl_reflected = np.broadcast_to(pl_direct, n), np.broadcast_to(pl_reflected, n)
     rows = max(1, _HOP_BLOCK // ch.n_elements)
     blocks = -(-n // rows)
     out = np.empty(n)
+    failures = []
 
     def draw(first: int, stop: int):
-        for b in range(first, stop):
-            block = slice(b * rows, min((b + 1) * rows, n))
-            out[block] = draw_serving_power(ch, pl_direct[block], pl_reflected[block],
-                                            block.stop - block.start, _stream(seed, 0, (b,)))
+        try:
+            for b in range(first, stop):
+                block = slice(b * rows, min((b + 1) * rows, n))
+                out[block] = draw_serving_power(ch, pl_direct[block], pl_reflected[block],
+                                                block.stop - block.start, _stream(seed, 0, (b,)))
+        except BaseException as exc:
+            failures.append(exc)
 
-    threads = min(workers, blocks, len(os.sched_getaffinity(0)))
-    if threads < 2:
-        draw(0, blocks)
-        return out
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    # one task per thread: at N near _HOP_BLOCK every block is one row
-    with ThreadPoolExecutor(threads) as pool:
-        tasks = [pool.submit(draw, t * blocks // threads, (t + 1) * blocks // threads)
-                 for t in range(threads)]
-        for task in tasks:
-            task.result()
+    # one fixed run of blocks per thread: at N near _HOP_BLOCK every block is one row
+    threads = max(1, min(workers, blocks, len(os.sched_getaffinity(0))))
+    runs = [(t * blocks // threads, (t + 1) * blocks // threads) for t in range(threads)]
+    helpers = [threading.Thread(target=draw, args=run) for run in runs[1:]]
+    for helper in helpers:
+        helper.start()
+    draw(*runs[0])
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
     return out
 
 
@@ -488,6 +498,48 @@ def _run_chunk(setup: SimulationSetup, trials: int, seed: int, cell_reflected: b
     return chunk, before, [term + field_after for term in moved], gains, resampled
 
 
+def _fork_chunks(run: Callable, chunks: range) -> tuple[int, int]:
+    """Fork a worker that runs ``run`` on each of ``chunks`` in turn and
+    sends back, pickled down one pipe, the list of their results or the
+    exception that stopped it.  Returns (its pid, the pipe's read end).
+
+    The worker's body ends in ``os._exit`` whatever happens, so it never
+    returns into the caller's stack, and flushes none of its buffers."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            try:
+                reply = [run(c) for c in chunks]
+            except BaseException as exc:
+                reply = exc
+            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _worker_reply(status: int, data: bytes) -> list:
+    """The chunk results that a reaped worker sent (``data``), or its
+    exception re-raised unchanged; ``RuntimeError`` when its wait status
+    says that it exited nonzero or died by a signal."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise RuntimeError(f"ensemble worker killed by signal {-code}")
+    if code:
+        raise RuntimeError(f"ensemble worker exited with code {code}")
+    reply = pickle.loads(data)
+    if isinstance(reply, BaseException):
+        raise reply
+    return reply
+
+
 def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
                  workers: int = 1, cell_reflected: bool = False) -> EnsembleStats:
     """``trials`` trials, sampled in chunks from per-(seed, chunk) streams.
@@ -499,19 +551,27 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
     count; a partial last chunk draws differently.  The serving powers,
     pinned or associated, are one ``serving_power`` batch over all trials,
     drawn on the first read of ``s0`` on up to ``workers`` threads; that read
-    comes after any worker pool has shut down, and its threads have exited
-    when it returns.
+    comes after every worker process has been reaped, and its threads have
+    exited when it returns.
 
     With ``cell_reflected`` each chunk also draws the cell-reflected movers,
     from the child stream of its own, and fills ``i_after_cell_reflected``;
     every other sample is the same as without.
 
     The chunks run on n = min(``workers``, chunks, usable CPUs) processes,
-    this one included, each running whole chunks (``_run_chunk``): this
-    process runs chunks 0, n, 2n, ... and n - 1 fork-started workers the
-    others, one task per chunk.  Below two processes, or while another
-    thread is alive, every chunk runs here.  The output is byte-identical
-    whatever ``workers`` says.
+    this one included, each running its whole static share of chunks
+    (``_run_chunk``): this process runs chunks 0, n, 2n, ..., and worker w,
+    forked once before this process starts its own share, runs chunks w,
+    w + n, w + 2n, ... and sends their results back down one pipe
+    (``_fork_chunks``).  Below two processes, or while another thread is
+    alive, every chunk runs here.  The output is byte-identical whatever
+    ``workers`` says.
+
+    No worker outlives the call: on a failure here or in a worker, the
+    workers still running are killed, and every worker has been reaped
+    before the exception propagates.  A worker's exception is re-raised
+    unchanged, and a worker that exits nonzero or dies by a signal raises
+    ``RuntimeError``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -538,34 +598,37 @@ def run_ensemble(setup: SimulationSetup, trials: int, seed: int = 0,
             pl_d[chunk], pl_r[chunk] = gains
         resampled += n_resampled
 
-    processes = min(workers, chunks, len(os.sched_getaffinity(0)))
-    pool = None
     # a forked worker is a copy of this process, and a lock another thread
-    # held at the fork would stay held in it: fork only a single thread
-    if processes > 1 and threading.active_count() == 1:
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
-
-        # forked, not spawned: a spawned worker starts an interpreter and
-        # imports numpy and this module afresh, 0.19-0.32 s on 2 vCPUs
-        # against 6 ms for a fork, which is more than a small ensemble's
-        # whole loop
-        pool = ProcessPoolExecutor(processes - 1, mp_context=multiprocessing.get_context("fork"))
-    else:
-        processes = 1
+    # held at the fork would stay held in it: fork only a single thread.
+    # Forked, not spawned: a spawned worker starts an interpreter and imports
+    # numpy and this module afresh, 0.19-0.32 s on 2 vCPUs against 6 ms for
+    # a fork, which is more than a small ensemble's whole loop
+    processes = (1 if threading.active_count() > 1
+                 else min(workers, chunks, len(os.sched_getaffinity(0))))
+    # pid -> read end of each worker not yet reaped
+    pending = {}
     try:
-        # the workers fork at the first submit and run their chunks while
-        # this process runs chunks 0, n, 2n, ...
-        tasks = [pool.submit(run, c) for c in range(chunks) if c % processes]
+        for w in range(1, processes):
+            pid, read = _fork_chunks(run, range(w, chunks, processes))
+            pending[pid] = read
         for c in range(0, chunks, processes):
             store(*run(c))
-        for task in tasks:
-            store(*task.result())
+        for pid, read in list(pending.items()):
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del pending[pid]
+            os.close(read)
+            for result in _worker_reply(status, data):
+                store(*result)
     finally:
-        # on a failure here or in a worker no queued chunk starts, and every
-        # worker has exited before the exception propagates
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        if pending:
+            import signal  # loaded only when a failure leaves workers to kill
+
+            for pid, read in pending.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read)
     return EnsembleStats(i_b, i_a[0], resampled, serving,
                          i_a[1] if cell_reflected else None)
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
@@ -151,6 +152,22 @@ class TestExitCodes:
         proc = _run_cli(tmp_path, text, "validate-laplace")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    # at 1e20 a surface 10 m from its BS rounded onto it: the pair power
+    # divided by zero, and outage-sweep wrote P_o_empirical 0.87 against an
+    # analytic 0.0069 (exit 0).  topology draws the same fields, and still
+    # runs on a wider window (TestTopologyCommand)
+    @pytest.mark.parametrize("command", ["outage-sweep", "validate-laplace"])
+    def test_surfaces_rounding_onto_their_bs_exit_config(self, tmp_path, command):
+        text = "window_radius: 1.0e+20\n" + "".join(
+            f"{key}: 1.0e-40\n" for key in ("lambda_b", "lambda_r", "lambda_u"))
+        proc = _run_cli(tmp_path, text, command)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.splitlines() == [
+            "configuration error: r_r=10.0 with window_radius=1e+20 and r_b=50.0: "
+            "r_r must be at least 1e-06 of window_radius + r_b, "
+            "or a surface can round onto its BS"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text,command,reason", _BUDGET_CASES)
     def test_draw_budgets_exit_config_under_memory_limit(self, tmp_path, text, command, reason):
@@ -499,39 +516,73 @@ class TestMonteCarloWorkers:
         assert not out.exists()
 
     # a fresh interpreter, so that a traceback from the command or from a
-    # worker would reach stderr
+    # worker would reach stderr.  The last stdout line: the exit code, the
+    # processes forked, and whether every child has been reaped
     FAILING_WORKER = """
-import multiprocessing, os, sys
+import os, signal, sys
 import ris_sim.cli
 from ris_sim import montecarlo
 
 caller = os.getpid()
-draw = montecarlo._field_draws
+patched = getattr(montecarlo, "TARGET")
+fork = os.fork
+forked = []
 
-def failing_draw(*args):
+def failing(*args):
     if os.getpid() != caller:
-        raise RuntimeError("draw failed in a worker")
-    return draw(*args)
+        FAILURE
+    return patched(*args)
 
+def counting_fork():
+    pid = fork()
+    if pid:
+        forked.append(pid)
+    return pid
+
+os.fork = counting_fork
 os.sched_getaffinity = lambda pid: {0, 1}
-montecarlo._field_draws = failing_draw
+setattr(montecarlo, "TARGET", failing)
 code = ris_sim.cli.main(sys.argv[1:])
-print(code, len(multiprocessing.active_children()))
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+print(code, len(forked), reaped)
 """
 
-    def test_failing_worker_exits_validation_without_traceback(self, tmp_path):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.FAILING_WORKER, "--trials", "1600",
-             "--threads", "2", "--out", str(tmp_path / "o"), "outage-sweep"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+    def _failing_worker(self, tmp_path, target: str, failure: str) -> list[str]:
+        """outage-sweep at --threads 2 with ``target`` running ``failure`` in
+        the forked worker; the lines of its stderr.  The trials are set in
+        the config, so that no override line is logged."""
+        out = tmp_path / "o"
+        cfg = _write(tmp_path, "c.yaml", f"trials: 1600\nout_dir: {out}\n")
+        script = self.FAILING_WORKER.replace("TARGET", target).replace("FAILURE", failure)
+        proc = _run_script(script, ["--config", cfg, "--threads", "2", "outage-sweep"])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"{EXIT_VALIDATION} 0"
-        assert "numeric failure: RuntimeError: draw failed in a worker" in proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{EXIT_VALIDATION} 1 True"
         assert "Traceback" not in proc.stderr
-        assert not (tmp_path / "o").exists()
+        assert not out.exists()
+        return proc.stderr.splitlines()
+
+    def test_failing_worker_exits_validation_without_traceback(self, tmp_path):
+        err = self._failing_worker(tmp_path, "_field_draws",
+                                   'raise RuntimeError("draw failed in a worker")')
+        assert err == ["numeric failure: RuntimeError: draw failed in a worker"]
+
+    # a worker's exception comes back as it was raised; a worker killed
+    # before it can reply is a RuntimeError
+    @pytest.mark.parametrize("failure, line", [
+        pytest.param('raise ArithmeticError("chunk failed in a worker")',
+                     "numeric failure: ArithmeticError: chunk failed in a worker",
+                     id="ArithmeticError"),
+        pytest.param("os.kill(os.getpid(), signal.SIGKILL)",
+                     f"numeric failure: RuntimeError: ensemble worker killed by signal "
+                     f"{int(signal.SIGKILL)}",
+                     id="SIGKILL"),
+    ])
+    def test_dying_worker_exits_validation_without_traceback(self, tmp_path, failure, line):
+        assert self._failing_worker(tmp_path, "_run_chunk", failure) == [line]
 
 
 class TestConfigDigest:
@@ -738,9 +789,11 @@ class _Contract(NamedTuple):
         # oracle run the package's own rules, Matern thinning, topology's BS
         # spacing and the agent contacts a numpy cell list, and topology's
         # nearest BSs all distances); numpy.f2py comes behind scipy.special;
-        # concurrent.futures (and logging behind it) only with a worker pool
-        # or serving threads; numpy.ma with np.median's NaN check
-        "scipy", "numpy.f2py", "concurrent.futures", "numpy.ma")
+        # no executor, at any --threads: the ensembles fork their workers
+        # with os.fork and the serving batch starts plain threads; numpy.ma
+        # with np.median's NaN check
+        "scipy", "numpy.f2py", "concurrent.futures", "multiprocessing", "logging",
+        "numpy.ma")
 
 
 _LAPLACE_STDOUT = ("pgfl vs quadrature worst relative error: 5.916e-07\n"
@@ -806,8 +859,10 @@ _CONTRACTS = [
         id="r0-sweep"),
 ]
 
-# the commands that can start a worker pool or serving threads
-_POOLED = ("validate-power", "outage-sweep", "validate-laplace")
+
+def _thread_counts(row: _Contract) -> tuple[str, ...]:
+    # validate-power's 7 row blocks split unevenly over 2 and 3 threads
+    return ("1", "2", "3") if row.command == "validate-power" else ("1", "2")
 
 
 def _check_contract(row: _Contract, out: Path, stdout: str) -> None:
@@ -816,30 +871,32 @@ def _check_contract(row: _Contract, out: Path, stdout: str) -> None:
 
 
 class TestContracts:
-    # the last stdout line: exit code, whether main froze the heap, modules
+    # three usable CPUs whatever the host has, so that each run starts as
+    # many processes or threads as it asks.  The last stdout line: exit
+    # code, whether main froze the heap, modules
     SCRIPT = """
-import gc, json, sys
+import gc, json, os, sys
 import ris_sim.cli
+os.sched_getaffinity = lambda pid: {0, 1, 2}
 code = ris_sim.cli.main(sys.argv[1:])
 print(json.dumps([code, gc.get_freeze_count() > 0, sorted(sys.modules)]))
 """
 
     @pytest.mark.parametrize("row", _CONTRACTS)
     def test_fresh_interpreter(self, tmp_path, row):
-        # --threads 1 for the commands that start a pool or threads above
-        # it, --threads 2 for those that start none at any value
-        threads = "1" if row.command in _POOLED else "2"
-        out = tmp_path / "o"
-        proc = _run_script(self.SCRIPT, ["--config", _write(tmp_path, "c.yaml", row.config),
-                                         "--threads", threads, "--out", str(out), row.command])
-        assert proc.returncode == 0, proc.stderr
-        *printed, last = proc.stdout.splitlines(keepends=True)
-        code, frozen, modules = json.loads(last)
-        assert code == EXIT_OK, proc.stderr
-        _check_contract(row, out, "".join(printed))
-        assert frozen
-        assert [m for m in modules
-                if any(m == u or m.startswith(u + ".") for u in row.unloaded)] == []
+        cfg = _write(tmp_path, "c.yaml", row.config)
+        for threads in _thread_counts(row):
+            out = tmp_path / threads
+            proc = _run_script(self.SCRIPT, ["--config", cfg, "--threads", threads,
+                                             "--out", str(out), row.command])
+            assert proc.returncode == 0, proc.stderr
+            *printed, last = proc.stdout.splitlines(keepends=True)
+            code, frozen, modules = json.loads(last)
+            assert code == EXIT_OK, proc.stderr
+            _check_contract(row, out, "".join(printed))
+            assert frozen
+            assert [m for m in modules
+                    if any(m == u or m.startswith(u + ".") for u in row.unloaded)] == []
 
     @pytest.mark.parametrize("row", _CONTRACTS)
     def test_every_thread_count(self, tmp_path, capsys, monkeypatch, row):
@@ -854,8 +911,7 @@ print(json.dumps([code, gc.get_freeze_count() > 0, sorted(sys.modules)]))
         # the first run evaluates the quadrature oracle afresh, the next
         # reuses its memo
         interference_analytic._reflected_cluster_exponent.cache_clear()
-        # validate-power's 7 row blocks split unevenly over 2 and 3 threads
-        for threads in ("1", "2", "3") if row.command == "validate-power" else ("1", "2"):
+        for threads in _thread_counts(row):
             # two usable CPUs whatever the host has, three for --threads 3,
             # so that each run starts as many processes or threads as it asks
             cpus = set(range(max(2, int(threads))))

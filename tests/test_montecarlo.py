@@ -1,12 +1,10 @@
 """Monte Carlo harness: trial structure, paired estimators, reproducibility."""
 
-import concurrent.futures.process
-import functools
 import math
-import multiprocessing
 import os
+import signal
 import threading
-from concurrent.futures.process import ProcessPoolExecutor
+import time
 
 import numpy as np
 import pytest
@@ -507,14 +505,24 @@ class TestPinnedServingBatch:
         setup = _setup()
         ch = setup.channel
         pinned = setup.link.pathloss(ch.c, ch.alpha)
+        draw = montecarlo.draw_serving_power
+        drawing = set()
+
+        def recording(*args):
+            drawing.add(threading.get_ident())
+            return draw(*args)
+
+        monkeypatch.setattr(montecarlo, "draw_serving_power", recording)
         before = threading.active_count()
         s0 = montecarlo.serving_power(ch, *pinned, 50, 3, workers=2)
         assert threading.active_count() == before
         assert s0.tobytes() == _by_blocks(ch, *pinned, 50, 3).tobytes()
-        # so a pooled ensemble afterwards still forks its workers, and its
-        # lazy pinned draw on two threads leaves none behind either
+        # this thread and one more drew
+        assert threading.get_ident() in drawing and len(drawing) == 2
+        # so an ensemble afterwards still forks its worker, and its lazy
+        # pinned draw on two threads leaves none behind either
         stats = run_ensemble(setup, 170, seed=3, workers=2)
-        assert four_cpus == [1]
+        assert len(four_cpus) == 1
         assert stats.s0[:50].tobytes() == s0.tobytes()
         assert threading.active_count() == before
         _assert_no_children()
@@ -536,30 +544,54 @@ class TestPinnedServingBatch:
             montecarlo.serving_power(ch, *setup.link.pathloss(ch.c, ch.alpha), 48, 3, workers=3)
         assert threading.active_count() == before
 
+    def test_failing_caller_share_raises_after_every_thread_exits(self, four_cpus, monkeypatch):
+        # 10 blocks of 5 rows on 3 threads: this thread's run, blocks 0-2,
+        # fails at once, while the other two draw blocks 3-5 and 6-9
+        monkeypatch.setattr(montecarlo, "_HOP_BLOCK", 1000)
+        draw = montecarlo.draw_serving_power
+        drawn = []
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor and records the worker counts it
-    was built with."""
+        def failing_here(*args):
+            if threading.current_thread() is threading.main_thread():
+                raise MemoryError("block failed here")
+            time.sleep(0.05)
+            drawn.append(draw(*args))
+            return drawn[-1]
 
-    built: list[int] = []
-
-    def __new__(cls, max_workers, **kwargs):
-        cls.built.append(max_workers)
-        return ProcessPoolExecutor(max_workers, **kwargs)
+        monkeypatch.setattr(montecarlo, "draw_serving_power", failing_here)
+        before = threading.active_count()
+        setup = _setup()
+        ch = setup.channel
+        with pytest.raises(MemoryError, match="block failed here"):
+            montecarlo.serving_power(ch, *setup.link.pathloss(ch.c, ch.alpha), 50, 3, workers=3)
+        assert threading.active_count() == before
+        # both other threads drew their runs to the end before the raise
+        assert len(drawn) == 7
 
 
 @pytest.fixture
 def four_cpus(monkeypatch):
-    """Four usable CPUs whatever the host has, and a record of the pools
-    ``run_ensemble`` starts."""
+    """Four usable CPUs whatever the host has, and the pids of the processes
+    forked in this process; none is left unreaped at the end of the test."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "built", [])
-    return _RecordingPool.built
+    fork = os.fork
+    forked = []
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield forked
+    _assert_no_children()
 
 
 def _assert_no_children():
-    assert multiprocessing.active_children() == []
+    # every child of this process has been reaped: none runs, none is a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestWorkerPool:
@@ -579,8 +611,8 @@ class TestWorkerPool:
             for name in names:
                 assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
             assert got.resampled == ref.resampled
-        # the caller is one of the processes: pools of 1 and 2 workers
-        assert four_cpus == [1, 2]
+        # the caller is one of the processes: 1 and 2 workers forked
+        assert len(four_cpus) == 3
         _assert_no_children()
 
     def test_byte_identical_across_workers_with_resampling(self, small_chunks, four_cpus):
@@ -595,16 +627,15 @@ class TestWorkerPool:
             for name in ("s0", "i_before", "i_after"):
                 assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
             assert got.resampled == ref.resampled
-        assert four_cpus == [1, 2]
+        assert len(four_cpus) == 3
+        _assert_no_children()
 
     def test_caller_samples_every_second_chunk(self, small_chunks, four_cpus, monkeypatch):
-        # the wrapper counts in this process only: each forked worker calls
-        # its own copy.  It carries _run_chunk's name, so that the pool
-        # pickles it by reference as it does the unpatched function
+        # the wrapper counts in this process only: the forked worker appends
+        # to its own copy of the list
         run_chunk = montecarlo._run_chunk
         sampled = []
 
-        @functools.wraps(run_chunk)
         def counting(*args):
             sampled.append(args[-1])  # the chunk index
             return run_chunk(*args)
@@ -614,7 +645,7 @@ class TestWorkerPool:
         chunks = -(-170 // montecarlo._chunk_trials(setup))
         assert chunks >= 6
         run_ensemble(setup, 170, seed=1, workers=2)
-        assert four_cpus == [1]
+        assert len(four_cpus) == 1
         assert sampled == list(range(0, chunks, 2))
         _assert_no_children()
 
@@ -622,7 +653,6 @@ class TestWorkerPool:
         run_chunk = montecarlo._run_chunk
         calls = []
 
-        @functools.wraps(run_chunk)
         def failing_fourth_chunk(*args):
             calls.append(None)
             if len(calls) == 4:
@@ -632,7 +662,42 @@ class TestWorkerPool:
         monkeypatch.setattr(montecarlo, "_run_chunk", failing_fourth_chunk)
         with pytest.raises(RuntimeError, match="1000 attempts"):
             run_ensemble(_setup(), 170, seed=1, workers=2)
-        assert four_cpus == [1]
+        assert len(four_cpus) == 1
+        _assert_no_children()
+
+    def test_caller_failure_kills_a_running_worker(self, small_chunks, four_cpus, monkeypatch):
+        caller = os.getpid()
+
+        def failing_here(*args):
+            if os.getpid() == caller:
+                raise RuntimeError("chunk failed here")
+            # the worker is still running when the caller fails
+            time.sleep(30)
+            raise RuntimeError("worker not killed")
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", failing_here)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="chunk failed here"):
+            run_ensemble(_setup(), 170, seed=1, workers=2)
+        # killed, not waited for
+        assert time.monotonic() - start < 20
+        assert len(four_cpus) == 1
+        _assert_no_children()
+
+    def test_killed_worker_raises_runtime_error(self, small_chunks, four_cpus, monkeypatch):
+        caller = os.getpid()
+        run_chunk = montecarlo._run_chunk
+
+        def dying_worker(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_chunk(*args)
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", dying_worker)
+        killed = f"ensemble worker killed by signal {int(signal.SIGKILL)}"
+        with pytest.raises(RuntimeError, match=killed):
+            run_ensemble(_setup(), 170, seed=1, workers=3)
+        assert len(four_cpus) == 2
         _assert_no_children()
 
     def test_worker_failure_leaves_no_workers(self, small_chunks, four_cpus, monkeypatch):
@@ -649,7 +714,7 @@ class TestWorkerPool:
         monkeypatch.setattr(montecarlo, "_field_draws", failing_draw)
         with pytest.raises(RuntimeError, match="draw failed in a worker"):
             run_ensemble(_setup(), 170, seed=1, workers=2)
-        assert four_cpus == [1]
+        assert len(four_cpus) == 1
         _assert_no_children()
 
     def test_workers_below_one_refused(self):
