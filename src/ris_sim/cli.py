@@ -28,7 +28,9 @@ amount above its bound in ``experiment_config.LOAD_BOUNDS``, before the
 command's work (``ExperimentConfig.check_load``): each command is checked
 for the memory and work that it pays, and r0-sweep for none.  The ensembles
 also refuse an ``r_r`` so small against the window that a surface could
-round onto its BS (``experiment_config.MIN_R_R_FRACTION``).
+round onto its BS (``experiment_config.MIN_R_R_FRACTION``).  So is an
+``out_dir`` whose nearest existing ancestor is not a directory this process
+may write into.
 
 Every output file starts with the resolved configuration as comment lines,
 and identical seeds produce byte-identical files.
@@ -63,9 +65,8 @@ from .experiment_config import (
     SIS_PANELS,
     ConfigError,
     ExperimentConfig,
-    config_digest,
+    config_header,
     dbm_to_watts,
-    dump_config,
     load_config,
 )
 from .geometry import close_pairs, sample_hppp, serving_surfaces
@@ -93,10 +94,17 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _config_header(cfg: ExperimentConfig) -> str:
-    lines = [f"# {line}" for line in dump_config(cfg).rstrip().splitlines()]
-    lines.append(f"# config_digest: {config_digest(cfg)}")
-    return "\n".join(lines) + "\n"
+def _check_out_dir(out_dir: Path) -> None:
+    """Refuse an output directory that cannot be made or written into: its
+    nearest existing ancestor (itself, if it exists) must be a directory
+    that this process may write and search.  Nothing is made here."""
+    ancestor = out_dir.absolute()
+    while not os.path.exists(ancestor):
+        ancestor = ancestor.parent
+    if not os.path.isdir(ancestor):
+        raise ConfigError(f"out_dir {str(out_dir)!r}: {str(ancestor)!r} is not a directory")
+    if not os.access(ancestor, os.W_OK | os.X_OK):
+        raise ConfigError(f"out_dir {str(out_dir)!r}: {str(ancestor)!r} is not writable")
 
 
 def _write_atomic(path: Path, write) -> None:
@@ -116,7 +124,7 @@ def _write_atomic(path: Path, write) -> None:
 
 def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
     def write(fh):
-        fh.write(_config_header(cfg))
+        fh.write(config_header(cfg))
         fh.write(",".join(header) + "\n")
         for row in rows:
             # numpy scalars print as their Python values do
@@ -219,10 +227,9 @@ def cmd_validate_power(cfg: ExperimentConfig, out_dir: Path, threads: int) -> in
     ks = ks_distance(analytic)
 
     stride = max(1, n // 2000)
-    rows = [
-        (samples[i], (i + 1) / n, analytic[i])
-        for i in range(0, n, stride)
-    ]
+    rows = zip(samples[::stride].tolist(),
+               [(i + 1) / n for i in range(0, n, stride)],
+               analytic[::stride].tolist())
     _write_csv(out_dir / "power_cdf.csv", cfg, ["x", "empirical_cdf", "analytic_cdf"], rows)
     print(f"gamma fit shape={fit.shape} scale={fit.scale}")
     print(f"ks_distance: {ks}")
@@ -282,14 +289,14 @@ def cmd_sis_sim(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     abm_rows = []
     ode_rows = []
     for (name, lam_u, x0, res, abm), (t, mean_s, mean_x, stderr_x) in zip(panels, trajectories):
-        for i in range(t.size):
-            abm_rows.append((name, lam_u, x0, t[i], mean_s[i], mean_x[i], stderr_x[i]))
+        abm_rows.extend((name, lam_u, x0, *cells) for cells in zip(
+            t.tolist(), mean_s.tolist(), mean_x.tolist(), stderr_x.tolist()))
         area = abm.n_agents / lam_u
         pair_rate = res.beta * math.pi * abm.r_i**2 / area
         sis = SisParams(beta=pair_rate, mu=res.mu, n_total=abm.n_agents, x0=x0)
         t_ode, s_ode, x_ode = sis_ode_solve(sis, t_end=float(abm.steps), dt=0.1)
-        for i in range(0, t_ode.size, 10):
-            ode_rows.append((name, lam_u, x0, t_ode[i], s_ode[i], x_ode[i]))
+        ode_rows.extend((name, lam_u, x0, *cells) for cells in zip(
+            t_ode[::10].tolist(), s_ode[::10].tolist(), x_ode[::10].tolist()))
         print(
             f"panel {name}: lambda_u={lam_u} x0={x0} beta={res.beta:.5f} "
             f"mu={res.mu:.5f} final_X={mean_x[-1]:.2f}"
@@ -440,6 +447,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, overrides=overrides)
         # the amounts this command pays, before any output directory exists
         cfg.check_load(args.command)
+        _check_out_dir(Path(cfg.out_dir))
         if overrides:
             _log(f"overrides: {overrides}")
     except ConfigError as exc:

@@ -39,14 +39,14 @@ that leading term, a bound checked at each call, so a tail that decays as
 slowly as v**(1-alpha) at alpha near 2 is never left to an infinite-range
 extrapolation.
 
-The reflected integral depends on (s, p) alone and not on the stage, so it
-is memoized: it is a pure function of a float and a frozen (hashable)
-dataclass, the cache is bounded (128 entries, more than the 50-point grids
-that evaluate both stages), and a failing quadrature raises, so a failure
-is never cached.  One oracle point costs 1.5 ``quad`` calls on average (one
-for the direct field, and one for the reflected factor in the first stage
-only) of about three refinement passes each, about 0.4 ms on a 2-vCPU
-host.
+Neither integral depends on the stage, so both are memoized: the direct
+one is a pure function of two floats, the reflected one of a float and a
+frozen (hashable) dataclass, each cache is bounded (128 entries, more than
+the 50-point grids that evaluate both stages), and a failing quadrature
+raises, so a failure is never cached.  One oracle point of such a grid
+costs one ``quad`` call on average (the direct field and the reflected
+factor, each in the first stage only) of about three refinement passes,
+0.4-0.6 ms on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -219,6 +219,7 @@ def _decades(start: float, next_coeff: float, alpha: float) -> list[float]:
     return edges
 
 
+@functools.lru_cache(maxsize=128)
 def _ppp_direct_integral(kernel_scale: float, alpha: float) -> float:
     """integral_0^inf (1 - 1/(1 + kernel_scale * v**-alpha)) v dv.
 

@@ -201,6 +201,42 @@ class TestExitCodes:
         assert all(len(rows) == 1 for rows in named)
         assert {rows[0] for rows in named} == set(LOAD_BOUNDS)
 
+    @pytest.mark.parametrize("command", ["r0-sweep", "validate-power"])
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+    def test_out_dir_that_cannot_be_a_directory_exits_config(self, tmp_path, capsys,
+                                                             monkeypatch, command, below):
+        from ris_sim import montecarlo
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("serving batch drawn before out_dir was checked")
+
+        monkeypatch.setattr(montecarlo, "serving_power", no_batch)
+        cfg = _write(tmp_path, "c.yaml", "sweep:\n  axis: ue_density\n  grid: [1.0e-3]\n")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        out = blocker / below if below else blocker
+        assert main(["--config", cfg, "--out", str(out), command]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: out_dir {str(out)!r}: {str(blocker)!r} is not a directory"]
+        assert blocker.read_text() == "a file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "c.yaml"]
+
+    def test_unwritable_out_dir_exits_config(self, tmp_path, capsys, monkeypatch):
+        # the tests may run as root, whom no mode bit stops: os.access decides
+        checked = []
+
+        def no_access(path, mode):
+            checked.append((Path(path), mode))
+            return False
+
+        monkeypatch.setattr(os, "access", no_access)
+        out = tmp_path / "new" / "o"
+        assert main(["--out", str(out), "validate-power"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: out_dir {str(out)!r}: {str(tmp_path)!r} is not writable"]
+        assert checked == [(tmp_path, os.W_OK | os.X_OK)]
+        assert list(tmp_path.iterdir()) == []
+
     def test_overrides_apply_before_the_check(self, tmp_path):
         # 300000 trials of 20000 elements in the file exceed the serving-hop
         # budget; the 2000 given on the command line do not
@@ -749,6 +785,24 @@ class TestValidateLaplace:
         assert main(argv) == EXIT_OK
         assert calls == draws
 
+    def test_oracle_makes_one_quad_call_per_integral(self, tmp_path, monkeypatch):
+        # 50 values of s in two stages: the direct and the reflected integral
+        # once per s, the after stage reading both from their memos
+        from ris_sim import interference_analytic
+
+        interference_analytic._ppp_direct_integral.cache_clear()
+        interference_analytic._reflected_cluster_exponent.cache_clear()
+        calls = [0]
+        quad = interference_analytic.integrate.quad
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(interference_analytic.integrate, "quad", counting)
+        assert main(["--trials", "1000", "--out", str(tmp_path), "validate-laplace"]) == EXIT_OK
+        assert calls[0] == 100
+
 
 class TestValidatePower:
     def test_quick_run_passes(self, tmp_path, capsys):
@@ -909,7 +963,8 @@ print(json.dumps([code, gc.get_freeze_count() > 0, sorted(sys.modules)]))
             trials = loaded.laplace_trials if row.command == "validate-laplace" else loaded.trials
             assert -(-trials // montecarlo._chunk_trials(loaded.simulation_setup())) >= 2
         # the first run evaluates the quadrature oracle afresh, the next
-        # reuses its memo
+        # reuse its memos
+        interference_analytic._ppp_direct_integral.cache_clear()
         interference_analytic._reflected_cluster_exponent.cache_clear()
         for threads in _thread_counts(row):
             # two usable CPUs whatever the host has, three for --threads 3,

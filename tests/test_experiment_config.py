@@ -1,11 +1,19 @@
 """Configuration parsing, validation, and round-trip identity."""
 
+import hashlib
+import json
+import os
 import re
-from dataclasses import fields
+import subprocess
+import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
+import yaml
 
+import ris_sim
+from ris_sim import experiment_config
 from ris_sim.experiment_config import (
     _CHECKED_TYPES,
     LOAD_BOUNDS,
@@ -13,6 +21,7 @@ from ris_sim.experiment_config import (
     ExperimentConfig,
     SweepConfig,
     config_digest,
+    config_header,
     dbm_to_watts,
     dump_config,
     load_config,
@@ -265,6 +274,79 @@ class TestDerived:
     def test_with_overrides_ignores_none(self):
         cfg = ExperimentConfig()
         assert with_overrides(cfg, seed=None) == cfg
+
+
+# every shipped config, each also into directories that YAML quotes, folds
+# or escapes
+_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+_OUT_DIRS = [None, "out dir/with spaces", "résumé/日本", "o" * 120,
+             "/" + "long path segment " * 8, "yes", "#hash: colon", "tab\there"]
+
+
+def _emitted() -> list[list[str]]:
+    """``dump_config``, ``config_digest`` and ``config_header`` of every
+    config in ``_CONFIGS`` at every out_dir in ``_OUT_DIRS``."""
+    out = []
+    for path in _CONFIGS:
+        cfg = load_config(path)
+        for out_dir in _OUT_DIRS:
+            c = cfg if out_dir is None else replace(cfg, out_dir=out_dir)
+            out.append([dump_config(c), config_digest(c), config_header(c)])
+    return out
+
+
+class TestEmitter:
+    """libyaml's emitter writes what PyYAML's pure-Python one writes."""
+
+    @staticmethod
+    def _reference() -> list[list[str]]:
+        # the text and digest of PyYAML's pure-Python emitter, built apart
+        # from the module's helpers
+        out = []
+        for path in _CONFIGS:
+            cfg = load_config(path)
+            for out_dir in _OUT_DIRS:
+                c = cfg if out_dir is None else replace(cfg, out_dir=out_dir)
+                data = experiment_config._to_plain(asdict(c))
+                text = yaml.safe_dump(data, sort_keys=True)
+                del data["out_dir"]
+                digest = hashlib.sha256(
+                    yaml.safe_dump(data, sort_keys=True).encode()).hexdigest()[:16]
+                header = "".join(f"# {line}\n" for line in text.rstrip().splitlines())
+                out.append([text, digest, header + f"# config_digest: {digest}\n"])
+        return out
+
+    def test_libyaml_is_used_where_present(self):
+        assert experiment_config._SAFE_DUMPER is getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+    @pytest.mark.parametrize("dumper", ["CSafeDumper", "SafeDumper"])
+    def test_same_bytes_under_either_emitter(self, monkeypatch, dumper):
+        if not hasattr(yaml, dumper):
+            pytest.skip(f"PyYAML built without {dumper}")
+        monkeypatch.setattr(experiment_config, "_SAFE_DUMPER", getattr(yaml, dumper))
+        assert _emitted() == self._reference()
+
+    def test_same_bytes_without_libyaml(self):
+        # a fresh interpreter whose PyYAML lacks CSafeDumper before the
+        # package is imported, as when it was built without libyaml
+        script = (
+            "import json, sys, yaml\n"
+            "if hasattr(yaml, 'CSafeDumper'):\n"
+            "    del yaml.CSafeDumper\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import test_experiment_config as t\n"
+            "from ris_sim import experiment_config\n"
+            "assert experiment_config._SAFE_DUMPER is yaml.SafeDumper\n"
+            "print(json.dumps(t._emitted()))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(ris_sim.__file__).resolve().parents[1]),
+                        os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(Path(__file__).resolve().parent)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == self._reference()
 
 
 class TestSchemaDoc:

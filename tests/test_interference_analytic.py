@@ -21,6 +21,14 @@ from ris_sim.interference_analytic import (
 P = LaplaceParams()
 
 
+@pytest.fixture(autouse=True)
+def _empty_oracle_memos():
+    # a test that patches integrate.quad must not read a value that an
+    # earlier test cached
+    ia._ppp_direct_integral.cache_clear()
+    ia._reflected_cluster_exponent.cache_clear()
+
+
 class TestParams:
     def test_alpha_must_exceed_two(self):
         with pytest.raises(ValueError):
@@ -207,21 +215,17 @@ def _fresh_oracle(s, p, stage):
     """The oracle with every integral evaluated afresh."""
     if s == 0.0:
         return 1.0
-    exponent = 2.0 * math.pi * p.lambda_b * ia._ppp_direct_integral(s * p.c, p.alpha)
+    direct = ia._ppp_direct_integral.__wrapped__(s * p.c, p.alpha)
+    exponent = 2.0 * math.pi * p.lambda_b * direct
     exponent += 2.0 * math.pi * p.lambda_b * ia._reflected_cluster_exponent.__wrapped__(s, p)
     if stage == "after":
-        exponent += (
-            2.0 * math.pi * p.lambda_u_near * ia._ppp_direct_integral(s * p.c, p.alpha)
-        )
+        exponent += 2.0 * math.pi * p.lambda_u_near * direct
     return math.exp(-exponent)
 
 
 class TestOracleMemo:
-    """The reflected-cluster integral is memoized on (s, p)."""
-
-    @pytest.fixture(autouse=True)
-    def _empty_memo(self):
-        ia._reflected_cluster_exponent.cache_clear()
+    """The direct-field integral is memoized on (s c, alpha), the
+    reflected-cluster one on (s, p)."""
 
     @staticmethod
     def _count_quad(monkeypatch):
@@ -253,13 +257,16 @@ class TestOracleMemo:
         calls = self._count_quad(monkeypatch)
         for s in grid:
             laplace_quadrature_oracle(s, P, "before")
-        before, info = calls[0], ia._reflected_cluster_exponent.cache_info()
+        before = calls[0]
+        memos = (ia._ppp_direct_integral, ia._reflected_cluster_exponent)
+        infos = [memo.cache_info() for memo in memos]
         for s in grid:
             laplace_quadrature_oracle(s, P, "after")
-        after = ia._reflected_cluster_exponent.cache_info()
-        assert (after.hits - info.hits, after.misses - info.misses) == (len(grid), 0)
-        # the after pass integrates the direct field alone, in one call
-        assert calls[0] - before == len(grid)
+        for memo, info in zip(memos, infos):
+            after = memo.cache_info()
+            assert (after.hits - info.hits, after.misses - info.misses) == (len(grid), 0)
+        # the after pass reads both integrals from their memos
+        assert calls[0] - before == 0
 
     def test_key_includes_the_params(self):
         s = 1e6
@@ -286,6 +293,24 @@ class TestOracleMemo:
         monkeypatch.undo()
         assert ia._reflected_cluster_exponent(1e6, P) == (
             ia._reflected_cluster_exponent.__wrapped__(1e6, P)
+        )
+
+    def test_failed_direct_integral_is_not_cached(self, monkeypatch):
+        calls = [0]
+
+        def failing(*args, **kwargs):
+            calls[0] += 1
+            return math.nan, 0.0
+
+        monkeypatch.setattr(ia.integrate, "quad", failing)
+        for expected_calls in (1, 2):
+            with pytest.raises(ArithmeticError):
+                ia._ppp_direct_integral(1e6 * P.c, P.alpha)
+            assert calls[0] == expected_calls
+        assert ia._ppp_direct_integral.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert ia._ppp_direct_integral(1e6 * P.c, P.alpha) == (
+            ia._ppp_direct_integral.__wrapped__(1e6 * P.c, P.alpha)
         )
 
 
